@@ -14,7 +14,7 @@ use boom_uarch::{BoomConfig, Core};
 use boomflow::{
     default_jobs, realize_campaign, request_events, run_sweep, supervise_matrix_with,
     ArtifactStore, CampaignOptions, CampaignRequest, ClientMsg, FlowConfig, Request, ServeAddr,
-    ServeOptions, Server, ServerMsg, SweepOptions, SweepSpec, WorkPool,
+    ServeOptions, Server, ServerMsg, SweepOptions, SweepSpec,
 };
 use boomflow_bench::banner;
 use rv_isa::bbv::BbvCollector;
@@ -76,59 +76,85 @@ struct DetailedRow {
     detailed_kips: f64,
 }
 
-/// One workload's batched measurement: all three configs simulated as
-/// lanes of one batch (shared micro-op table, idle-cycle skipping on,
-/// one scoped thread per lane).
+/// Repetitions of each arm of the batching study. The arms alternate,
+/// and which runs first flips every repetition, so host drift hits both
+/// alike.
+const BATCH_REPS: usize = 9;
+
+/// One workload's batching measurement. The batched arm is what the
+/// flow's batched path does: one micro-op classification shared by all
+/// three configs' lanes, which then run one after another on one thread.
+/// The solo arm runs the same three configs on the same thread, each
+/// classifying privately. Idle-cycle skipping is on in both arms, so the
+/// shared table is the only difference.
 struct BatchedRow {
     workload: &'static str,
-    /// Each lane's kcycles/s over the whole batched pass's wall-clock.
+    /// Each lane's kcycles/s within the batched arm (median over
+    /// repetitions).
     per_config_kcps: [f64; 3],
-    /// All lanes' cycles (skipped ones included — they are simulated,
-    /// just charged analytically) over the batched pass's wall-clock.
+    /// All lanes' cycles over the batched arm's median wall-clock,
+    /// classification included.
     aggregate_kcps: f64,
-    /// Batched wall vs the sequential solo skip-off wall for the same
-    /// work, derived from the solo rates measured in the same run.
+    /// Median solo-arm wall over median batched-arm wall.
     batch_speedup: f64,
 }
 
-/// Times batched simulation of `w` across all three configs.
-/// `solo_kcps` are the per-config solo rates from the detailed matrix,
-/// used to price the equivalent sequential solo wall for the speedup.
-/// The lanes run on `pool` — the persistent-thread setup the flow's
-/// batched path uses (submitter helping) — so the measurement prices
-/// lane scheduling, not thread spawning.
-fn measure_batched(w: &Workload, solo_kcps: &[f64; 3], pool: &WorkPool) -> BatchedRow {
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Times the batched and solo arms of `w` across all three configs.
+fn measure_batched(w: &Workload) -> BatchedRow {
     let cfgs: Vec<BoomConfig> = CONFIGS.iter().map(|c| config_by_name(c)).collect();
-    let uops = Core::shared_uop_table(&w.program.decoded_image());
-    let run_batch = || -> [u64; 3] {
-        let out: [std::sync::OnceLock<u64>; 3] =
-            std::array::from_fn(|_| std::sync::OnceLock::new());
-        pool.run_scoped_helping((0..cfgs.len()).collect(), |i: usize| {
-            let mut core = Core::new_with_uops(cfgs[i].clone(), &w.program, &uops);
-            core.set_idle_skip(true);
-            let r = core.run(u64::MAX);
-            assert!(r.exited, "batched lane must exit");
-            let _ = out[i].set(r.cycles);
-        });
-        std::array::from_fn(|i| *out[i].get().expect("batched lane must complete"))
+    let finish = |mut core: Core| -> u64 {
+        core.set_idle_skip(true);
+        let r = core.run(u64::MAX);
+        assert!(r.exited, "lane must exit");
+        r.cycles
     };
-    run_batch(); // warm-up
-    let mut cycles = [0u64; 3];
-    let t0 = Instant::now();
-    while t0.elapsed() < MIN_WALL {
-        let c = run_batch();
-        for (acc, got) in cycles.iter_mut().zip(c) {
-            *acc += got;
+    // Batched arm: total wall plus each lane's (cycles, seconds).
+    let batched = || -> (f64, [(u64, f64); 3]) {
+        let t0 = Instant::now();
+        let uops = Core::shared_uop_table(&w.program.decoded_image());
+        let lanes = std::array::from_fn(|i| {
+            let t = Instant::now();
+            let cycles = finish(Core::new_with_uops(cfgs[i].clone(), &w.program, &uops));
+            (cycles, t.elapsed().as_secs_f64())
+        });
+        (t0.elapsed().as_secs_f64(), lanes)
+    };
+    let solo = || -> (f64, [u64; 3]) {
+        let t0 = Instant::now();
+        let cycles = std::array::from_fn(|i| finish(Core::new(cfgs[i].clone(), &w.program)));
+        (t0.elapsed().as_secs_f64(), cycles)
+    };
+    // One untimed warm-up of each arm (page faults, caches).
+    let (_, warm) = batched();
+    let cycles: [u64; 3] = warm.map(|(c, _)| c);
+    assert_eq!(solo().1, cycles, "batched and solo lanes must simulate identically");
+
+    let (mut batched_walls, mut solo_walls) = (Vec::new(), Vec::new());
+    let mut lane_kcps: [Vec<f64>; 3] = Default::default();
+    for rep in 0..BATCH_REPS {
+        if rep % 2 == 1 {
+            solo_walls.push(solo().0);
+        }
+        let (wall, lanes) = batched();
+        batched_walls.push(wall);
+        for (rates, (c, secs)) in lane_kcps.iter_mut().zip(lanes) {
+            rates.push(c as f64 / secs / 1e3);
+        }
+        if rep % 2 == 0 {
+            solo_walls.push(solo().0);
         }
     }
-    let secs = t0.elapsed().as_secs_f64();
-    let total: u64 = cycles.iter().sum();
-    let solo_secs: f64 = cycles.iter().zip(solo_kcps).map(|(&c, &r)| c as f64 / 1e3 / r).sum();
+    let batched_wall = median(batched_walls);
     BatchedRow {
         workload: w.name,
-        per_config_kcps: std::array::from_fn(|i| cycles[i] as f64 / secs / 1e3),
-        aggregate_kcps: total as f64 / secs / 1e3,
-        batch_speedup: solo_secs / secs,
+        per_config_kcps: lane_kcps.map(median),
+        aggregate_kcps: cycles.iter().sum::<u64>() as f64 / batched_wall / 1e3,
+        batch_speedup: median(solo_walls) / batched_wall,
     }
 }
 
@@ -393,20 +419,7 @@ fn main() {
         }
     }
 
-    let lane_pool = WorkPool::new(default_jobs());
-    let batched: Vec<BatchedRow> = workloads
-        .iter()
-        .map(|w| {
-            let solo: [f64; 3] = std::array::from_fn(|i| {
-                detailed
-                    .iter()
-                    .find(|d| d.config == CONFIGS[i] && d.workload == w.name)
-                    .expect("detailed matrix covers every (config, workload)")
-                    .detailed_kcps
-            });
-            measure_batched(w, &solo, &lane_pool)
-        })
-        .collect();
+    let batched: Vec<BatchedRow> = workloads.iter().map(measure_batched).collect();
     println!(
         "\n{:<14} {:>14} {:>13} {:>12} {:>18} {:>9}",
         "Batched", "Medium kcyc/s", "Large kcyc/s", "Mega kcyc/s", "Aggregate kcyc/s", "Speedup"

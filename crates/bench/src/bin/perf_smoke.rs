@@ -136,8 +136,8 @@ fn extract_rows(json: &str) -> Vec<PerfRow> {
 ///
 /// Configs are prefixed `batched:` so a batched MediumBOOM cell can never
 /// pair with the solo MediumBOOM cell of the same workload — the two
-/// measure different things (a lane sharing the host with two siblings vs
-/// the whole machine).
+/// measure different things (one lane of a batch sharing a micro-op
+/// table, timed whole-program with idle skipping, vs a solo run).
 fn extract_batched(json: &str) -> Vec<PerfRow> {
     find_array(json, "batched")
         .map(|body| {

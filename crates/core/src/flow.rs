@@ -18,9 +18,10 @@
 //! that schedules points across cells.
 
 use crate::artifacts::{ArtifactStore, CheckpointSet, PlannedPoint};
+use crate::scheduler::{run_campaign, CampaignOptions};
 use crate::supervisor::{
-    panic_message, renormalized, Degradation, FailureKind, FaultInjection, PointFailure,
-    RetryPolicy,
+    panic_message, renormalized, CellFailure, Degradation, FailureKind, FaultInjection,
+    PointFailure, RetryPolicy,
 };
 use boom_uarch::{
     BoomConfig, Core, Hierarchy, HierarchyParams, MemBackendKind, Stats, UopTable, WatchdogSnapshot,
@@ -275,49 +276,49 @@ pub fn run_simpoint_flow(
 /// same workload runs the configuration-independent front half exactly
 /// once.
 ///
+/// This is a 1×1 campaign with default options
+/// ([`supervise_campaign`](crate::supervise_campaign)): the points are
+/// independent (the paper runs them as separate RTL-simulator jobs), so
+/// they run on the campaign's worker pool under the same per-point
+/// supervision as every campaign cell.
+///
 /// # Errors
 ///
 /// As [`run_simpoint_flow`].
+///
+/// # Panics
+///
+/// Re-raises a panic that escaped the flow's per-point isolation (in
+/// profiling, checkpointing, or result assembly).
 pub fn run_simpoint_flow_with_store(
     cfg: &BoomConfig,
     workload: &Workload,
     flow: &FlowConfig,
     store: &ArtifactStore,
 ) -> Result<WorkloadResult, FlowError> {
-    // Stages 1–3 (configuration-independent, memoized).
-    let set = store.checkpoints(workload, flow)?;
-
-    // Stages 4 + 5: detailed simulation and power per point — the points
-    // are independent (the paper runs them as separate RTL-simulator
-    // jobs), so simulate them in parallel, each under its own
-    // supervision.
-    let outcomes: Vec<PointOutcome> = std::thread::scope(|s| {
-        let handles: Vec<_> = set
-            .points
-            .iter()
-            .map(|p| s.spawn(move || run_point_timed(cfg, p, flow, None, store)))
-            .collect();
-        set.points
-            .iter()
-            .zip(handles)
-            .map(|(p, h)| {
-                // The worker already isolates panics with `catch_unwind`;
-                // a failed join means something unwound outside it, which
-                // is still a quarantinable failure, not a reason to abort.
-                h.join().unwrap_or_else(|payload| Err(escaped_panic(p, payload.as_ref())))
-            })
-            .collect()
-    });
-
-    assemble_workload_result(&cfg.name, workload, &set, outcomes)
+    let report = run_campaign(
+        std::slice::from_ref(cfg),
+        std::slice::from_ref(workload),
+        flow,
+        store,
+        &CampaignOptions::default(),
+    );
+    let Some(cell) = report.cells.into_iter().next() else {
+        unreachable!("a 1x1 campaign reports exactly one cell");
+    };
+    match cell.outcome {
+        Ok(result) => Ok(*result),
+        Err(CellFailure::Flow(e)) => Err(e),
+        Err(CellFailure::Panicked(message)) => std::panic::resume_unwind(Box::new(message)),
+    }
 }
 
 /// Outcome of one planned point's supervised detailed simulation: the
 /// measurement and the attempts it took, or the quarantine record.
 pub(crate) type PointOutcome = Result<(PointResult, u32), PointFailure>;
 
-/// The quarantine record for a panic that escaped per-point isolation
-/// (e.g. a worker thread that died outside `catch_unwind`).
+/// The quarantine record for a panic that escaped per-point isolation,
+/// or for a point whose task never ran.
 pub(crate) fn escaped_panic(
     point: &PlannedPoint,
     payload: &(dyn std::any::Any + Send),
@@ -351,18 +352,28 @@ pub(crate) fn run_point_timed(
     r
 }
 
-/// Runs one SimPoint for several configurations in one batched pass: the
-/// predecoded image travels with the shared checkpoint already, and the
-/// per-text-word micro-op table — configuration-independent — is
-/// classified once here and shared by every lane. The lanes run on the
-/// process-wide persistent [`lane_pool`](crate::pool) (they are
-/// read-only over the shared artifacts) with the submitting worker
-/// helping drain its own batch, so a batch's aggregate throughput scales
-/// with free cores on top of the classification sharing and no threads
-/// are created per work item. Each lane is still an independent
-/// [`run_point_timed`] under full per-point supervision (retry, budget,
-/// quarantine, `catch_unwind`), so lane `i`'s outcome — returned in
-/// `cfgs` order regardless of thread timing — is bit-identical to a solo
+/// [`run_point_timed`] under `catch_unwind`: a panic that escapes the
+/// supervisor's own isolation still becomes this point's quarantine
+/// record, payload preserved.
+pub(crate) fn run_lane(
+    cfg: &BoomConfig,
+    point: &PlannedPoint,
+    flow: &FlowConfig,
+    uops: Option<&Arc<UopTable>>,
+    store: &ArtifactStore,
+) -> PointOutcome {
+    catch_unwind(AssertUnwindSafe(|| run_point_timed(cfg, point, flow, uops, store)))
+        .unwrap_or_else(|payload| Err(escaped_panic(point, payload.as_ref())))
+}
+
+/// Runs one SimPoint for one or more configurations (the lanes of a
+/// batch), one lane after another on the calling thread. A single lane
+/// takes the exact unbatched path (private micro-op classification);
+/// several lanes share the predecoded image — already in the shared
+/// checkpoint — and the per-text-word micro-op table, which is
+/// configuration-independent and classified once here. Each lane is an
+/// independent [`run_lane`] under full per-point supervision, so lane
+/// `i`'s outcome, returned in `cfgs` order, is bit-identical to a solo
 /// run of `cfgs[i]` on the same point.
 pub(crate) fn run_point_batch(
     cfgs: &[&BoomConfig],
@@ -370,27 +381,11 @@ pub(crate) fn run_point_batch(
     flow: &FlowConfig,
     store: &ArtifactStore,
 ) -> Vec<PointOutcome> {
-    let uops = point.checkpoint.image.as_ref().map(Core::shared_uop_table);
-    let uops = uops.as_ref();
-    let outcomes: Vec<std::sync::OnceLock<PointOutcome>> =
-        cfgs.iter().map(|_| std::sync::OnceLock::new()).collect();
-    crate::pool::lane_pool().run_scoped_helping((0..cfgs.len()).collect(), |i| {
-        // Catch the panic here (not only in the pool's generic guard) so
-        // the payload is preserved in the quarantine record, exactly as
-        // the scoped-thread join used to.
-        let r =
-            catch_unwind(AssertUnwindSafe(|| run_point_timed(cfgs[i], point, flow, uops, store)))
-                .unwrap_or_else(|payload| Err(escaped_panic(point, payload.as_ref())));
-        let _ = outcomes[i].set(r);
-    });
-    outcomes
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner().unwrap_or_else(|| {
-                Err(escaped_panic(point, &"batched lane worker died".to_string()))
-            })
-        })
-        .collect()
+    let uops = match cfgs {
+        [_] => None,
+        _ => point.checkpoint.image.as_ref().map(Core::shared_uop_table),
+    };
+    cfgs.iter().map(|cfg| run_lane(cfg, point, flow, uops.as_ref(), store)).collect()
 }
 
 /// Stable fingerprint of the supervision knobs that change point

@@ -30,8 +30,7 @@
 //! ([`supervise_matrix`], `boomflow --config all`) profiles, clusters,
 //! and checkpoints each workload exactly once. Detailed simulation is
 //! scheduled point-by-point across the whole configuration × workload
-//! matrix on a bounded work-stealing pool (`--jobs N`,
-//! [`CampaignOptions`]).
+//! matrix on a [`WorkPool`] of `--jobs N` workers ([`CampaignOptions`]).
 //!
 //! ```no_run
 //! use boomflow::{run_simpoint_flow, FlowConfig};

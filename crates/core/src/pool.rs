@@ -1,18 +1,16 @@
 //! Persistent worker pool with per-submission queues and round-robin
-//! fairness.
+//! fairness — the only executor in boomflow.
 //!
-//! Two consumers share this machinery:
-//!
-//! * **Batched lanes** ([`run_point_batch`](crate::flow)) — one global
-//!   [`lane_pool`] replaces the scoped thread spawned per lane per
-//!   batched work item: threads are created once per process, not once
-//!   per (point × config), and the submitting worker helps drain its own
-//!   batch so a saturated pool can never stall a batch behind another.
-//! * **The campaign service** (`boomflow serve`) — one [`WorkPool`]
-//!   bounded by `--jobs` drains point tasks from *all* admitted requests.
-//!   Each submission gets its own queue and the workers take one job
-//!   from each non-empty queue in turn, so a small campaign never
-//!   starves behind a big one that was admitted first.
+//! Every parallel phase drains through a [`WorkPool`]: a solo campaign
+//! or sweep creates one sized by `--jobs` for the whole run, and the
+//! campaign service (`boomflow serve`) shares one process-wide pool
+//! across all admitted requests. Each submission gets its own queue and
+//! the workers take one job from each non-empty queue in turn, so a
+//! small campaign never starves behind a big one that was admitted
+//! first. The pool's worker count therefore bounds every simulation
+//! thread: batched lanes run one after another inside the task that
+//! owns the batch, and no task ever submits to a pool, so nested
+//! submissions cannot deadlock.
 //!
 //! Submissions are *scoped*: [`WorkPool::run_scoped`] accepts closures
 //! borrowing the caller's stack and blocks until every task of the
@@ -24,7 +22,7 @@ use crate::sync::lock;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 /// A type-erased, lifetime-erased task. Safety: see [`WorkPool::run_scoped`].
@@ -61,7 +59,7 @@ struct Inner {
     shutdown: bool,
 }
 
-/// Persistent worker pool. See the module docs for the two use cases.
+/// Persistent worker pool. See the module docs.
 pub struct WorkPool {
     inner: Arc<PoolShared>,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -128,19 +126,6 @@ impl WorkPool {
     /// consumed (run, or dropped by [`WorkPool::cancel_pending`]) — a
     /// task panic is caught per task and still counts as consumed.
     pub fn run_scoped<T: Send>(&self, tasks: Vec<T>, run: impl Fn(T) + Sync) {
-        self.submit(tasks, &run, false);
-    }
-
-    /// [`WorkPool::run_scoped`], with the submitting thread also
-    /// draining jobs from its own submission while it waits. Used by
-    /// the batched-lane path: the submitter is a scheduler worker that
-    /// would otherwise idle, and its participation guarantees the batch
-    /// makes progress even when every pool worker is busy elsewhere.
-    pub fn run_scoped_helping<T: Send>(&self, tasks: Vec<T>, run: impl Fn(T) + Sync) {
-        self.submit(tasks, &run, true);
-    }
-
-    fn submit<T: Send>(&self, tasks: Vec<T>, run: &(dyn Fn(T) + Sync), help: bool) {
         if tasks.is_empty() {
             return;
         }
@@ -148,12 +133,13 @@ impl WorkPool {
             // Late submission during shutdown: consume without running.
             return;
         }
+        let run = &run;
         let done = Arc::new(Done { remaining: Mutex::new(tasks.len()), cv: Condvar::new() });
         let jobs: VecDeque<Job> = tasks
             .into_iter()
             .map(|t| {
                 let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || run(t));
-                // SAFETY: `submit` blocks below until `done.remaining`
+                // SAFETY: this call blocks below until `done.remaining`
                 // reaches 0, and the count only reaches 0 once every job
                 // has been consumed (executed or dropped). The borrows
                 // captured by `job` — `run` and the task values — are
@@ -169,25 +155,6 @@ impl WorkPool {
         }
         self.inner.work_cv.notify_all();
 
-        if help {
-            // Drain jobs from *this* submission (identified by its
-            // tracker) alongside the pool workers.
-            loop {
-                let job = {
-                    let mut g = lock(&self.inner.state);
-                    let Some(batch) = g.batches.iter_mut().find(|b| Arc::ptr_eq(&b.done, &done))
-                    else {
-                        break;
-                    };
-                    match batch.jobs.pop_front() {
-                        Some(job) => job,
-                        None => break,
-                    }
-                };
-                run_job(job, &done);
-            }
-        }
-
         let mut g = lock(&done.remaining);
         while *g > 0 {
             g = match done.cv.wait(g) {
@@ -201,13 +168,6 @@ impl WorkPool {
         // here so it cannot accumulate.
         lock(&self.inner.state).batches.retain(|b| !b.jobs.is_empty());
     }
-}
-
-/// Runs one job under `catch_unwind` and marks it complete even when it
-/// panics — a panicking task must never strand its submitter.
-fn run_job(job: Job, done: &Arc<Done>) {
-    let _ = catch_unwind(AssertUnwindSafe(job));
-    done.complete_one();
 }
 
 fn worker_loop(shared: &PoolShared) {
@@ -235,7 +195,10 @@ fn worker_loop(shared: &PoolShared) {
             };
         };
         drop(g);
-        run_job(job, &done);
+        // A panicking task must never strand its submitter: contain the
+        // panic and still count the job as complete.
+        let _ = catch_unwind(AssertUnwindSafe(job));
+        done.complete_one();
     }
 }
 
@@ -249,13 +212,6 @@ impl Drop for WorkPool {
     }
 }
 
-/// The process-wide lane pool used by batched point simulation, sized to
-/// the machine's parallelism and created on first use.
-pub(crate) fn lane_pool() -> &'static WorkPool {
-    static POOL: OnceLock<WorkPool> = OnceLock::new();
-    POOL.get_or_init(|| WorkPool::new(crate::scheduler::default_jobs()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,41 +219,19 @@ mod tests {
 
     #[test]
     fn scoped_tasks_all_run_exactly_once() {
-        let pool = WorkPool::new(3);
-        for n in [1usize, 2, 7, 64] {
-            let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            pool.run_scoped((0..n).collect(), |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "n={n}");
+        for workers in [1usize, 2, 3, 5, 32] {
+            let pool = WorkPool::new(workers);
+            for n in [1usize, 2, 7, 64, 97] {
+                let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                pool.run_scoped((0..n).collect(), |i| {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                });
+                assert!(
+                    hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                    "workers={workers} n={n}: some task ran zero or multiple times"
+                );
+            }
         }
-    }
-
-    #[test]
-    fn helping_submitter_participates() {
-        // Saturate a 1-worker pool with a long job from another
-        // submission, then verify a helping submission still completes
-        // promptly via the submitter itself.
-        let pool = Arc::new(WorkPool::new(1));
-        let blocker = Arc::clone(&pool);
-        let gate = Arc::new(AtomicBool::new(false));
-        let gate2 = Arc::clone(&gate);
-        let t = std::thread::spawn(move || {
-            blocker.run_scoped(vec![()], |()| {
-                while !gate2.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-            });
-        });
-        // The single worker is (about to be) blocked on the gate; the
-        // helping submission must drain on the submitting thread.
-        let ran = AtomicUsize::new(0);
-        pool.run_scoped_helping((0..8).collect::<Vec<usize>>(), |_| {
-            ran.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(ran.load(Ordering::Relaxed), 8);
-        gate.store(true, Ordering::Release);
-        t.join().expect("blocker thread");
     }
 
     #[test]

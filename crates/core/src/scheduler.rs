@@ -1,17 +1,23 @@
-//! Bounded work-stealing scheduler for supervised campaigns.
+//! The campaign driver and the point path it shares with the sweep.
 //!
-//! The campaign driver schedules *simulation points* — not whole cells —
-//! as the unit of work: after a per-workload artifact-preparation phase
+//! A campaign schedules *simulation points* — not whole cells — as the
+//! unit of work: after a per-workload artifact-preparation phase
 //! (memoized by [`ArtifactStore`], so profiling / clustering /
 //! checkpointing run exactly once per workload no matter how many
 //! configurations share it), every (cell, point) pair across the whole
-//! configuration × workload matrix goes into one work pool drained by
-//! `--jobs` workers. Small cells therefore never serialize behind big
-//! ones, and the detailed-simulation phase saturates the machine at any
-//! matrix shape.
+//! configuration × workload matrix goes into one [`WorkPool`] submission
+//! drained by `--jobs` workers. Small cells therefore never serialize
+//! behind big ones, and the detailed-simulation phase saturates the
+//! machine at any matrix shape.
+//!
+//! The phases are `pub(crate)` helpers so an adaptive sweep rung runs
+//! the same code: [`prepare`] (phase 1), [`plan_lanes`] + the campaign's
+//! task loop (phase 2, with the one batching rule), [`assemble_cell`]
+//! (phase 3), plus the [`kill_switch`] fault-injection hook.
 //!
 //! Supervision semantics are exactly those of the sequential driver:
-//! per-point retry and quarantine ([`run_point_timed`] →
+//! per-point retry and quarantine
+//! ([`run_point_timed`](crate::flow::run_point_timed) →
 //! `run_point_supervised`), per-cell `catch_unwind` isolation around
 //! artifact preparation and result assembly, and deterministic
 //! (configuration-major) cell ordering with points assembled in plan
@@ -20,8 +26,8 @@
 
 use crate::artifacts::{config_fingerprint, ArtifactStore, CheckpointSet};
 use crate::flow::{
-    assemble_workload_result, escaped_panic, run_co_cell, run_point_batch, run_point_timed,
-    supervision_fingerprint, FlowConfig, FlowError, PointOutcome,
+    assemble_workload_result, escaped_panic, run_co_cell, run_lane, run_point_batch,
+    supervision_fingerprint, FlowConfig, PointOutcome,
 };
 use crate::journal::{CampaignJournal, JournalReplay};
 use crate::pool::WorkPool;
@@ -29,20 +35,20 @@ use crate::supervisor::{
     panic_message, CampaignReport, CampaignStats, CellFailure, CellResult, CoRunCellResult,
     CoreRunResult, FailureKind, PointFailure,
 };
-use crate::sync::lock;
 use boom_uarch::BoomConfig;
 use rv_workloads::Workload;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Campaign-scheduler knobs.
 #[derive(Clone, Debug)]
 pub struct CampaignOptions {
-    /// Worker threads draining the point pool (≥ 1). `1` reproduces the
-    /// sequential driver exactly.
+    /// Workers of the run's private [`WorkPool`] (≥ 1), which bounds
+    /// every simulation thread of the campaign — batched lanes included.
+    /// `1` reproduces the sequential driver exactly. Ignored when
+    /// [`CampaignOptions::pool`] supplies a shared pool.
     pub jobs: usize,
     /// Write-ahead journal receiving every completed point, enabling
     /// `--resume` after a crash. `None` disables journaling.
@@ -58,17 +64,17 @@ pub struct CampaignOptions {
     /// 1`, up to `N` configurations' detailed simulations of the *same*
     /// SimPoint are grouped into one task that classifies the point's
     /// micro-op table once and shares it (plus the predecoded image)
-    /// across the per-config lanes. Each lane's outcome, journal record,
-    /// and report cell are bit-identical to an unbatched run. Chunks of
-    /// ≤ 2 lanes auto-fall-back to the solo path — at that width the
-    /// batching machinery costs more than the shared classification
-    /// saves.
+    /// across the per-config lanes, which run one after another on the
+    /// task's worker. Each lane's outcome, journal record, and report
+    /// cell are bit-identical to an unbatched run. Chunks of ≤ 2 lanes
+    /// auto-fall-back to the solo path — at that width the batching
+    /// machinery costs more than the shared classification saves.
     pub batch_lanes: usize,
-    /// Externally owned worker pool to drain this campaign's tasks
-    /// instead of a private scoped pool — the campaign service points
-    /// every admitted request at one process-wide [`WorkPool`] so its
-    /// `--jobs` bound and round-robin fairness span requests. `None`
-    /// (solo runs) keeps the private work-stealing pool.
+    /// Externally owned worker pool to drain this campaign's tasks — the
+    /// campaign service points every admitted request at one
+    /// process-wide [`WorkPool`] so its `--jobs` bound and round-robin
+    /// fairness span requests. `None` (solo runs) creates a private
+    /// `WorkPool` of [`CampaignOptions::jobs`] workers for the run.
     pub pool: Option<Arc<WorkPool>>,
     /// Route each solo-lane point through the store's cross-request
     /// single-flight map, so concurrent campaigns sharing the store
@@ -111,27 +117,143 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
 }
 
-/// Why one workload's artifact preparation failed (shared by every cell
-/// of that workload, exactly as each cell would fail when preparing the
+/// One workload's prepared artifacts, or the failure every cell of that
+/// workload reports (exactly as each cell would fail when preparing the
 /// same artifacts itself).
-#[derive(Clone)]
-pub(crate) enum PrepError {
-    Flow(FlowError),
-    Panicked(String),
+pub(crate) type Prepared = Result<Arc<CheckpointSet>, CellFailure>;
+
+/// The pool a run drains its tasks on: the caller's shared pool (the
+/// campaign service's — one `--jobs` bound and round-robin fairness
+/// across requests) or a private pool of `jobs` workers whose threads
+/// are joined when the run drops it. On a cancelled shared pool the
+/// unstarted tasks are dropped: their outcome slots stay unset and
+/// assembly degrades them, it never blocks.
+pub(crate) fn run_pool(shared: Option<&Arc<WorkPool>>, jobs: usize) -> Arc<WorkPool> {
+    shared.map_or_else(|| Arc::new(WorkPool::new(jobs)), Arc::clone)
 }
 
-/// One unit of work in the detailed-simulation pool.
+/// Phase 1 — per-workload artifact preparation (profile → analysis →
+/// checkpoints) on `pool`, each behind `catch_unwind`. The store
+/// memoizes, so duplicate workloads and every later phase share one
+/// computation.
+pub(crate) fn prepare(
+    pool: &WorkPool,
+    workloads: &[Workload],
+    flow: &FlowConfig,
+    store: &ArtifactStore,
+) -> Vec<Prepared> {
+    let prep: Vec<OnceLock<Prepared>> = workloads.iter().map(|_| OnceLock::new()).collect();
+    pool.run_scoped((0..workloads.len()).collect(), |w_idx| {
+        let r = match catch_unwind(AssertUnwindSafe(|| store.checkpoints(&workloads[w_idx], flow)))
+        {
+            Ok(Ok(set)) => Ok(set),
+            Ok(Err(e)) => Err(CellFailure::Flow(e)),
+            Err(payload) => Err(CellFailure::Panicked(panic_message(payload.as_ref()))),
+        };
+        let _ = prep[w_idx].set(r);
+    });
+    prep.into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(|| Err(CellFailure::Panicked("artifact worker died".to_string())))
+        })
+        .collect()
+}
+
+/// One phase-2 task: SimPoint `p_idx` of workload `w_idx`, simulated for
+/// `lanes` (in order; configuration indices in a campaign, surviving
+/// positions in a sweep rung) — one lane takes the solo path, several
+/// share a batch ([`run_point_batch`]).
+pub(crate) struct LaneTask {
+    pub(crate) w_idx: usize,
+    pub(crate) p_idx: usize,
+    pub(crate) lanes: Vec<usize>,
+}
+
+/// Narrowest chunk that runs as a batch: at ≤ 2 lanes the batch set-up
+/// costs more than the shared micro-op classification saves, so each
+/// lane takes the (cheaper) solo path.
+const MIN_BATCH: usize = 3;
+
+/// Phase-2 plan: for every (workload, point) — the axis along which the
+/// checkpoint image and micro-op table are shared — the lanes among
+/// `0..n_lanes` that are still `pending`, chunked `batch_lanes` wide in
+/// lane order (chunks narrower than [`MIN_BATCH`] split into solo
+/// tasks). `points[w_idx]` is workload `w_idx`'s point budget. Returns
+/// the tasks and how many lanes run batched. With `batch_lanes == 1`
+/// this is one task per pending (lane, point).
+pub(crate) fn plan_lanes(
+    points: &[usize],
+    n_lanes: usize,
+    batch_lanes: usize,
+    pending: impl Fn(usize, usize, usize) -> bool,
+) -> (Vec<LaneTask>, u64) {
+    let mut tasks = Vec::new();
+    let mut batched = 0u64;
+    for (w_idx, &n_points) in points.iter().enumerate() {
+        for p_idx in 0..n_points {
+            let lanes: Vec<usize> =
+                (0..n_lanes).filter(|&lane| pending(lane, w_idx, p_idx)).collect();
+            for chunk in lanes.chunks(batch_lanes.max(1)) {
+                if chunk.len() >= MIN_BATCH {
+                    batched += chunk.len() as u64;
+                    tasks.push(LaneTask { w_idx, p_idx, lanes: chunk.to_vec() });
+                } else {
+                    tasks.extend(chunk.iter().map(|&lane| LaneTask {
+                        w_idx,
+                        p_idx,
+                        lanes: vec![lane],
+                    }));
+                }
+            }
+        }
+    }
+    (tasks, batched)
+}
+
+/// Phase 3 — one cell's result: the workload's prep failure, or
+/// [`assemble_workload_result`] (behind `catch_unwind`) over the point
+/// outcomes `outcomes` gathers for the prepared set, in plan order.
+pub(crate) fn assemble_cell(
+    config: &str,
+    workload: &Workload,
+    prep: &Prepared,
+    outcomes: impl FnOnce(&CheckpointSet) -> Vec<PointOutcome>,
+) -> CellResult {
+    let outcome = prep.clone().and_then(|set| {
+        let outcomes = outcomes(&set);
+        match catch_unwind(AssertUnwindSafe(|| {
+            assemble_workload_result(config, workload, &set, outcomes)
+        })) {
+            Ok(Ok(r)) => Ok(Box::new(r)),
+            Ok(Err(e)) => Err(CellFailure::Flow(e)),
+            Err(payload) => Err(CellFailure::Panicked(panic_message(payload.as_ref()))),
+        }
+    });
+    CellResult { config: config.to_string(), workload: workload.name, outcome }
+}
+
+/// Fault injection ([`FaultInjection::kill_after_points`]): charge
+/// `fresh` newly journaled points and die once the total reaches the
+/// limit, exactly as an OOM kill or power cut would — the journal holds
+/// the completed work, the process holds nothing.
+///
+/// [`FaultInjection::kill_after_points`]: crate::FaultInjection::kill_after_points
+pub(crate) fn kill_switch(flow: &FlowConfig) -> impl Fn(u64) + Sync + '_ {
+    let completed = AtomicU64::new(0);
+    move |fresh| {
+        if let Some(kill_after) = flow.inject.kill_after_points {
+            if fresh > 0 && completed.fetch_add(fresh, Ordering::Relaxed) + fresh >= kill_after {
+                std::process::abort();
+            }
+        }
+    }
+}
+
+/// One unit of work in a campaign's detailed-simulation submission.
 enum PointTask {
-    /// One SimPoint simulated for one or more configurations — the lanes
-    /// of a batch ([`CampaignOptions::batch_lanes`]). All lanes share the
-    /// workload and point index; a solo lane takes the exact unbatched
-    /// code path.
-    Lanes {
-        /// Cell indices of the lanes, in configuration-major order.
-        c_idxs: Vec<usize>,
-        /// Point index within the workload's checkpoint set.
-        p_idx: usize,
-    },
+    /// One SimPoint for one or more configurations.
+    Lanes(LaneTask),
     /// A dual-core co-run cell (index into the co-cell list).
     CoRun(usize),
 }
@@ -147,42 +269,22 @@ pub(crate) fn run_campaign(
 ) -> CampaignReport {
     let t0 = Instant::now();
     let jobs = opts.jobs.max(1);
-
-    // Phase 1 — per-workload artifact preparation (profile → analysis →
-    // checkpoints), each behind `catch_unwind`. The store memoizes, so
-    // duplicate workloads and later phases all share one computation.
-    let prep: Vec<OnceLock<Result<Arc<CheckpointSet>, PrepError>>> =
-        workloads.iter().map(|_| OnceLock::new()).collect();
-    exec_tasks(jobs, opts.pool.as_deref(), (0..workloads.len()).collect(), |w_idx| {
-        let r = match catch_unwind(AssertUnwindSafe(|| store.checkpoints(&workloads[w_idx], flow)))
-        {
-            Ok(Ok(set)) => Ok(set),
-            Ok(Err(e)) => Err(PrepError::Flow(e)),
-            Err(payload) => Err(PrepError::Panicked(panic_message(payload.as_ref()))),
-        };
-        let _ = prep[w_idx].set(r);
-    });
-    let prep_of = |w_idx: usize| -> Result<Arc<CheckpointSet>, PrepError> {
-        prep[w_idx]
-            .get()
-            .cloned()
-            .unwrap_or_else(|| Err(PrepError::Panicked("artifact worker died".to_string())))
-    };
+    let pool = run_pool(opts.pool.as_ref(), jobs);
+    let prep = prepare(&pool, workloads, flow, store);
 
     // Phase 2 — one work item per (cell, point) across the whole matrix,
-    // drained by the work-stealing pool. Each item runs under the same
-    // per-point supervision (retry, budget, quarantine) as the
-    // single-cell flow.
+    // each under the same per-point supervision (retry, budget,
+    // quarantine) as a single-cell flow. Cell `cfg_i * w + w_idx` is
+    // configuration `cfg_i` on workload `w_idx`.
+    let w = workloads.len();
+    let n_points: Vec<usize> =
+        prep.iter().map(|set| set.as_ref().map_or(0, |s| s.points.len())).collect();
     let cells: Vec<(&BoomConfig, usize)> =
-        cfgs.iter().flat_map(|cfg| (0..workloads.len()).map(move |w_idx| (cfg, w_idx))).collect();
-    let sets: Vec<Option<Arc<CheckpointSet>>> =
-        cells.iter().map(|&(_, w_idx)| prep_of(w_idx).ok()).collect();
-    let mut slots: Vec<Vec<OnceLock<PointOutcome>>> = sets
+        cfgs.iter().flat_map(|cfg| (0..w).map(move |w_idx| (cfg, w_idx))).collect();
+    let slots: Vec<Vec<OnceLock<PointOutcome>>> = cells
         .iter()
-        .map(|set| set.as_ref().map_or(0, |s| s.points.len()))
-        .map(|n| (0..n).map(|_| OnceLock::new()).collect())
+        .map(|&(_, w_idx)| (0..n_points[w_idx]).map(|_| OnceLock::new()).collect())
         .collect();
-
     // Dual-core co-run cells, configuration-major like the single-core
     // cells and appended *after* all of them, so adding co-runs never
     // shifts an existing cell's journal index. Each co cell owns two
@@ -221,59 +323,25 @@ pub(crate) fn run_campaign(
         }
     }
 
-    // Batching: the unfilled (cell, point) pairs are grouped by
-    // (workload, point) — the axis along which the checkpoint image and
-    // micro-op table are shared — and chunked into `batch_lanes`-wide
-    // tasks, configuration-major within each chunk. With `batch_lanes ==
-    // 1` this degenerates to one task per (cell, point). Replay-filled
-    // slots never enter a batch, so a resumed campaign only batches what
-    // it actually simulates.
-    let batch_lanes = opts.batch_lanes.max(1);
-    let mut batched_points: u64 = 0;
-    let mut point_tasks: Vec<PointTask> = Vec::new();
-    for w_idx in 0..workloads.len() {
-        let cell_of = |cfg_i: usize| cfg_i * workloads.len() + w_idx;
-        let n_points = (0..cfgs.len())
-            .find_map(|cfg_i| sets[cell_of(cfg_i)].as_ref().map(|s| s.points.len()))
-            .unwrap_or(0);
-        for p_idx in 0..n_points {
-            let lanes: Vec<usize> = (0..cfgs.len())
-                .map(cell_of)
-                .filter(|&c_idx| slots[c_idx].get(p_idx).is_some_and(|s| s.get().is_none()))
-                .collect();
-            for chunk in lanes.chunks(batch_lanes) {
-                if chunk.len() >= 3 {
-                    batched_points += chunk.len() as u64;
-                    point_tasks.push(PointTask::Lanes { c_idxs: chunk.to_vec(), p_idx });
-                } else {
-                    // ≤ 2 lanes: the batch set-up doesn't amortize, so
-                    // each lane takes the (cheaper) solo path.
-                    for &c_idx in chunk {
-                        point_tasks.push(PointTask::Lanes { c_idxs: vec![c_idx], p_idx });
-                    }
-                }
-            }
-        }
-    }
+    // Batching: replay-filled slots never enter a batch, so a resumed
+    // campaign only batches what it actually simulates.
+    let (lane_tasks, batched_points) =
+        plan_lanes(&n_points, cfgs.len(), opts.batch_lanes, |cfg_i, w_idx, p_idx| {
+            slots[cfg_i * w + w_idx][p_idx].get().is_none()
+        });
+    let mut point_tasks: Vec<PointTask> = lane_tasks.into_iter().map(PointTask::Lanes).collect();
     // One task per co cell with any unfilled slot; one task simulates
     // both cores.
     point_tasks.extend(
-        co_cells
-            .iter()
-            .enumerate()
-            .filter(|&(k, _)| co_slots[k].iter().any(|s| s.get().is_none()))
-            .map(|(k, _)| PointTask::CoRun(k)),
+        (0..co_cells.len())
+            .filter(|&k| co_slots[k].iter().any(|s| s.get().is_none()))
+            .map(PointTask::CoRun),
     );
     {
-        let slots = &slots;
-        let co_slots = &co_slots;
-        let co_cells = &co_cells;
-        let sets = &sets;
-        let completed = &AtomicU64::new(0);
         // Progress: every point slot of the campaign, replays pre-counted.
         let total_points: u64 =
             slots.iter().map(|v| v.len() as u64).sum::<u64>() + 2 * co_slots.len() as u64;
-        let done_points = &AtomicU64::new(replayed);
+        let done_points = AtomicU64::new(replayed);
         let report_progress = |fresh: u64| {
             if let Some(hook) = &opts.progress {
                 let done = done_points.fetch_add(fresh, Ordering::Relaxed) + fresh;
@@ -283,140 +351,106 @@ pub(crate) fn run_campaign(
         if let Some(hook) = &opts.progress {
             (hook.0)(replayed, total_points);
         }
-        // Fault injection: die *after* journaling N fresh points, exactly
-        // as an OOM kill or power cut would — the journal holds the
-        // completed work, the process holds nothing.
-        let charge_and_maybe_kill = |fresh: u64| {
-            if let Some(kill_after) = flow.inject.kill_after_points {
-                if fresh > 0 && completed.fetch_add(fresh, Ordering::Relaxed) + fresh >= kill_after
-                {
-                    std::process::abort();
-                }
-            }
-        };
-        exec_tasks(jobs, opts.pool.as_deref(), point_tasks, |task| {
-            let (c_idxs, p_idx) = match task {
-                PointTask::CoRun(k) => {
-                    // Dual-core co-run cell: one task steps both cores to
-                    // completion and fills both outcome slots.
-                    let c_idx = cells.len() + k;
-                    let (cfg, (a, b)) = co_cells[k];
-                    let outcomes = match catch_unwind(AssertUnwindSafe(|| {
-                        run_co_cell(cfg, [&workloads[a], &workloads[b]], &flow.inject)
-                    })) {
-                        Ok(o) => o,
-                        Err(payload) => {
-                            let f = PointFailure {
-                                simpoint: 0,
-                                interval: 0,
-                                weight: 1.0,
-                                attempts: 1,
-                                kind: FailureKind::Panicked {
-                                    message: panic_message(payload.as_ref()),
-                                },
-                            };
-                            [Err(f.clone()), Err(f)]
-                        }
-                    };
-                    let mut fresh = 0u64;
-                    for (p, outcome) in outcomes.into_iter().enumerate() {
-                        // A slot already filled by replay keeps the
-                        // journaled outcome (identical anyway — the
-                        // co-run is deterministic) and is not
-                        // re-journaled.
-                        if co_slots[k][p].get().is_some() {
-                            continue;
-                        }
-                        if let Some(journal) = &opts.journal {
-                            journal.append(c_idx, p, &outcome);
-                        }
-                        let _ = co_slots[k][p].set(outcome);
-                        fresh += 1;
-                    }
-                    report_progress(fresh);
-                    charge_and_maybe_kill(fresh);
-                    return;
-                }
-                PointTask::Lanes { c_idxs, p_idx } => (c_idxs, p_idx),
-            };
-            let Some(set) = &sets[c_idxs[0]] else { return };
-            let point = &set.points[p_idx];
-            let outcomes: Vec<PointOutcome> = if let [c_idx] = c_idxs[..] {
-                // Solo lane: the exact unbatched code path (private
-                // micro-op classification).
-                let (cfg, w_idx) = cells[c_idx];
-                let compute = || match catch_unwind(AssertUnwindSafe(|| {
-                    run_point_timed(cfg, point, flow, None, store)
+        let charge_and_maybe_kill = kill_switch(flow);
+        pool.run_scoped(point_tasks, |task| match task {
+            PointTask::CoRun(k) => {
+                // Dual-core co-run cell: one task steps both cores to
+                // completion and fills both outcome slots.
+                let c_idx = cells.len() + k;
+                let (cfg, (a, b)) = co_cells[k];
+                let outcomes = match catch_unwind(AssertUnwindSafe(|| {
+                    run_co_cell(cfg, [&workloads[a], &workloads[b]], &flow.inject)
                 })) {
                     Ok(o) => o,
-                    Err(payload) => Err(escaped_panic(point, payload.as_ref())),
+                    Err(payload) => {
+                        let f = PointFailure {
+                            simpoint: 0,
+                            interval: 0,
+                            weight: 1.0,
+                            attempts: 1,
+                            kind: FailureKind::Panicked {
+                                message: panic_message(payload.as_ref()),
+                            },
+                        };
+                        [Err(f.clone()), Err(f)]
+                    }
                 };
-                vec![if opts.share_points {
-                    // Cross-request single flight: concurrent campaigns
-                    // sharing this store compute each (config, workload,
-                    // point, supervision) exactly once; the outcome is
-                    // deterministic, so every sharer's report is
-                    // bit-identical to a private computation.
-                    let key = (
-                        crate::sweep::point_key(
-                            config_fingerprint(cfg),
-                            &workloads[w_idx],
-                            flow,
-                            0,
-                            p_idx,
-                        ),
-                        supervision_fingerprint(flow),
-                    );
-                    store.singleflight_point(key, compute)
-                } else {
-                    compute()
-                }]
-            } else {
-                let lane_cfgs: Vec<&BoomConfig> = c_idxs.iter().map(|&c| cells[c].0).collect();
-                run_point_batch(&lane_cfgs, point, flow, store)
-            };
-            for (&c_idx, outcome) in c_idxs.iter().zip(outcomes) {
-                if let Some(journal) = &opts.journal {
-                    journal.append(c_idx, p_idx, &outcome);
+                let mut fresh = 0u64;
+                for (p, outcome) in outcomes.into_iter().enumerate() {
+                    // A slot already filled by replay keeps the
+                    // journaled outcome (identical anyway — the
+                    // co-run is deterministic) and is not
+                    // re-journaled.
+                    if co_slots[k][p].get().is_some() {
+                        continue;
+                    }
+                    if let Some(journal) = &opts.journal {
+                        journal.append(c_idx, p, &outcome);
+                    }
+                    let _ = co_slots[k][p].set(outcome);
+                    fresh += 1;
                 }
-                let _ = slots[c_idx][p_idx].set(outcome);
-                report_progress(1);
-                charge_and_maybe_kill(1);
+                report_progress(fresh);
+                charge_and_maybe_kill(fresh);
+            }
+            PointTask::Lanes(LaneTask { w_idx, p_idx, lanes }) => {
+                let Ok(set) = &prep[w_idx] else { return };
+                let point = &set.points[p_idx];
+                let lane_cfgs: Vec<&BoomConfig> = lanes.iter().map(|&cfg_i| &cfgs[cfg_i]).collect();
+                let outcomes = match lane_cfgs[..] {
+                    [cfg] if opts.share_points => {
+                        // Cross-request single flight: concurrent campaigns
+                        // sharing this store compute each (config,
+                        // workload, point, supervision) exactly once; the
+                        // outcome is deterministic, so every sharer's
+                        // report is bit-identical to a private computation.
+                        let key = (
+                            crate::sweep::point_key(
+                                config_fingerprint(cfg),
+                                &workloads[w_idx],
+                                flow,
+                                0,
+                                p_idx,
+                            ),
+                            supervision_fingerprint(flow),
+                        );
+                        vec![store
+                            .singleflight_point(key, || run_lane(cfg, point, flow, None, store))]
+                    }
+                    _ => run_point_batch(&lane_cfgs, point, flow, store),
+                };
+                for (&cfg_i, outcome) in lanes.iter().zip(outcomes) {
+                    let c_idx = cfg_i * w + w_idx;
+                    if let Some(journal) = &opts.journal {
+                        journal.append(c_idx, p_idx, &outcome);
+                    }
+                    let _ = slots[c_idx][p_idx].set(outcome);
+                    report_progress(1);
+                    charge_and_maybe_kill(1);
+                }
             }
         });
     }
 
     // Phase 3 — deterministic assembly, cell by cell in configuration-
-    // major order, each behind `catch_unwind`.
-    let mut results = Vec::with_capacity(cells.len());
-    for ((&(cfg, w_idx), set), cell_slots) in cells.iter().zip(&sets).zip(slots.iter_mut()) {
-        let workload = &workloads[w_idx];
-        let outcome = match (prep_of(w_idx), set) {
-            (Err(PrepError::Flow(e)), _) => Err(CellFailure::Flow(e)),
-            (Err(PrepError::Panicked(m)), _) => Err(CellFailure::Panicked(m)),
-            (Ok(_), None) => unreachable!("prep succeeded but no set recorded"),
-            (Ok(_), Some(set)) => {
-                let outcomes: Vec<PointOutcome> = set
-                    .points
+    // major order.
+    let results: Vec<CellResult> = cells
+        .iter()
+        .zip(slots)
+        .map(|(&(cfg, w_idx), cell_slots)| {
+            assemble_cell(&cfg.name, &workloads[w_idx], &prep[w_idx], |set| {
+                set.points
                     .iter()
-                    .zip(std::mem::take(cell_slots))
+                    .zip(cell_slots)
                     .map(|(point, slot)| {
                         slot.into_inner().unwrap_or_else(|| {
                             Err(escaped_panic(point, &"point worker died".to_string()))
                         })
                     })
-                    .collect();
-                match catch_unwind(AssertUnwindSafe(|| {
-                    assemble_workload_result(&cfg.name, workload, set, outcomes)
-                })) {
-                    Ok(Ok(r)) => Ok(Box::new(r)),
-                    Ok(Err(e)) => Err(CellFailure::Flow(e)),
-                    Err(payload) => Err(CellFailure::Panicked(panic_message(payload.as_ref()))),
-                }
-            }
-        };
-        results.push(CellResult { config: cfg.name.clone(), workload: workload.name, outcome });
-    }
+                    .collect()
+            })
+        })
+        .collect();
 
     // Co-run cells assemble from their two per-core slots; a failure on
     // either core (both slots carry the same record) fails the cell.
@@ -465,69 +499,6 @@ pub(crate) fn run_campaign(
     CampaignReport { cells: results, co_cells: co_results, stats }
 }
 
-/// Drains `tasks` either on the caller-supplied shared [`WorkPool`]
-/// (campaign-service mode: one process-wide `--jobs` bound, round-robin
-/// across concurrent requests) or on a private [`run_tasks`] pool sized
-/// by `jobs` (solo mode). On a cancelled shared pool the unstarted tasks
-/// are dropped — their outcome slots stay unset and downstream assembly
-/// degrades them, it never blocks.
-pub(crate) fn exec_tasks<T: Send>(
-    jobs: usize,
-    pool: Option<&WorkPool>,
-    tasks: Vec<T>,
-    run: impl Fn(T) + Sync,
-) {
-    match pool {
-        Some(pool) => pool.run_scoped(tasks, run),
-        None => run_tasks(jobs, tasks, run),
-    }
-}
-
-/// Runs every task on a bounded work-stealing pool of `jobs` workers.
-///
-/// Tasks are seeded round-robin across per-worker deques; a worker pops
-/// from the front of its own deque and, when empty, steals from the back
-/// of a victim's. No tasks are added after seeding, so an empty sweep
-/// means the pool is drained. With `jobs == 1` the tasks run strictly
-/// sequentially on the calling thread in seed order.
-pub(crate) fn run_tasks<T: Send>(jobs: usize, tasks: Vec<T>, run: impl Fn(T) + Sync) {
-    if tasks.is_empty() {
-        return;
-    }
-    let jobs = jobs.max(1).min(tasks.len());
-    if jobs == 1 {
-        for t in tasks {
-            run(t);
-        }
-        return;
-    }
-    let queues: Vec<Mutex<VecDeque<T>>> = (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, t) in tasks.into_iter().enumerate() {
-        lock(&queues[i % jobs]).push_back(t);
-    }
-    let queues = &queues;
-    let run = &run;
-    std::thread::scope(|s| {
-        for me in 0..jobs {
-            s.spawn(move || {
-                while let Some(task) = pop_or_steal(queues, me) {
-                    run(task);
-                }
-            });
-        }
-    });
-}
-
-/// Pops the next task: front of the worker's own deque first, then the
-/// back of each other deque in scan order.
-fn pop_or_steal<T>(queues: &[Mutex<VecDeque<T>>], me: usize) -> Option<T> {
-    if let Some(t) = lock(&queues[me]).pop_front() {
-        return Some(t);
-    }
-    let n = queues.len();
-    (1..n).find_map(|d| lock(&queues[(me + d) % n]).pop_back())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -535,34 +506,23 @@ mod tests {
 
     #[test]
     fn pool_runs_every_task_exactly_once() {
+        // The run's private pool (no shared pool given) and a shared
+        // pool handed through must both drain every task exactly once.
         for jobs in [1usize, 2, 5, 32] {
-            let hits: Vec<AtomicUsize> = (0..97).map(|_| AtomicUsize::new(0)).collect();
-            run_tasks(jobs, (0..hits.len()).collect(), |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            assert!(
-                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                "jobs={jobs}: some task ran zero or multiple times"
-            );
-        }
-    }
-
-    #[test]
-    fn pool_steals_imbalanced_work() {
-        // One long task seeded on worker 0 plus many short ones: with
-        // stealing, the short tasks complete even though their home
-        // queue's owner is busy. (Completion itself is the assertion —
-        // a non-stealing pool with a blocked worker would still finish,
-        // but only after serializing; the exactly-once property above is
-        // the correctness gate, this exercises the steal path.)
-        let done = AtomicUsize::new(0);
-        run_tasks(4, (0..64).collect::<Vec<usize>>(), |i| {
-            if i == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(20));
+            let shared = Arc::new(WorkPool::new(jobs));
+            let reused = run_pool(Some(&shared), 1);
+            assert!(Arc::ptr_eq(&shared, &reused), "jobs={jobs}: shared pool not reused");
+            for pool in [run_pool(None, jobs), reused] {
+                let hits: Vec<AtomicUsize> = (0..97).map(|_| AtomicUsize::new(0)).collect();
+                pool.run_scoped((0..hits.len()).collect(), |i| {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                });
+                assert!(
+                    hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                    "jobs={jobs}: some task ran zero or multiple times"
+                );
             }
-            done.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(done.load(Ordering::Relaxed), 64);
+        }
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //!   collected into a structured [`CampaignReport`], and the caller decides
 //!   the process exit code from [`CampaignReport::all_ok`]. Cells share
 //!   the configuration-independent stage artifacts through an
-//!   [`ArtifactStore`] and their simulation points are drained by the
-//!   bounded work-stealing pool in [`crate::scheduler`]
-//!   ([`CampaignOptions::jobs`]).
+//!   [`ArtifactStore`] and their simulation points are drained by a
+//!   [`WorkPool`](crate::WorkPool) of [`CampaignOptions::jobs`] workers
+//!   (see [`crate::scheduler`]).
 
 use crate::artifacts::{ArtifactStore, CacheStats};
 use crate::flow::{FlowConfig, FlowError, WorkloadResult};
@@ -247,7 +247,7 @@ pub struct CellResult {
 }
 
 /// Why a whole cell failed.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub enum CellFailure {
     /// The flow returned an error (profiling failure, or every simulation
     /// point of the workload failed).

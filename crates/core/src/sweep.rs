@@ -22,9 +22,10 @@
 //!    promoted from rung *N* to rung *N+1* never resimulates a point it
 //!    already ran at the same budget — only the *new* points of the
 //!    larger budget cost anything.
-//! 3. Fresh points are batched [`run_point_batch`]-style: lanes of up to
-//!    `batch_lanes` configurations share the predecoded image and the
-//!    per-text-word micro-op table of the point they simulate.
+//! 3. Fresh points are batched exactly as in a campaign
+//!    ([`plan_lanes`], [`run_point_batch`]): lanes of up to `batch_lanes`
+//!    configurations share the predecoded image and the per-text-word
+//!    micro-op table of the point they simulate.
 //!
 //! Determinism contract: [`SweepReport::render_deterministic`] and
 //! [`SweepReport::render_frontier`] are byte-identical across `jobs`
@@ -34,24 +35,15 @@
 //! outcomes. Resume-variant accounting (fresh/reused splits, wall
 //! clock) lives only in [`SweepReport::stage_summary`].
 
-use crate::artifacts::{
-    config_fingerprint, ArtifactStore, CacheStats, CheckpointSet, PlannedPoint, PointKey,
-};
-use crate::flow::{
-    assemble_workload_result, escaped_panic, run_point_batch, run_point_timed, weighted_estimate,
-    FlowConfig, PointOutcome,
-};
+use crate::artifacts::{config_fingerprint, ArtifactStore, CacheStats, PlannedPoint, PointKey};
+use crate::flow::{escaped_panic, run_point_batch, weighted_estimate, FlowConfig, PointOutcome};
 use crate::journal::{sweep_fingerprint, CampaignJournal, JournalError};
 use crate::report::render_table;
-use crate::scheduler::{exec_tasks, PrepError};
-use crate::supervisor::{
-    fb, panic_message, render_cell_body, CellFailure, CellResult, FailureKind, PointFailure,
-};
+use crate::scheduler::{assemble_cell, kill_switch, plan_lanes, prepare, run_pool, LaneTask};
+use crate::supervisor::{fb, render_cell_body, CellResult};
 use boom_uarch::{BoomConfig, ConfigError, MemBackendKind};
 use rv_workloads::Workload;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -492,9 +484,14 @@ pub fn rung_schedule(
 /// Sweep execution parameters.
 #[derive(Clone, Debug)]
 pub struct SweepOptions {
-    /// Worker threads for the point pool (1 = strictly sequential).
+    /// Workers of the sweep's private [`WorkPool`](crate::WorkPool)
+    /// (1 = strictly sequential), which bounds every simulation thread
+    /// of the sweep. Ignored when [`SweepOptions::pool`] supplies a
+    /// shared pool.
     pub jobs: usize,
-    /// Maximum configurations per batched point lane group.
+    /// Maximum configurations per batched point lane group, chunked by
+    /// the campaign's rule
+    /// ([`CampaignOptions::batch_lanes`](crate::CampaignOptions::batch_lanes)).
     pub batch_lanes: usize,
     /// The ε-band of the elimination rule: configuration *c* is
     /// eliminated from a rung when, on every workload where it has an
@@ -525,8 +522,8 @@ pub struct SweepOptions {
     /// instead of creating a fresh one.
     pub resume: bool,
     /// Externally owned worker pool (the campaign service's shared,
-    /// request-fair pool) instead of a private per-sweep pool; `None`
-    /// keeps the private pool. See
+    /// request-fair pool); `None` creates a private pool of
+    /// [`SweepOptions::jobs`] workers for the sweep. See
     /// [`CampaignOptions::pool`](crate::CampaignOptions::pool).
     pub pool: Option<Arc<crate::pool::WorkPool>>,
 }
@@ -833,35 +830,18 @@ pub fn run_sweep(
 ) -> Result<SweepReport, JournalError> {
     let t0 = Instant::now();
     let jobs = opts.jobs.max(1);
-    let lanes = opts.batch_lanes.max(1);
     let (cfgs, folded) = admit(cfgs.to_vec());
     let w = workloads.len();
     let fps: Vec<u64> = cfgs.iter().map(config_fingerprint).collect();
 
-    // Phase 1 — per-workload artifact preparation (profile → analysis →
-    // checkpoints), shared by every rung through the store.
-    let prep: Vec<OnceLock<Result<Arc<CheckpointSet>, PrepError>>> =
-        workloads.iter().map(|_| OnceLock::new()).collect();
-    exec_tasks(jobs, opts.pool.as_deref(), (0..w).collect(), |w_idx| {
-        let r = match catch_unwind(AssertUnwindSafe(|| store.checkpoints(&workloads[w_idx], flow)))
-        {
-            Ok(Ok(set)) => Ok(set),
-            Ok(Err(e)) => Err(PrepError::Flow(e)),
-            Err(payload) => Err(PrepError::Panicked(panic_message(payload.as_ref()))),
-        };
-        let _ = prep[w_idx].set(r);
-    });
-    let prep_of = |w_idx: usize| -> Result<Arc<CheckpointSet>, PrepError> {
-        prep[w_idx]
-            .get()
-            .cloned()
-            .unwrap_or_else(|| Err(PrepError::Panicked("artifact worker died".to_string())))
-    };
-    let sets: Vec<Option<Arc<CheckpointSet>>> = (0..w).map(|i| prep_of(i).ok()).collect();
+    // Phase 1 — per-workload artifact preparation, shared by every rung
+    // through the store.
+    let pool = run_pool(opts.pool.as_ref(), jobs);
+    let prep = prepare(&pool, workloads, flow, store);
 
     // The rung schedule depends on the largest selected-point count,
     // which the (deterministic, disk-cacheable) prep phase just fixed.
-    let max_points = sets.iter().flatten().map(|s| s.points.len()).max().unwrap_or(0).max(1);
+    let max_points = prep.iter().flatten().map(|s| s.points.len()).max().unwrap_or(0).max(1);
     let rungs_spec = rung_schedule(
         max_points,
         opts.rung0_points,
@@ -899,15 +879,7 @@ pub fn run_sweep(
         Some(path) => Some(CampaignJournal::create(path, sweep_fp)?),
     };
 
-    // Fresh points completed so far, for fault-injected kill drills.
-    let completed = AtomicU64::new(0);
-    let charge_and_maybe_kill = |fresh: u64| {
-        if let Some(kill_after) = flow.inject.kill_after_points {
-            if fresh > 0 && completed.fetch_add(fresh, Ordering::Relaxed) + fresh >= kill_after {
-                std::process::abort();
-            }
-        }
-    };
+    let charge_and_maybe_kill = kill_switch(flow);
 
     // Phase 2 — the rungs.
     let mut alive: Vec<usize> = (0..cfgs.len()).collect();
@@ -920,7 +892,7 @@ pub fn run_sweep(
         let entered = alive.len();
         // Per-workload effective budget: the rung's cap, bounded by what
         // the analysis actually selected.
-        let actual: Vec<usize> = sets
+        let actual: Vec<usize> = prep
             .iter()
             .map(|s| s.as_ref().map_or(0, |s| s.points.len().min(rung.points)))
             .collect();
@@ -931,7 +903,6 @@ pub fn run_sweep(
 
         // Prefill every point the memo already has (lower-rung reuse and
         // journal replay); whatever is left is this rung's fresh work.
-        let mut fresh_idx: Vec<(usize, usize, usize)> = Vec::new();
         let mut reused: u64 = 0;
         for (a_pos, &cfg_idx) in alive.iter().enumerate() {
             for (w_idx, workload) in workloads.iter().enumerate() {
@@ -940,75 +911,43 @@ pub fn run_sweep(
                     if let Some(outcome) = store.cached_point(&key) {
                         let _ = slots[slot_of(a_pos, w_idx, p_idx)].set(outcome);
                         reused += 1;
-                    } else {
-                        fresh_idx.push((w_idx, p_idx, a_pos));
                     }
                 }
             }
         }
+        let (tasks, batched) =
+            plan_lanes(&actual, alive.len(), opts.batch_lanes, |a_pos, w_idx, p_idx| {
+                slots[slot_of(a_pos, w_idx, p_idx)].get().is_none()
+            });
+        let fresh_slots: Vec<usize> = tasks
+            .iter()
+            .flat_map(|t| t.lanes.iter().map(move |&a_pos| slot_of(a_pos, t.w_idx, t.p_idx)))
+            .collect();
 
-        // Group fresh work by (workload, point) so lanes share the
-        // point's predecoded image and micro-op table, then chunk each
-        // group `batch_lanes` wide in alive order.
-        fresh_idx.sort_unstable();
-        let mut tasks: Vec<(usize, usize, Vec<usize>)> = Vec::new();
-        let mut i = 0;
-        while i < fresh_idx.len() {
-            let (w_idx, p_idx, _) = fresh_idx[i];
-            let mut group: Vec<usize> = Vec::new();
-            while i < fresh_idx.len() && (fresh_idx[i].0, fresh_idx[i].1) == (w_idx, p_idx) {
-                group.push(fresh_idx[i].2);
-                i += 1;
-            }
-            for chunk in group.chunks(lanes) {
-                tasks.push((w_idx, p_idx, chunk.to_vec()));
-            }
-        }
-
-        let batched_this = AtomicU64::new(0);
-        let slots_ref = &slots;
-        let alive_ref = &alive;
-        exec_tasks(
-            jobs,
-            opts.pool.as_deref(),
-            tasks,
-            |(w_idx, p_idx, a_positions): (usize, usize, Vec<usize>)| {
-                let Some(set) = sets[w_idx].as_ref() else {
-                    return;
-                };
-                let point = truncated(&set.points[p_idx], rung.shift);
-                let outcomes: Vec<PointOutcome> = if a_positions.len() == 1 {
-                    let cfg = &cfgs[alive_ref[a_positions[0]]];
-                    vec![catch_unwind(AssertUnwindSafe(|| {
-                        run_point_timed(cfg, &point, flow, None, store)
-                    }))
-                    .unwrap_or_else(|payload| Err(escaped_panic(&point, payload.as_ref())))]
-                } else {
-                    batched_this.fetch_add(a_positions.len() as u64, Ordering::Relaxed);
-                    let lane_cfgs: Vec<&BoomConfig> =
-                        a_positions.iter().map(|&a| &cfgs[alive_ref[a]]).collect();
-                    run_point_batch(&lane_cfgs, &point, flow, store)
-                };
-                for (&a_pos, outcome) in a_positions.iter().zip(&outcomes) {
-                    let cfg_idx = alive_ref[a_pos];
-                    if let Some(j) = &journal {
-                        let enc_p = ((rung.shift as usize) << 24) | p_idx;
-                        j.append(cfg_idx * w + w_idx, enc_p, outcome);
-                    }
-                    let key = point_key(fps[cfg_idx], &workloads[w_idx], flow, rung.shift, p_idx);
-                    store.record_point(key, outcome);
-                    let _ = slots_ref[slot_of(a_pos, w_idx, p_idx)].set(outcome.clone());
-                    charge_and_maybe_kill(1);
+        pool.run_scoped(tasks, |LaneTask { w_idx, p_idx, lanes }| {
+            let Ok(set) = &prep[w_idx] else { return };
+            let point = truncated(&set.points[p_idx], rung.shift);
+            let lane_cfgs: Vec<&BoomConfig> = lanes.iter().map(|&a| &cfgs[alive[a]]).collect();
+            let outcomes = run_point_batch(&lane_cfgs, &point, flow, store);
+            for (&a_pos, outcome) in lanes.iter().zip(outcomes) {
+                let cfg_idx = alive[a_pos];
+                if let Some(j) = &journal {
+                    let enc_p = ((rung.shift as usize) << 24) | p_idx;
+                    j.append(cfg_idx * w + w_idx, enc_p, &outcome);
                 }
-            },
-        );
+                let key = point_key(fps[cfg_idx], &workloads[w_idx], flow, rung.shift, p_idx);
+                store.record_point(key, &outcome);
+                let _ = slots[slot_of(a_pos, w_idx, p_idx)].set(outcome);
+                charge_and_maybe_kill(1);
+            }
+        });
 
         // Fresh-point accounting, iterated in deterministic order on the
         // coordinator thread.
         let mut fresh_points: u64 = 0;
         let mut rung_cycles: u64 = 0;
-        for &(w_idx, p_idx, a_pos) in &fresh_idx {
-            if let Some(outcome) = slots[slot_of(a_pos, w_idx, p_idx)].get() {
+        for &slot in &fresh_slots {
+            if let Some(outcome) = slots[slot].get() {
                 fresh_points += 1;
                 if let Ok((p, _)) = outcome {
                     rung_cycles += p.stats.cycles;
@@ -1070,7 +1009,6 @@ pub fn run_sweep(
             alive = survivors.into_iter().map(|a| alive[a]).collect();
             (promoted, entered - promoted)
         };
-        let batched = batched_this.load(Ordering::Relaxed);
         batched_total += batched;
         rung_summaries.push(RungSummary {
             points: rung.points,
@@ -1091,44 +1029,18 @@ pub fn run_sweep(
     let mut cells: Vec<CellResult> = Vec::with_capacity(alive.len() * w);
     for &cfg_idx in &alive {
         for (w_idx, workload) in workloads.iter().enumerate() {
-            let outcome = match prep_of(w_idx) {
-                Err(PrepError::Flow(e)) => Err(CellFailure::Flow(e)),
-                Err(PrepError::Panicked(m)) => Err(CellFailure::Panicked(m)),
-                Ok(set) => {
-                    let outcomes: Vec<PointOutcome> = set
-                        .points
-                        .iter()
-                        .enumerate()
-                        .map(|(p_idx, p)| {
-                            let key = point_key(fps[cfg_idx], workload, flow, 0, p_idx);
-                            store.cached_point(&key).unwrap_or_else(|| {
-                                Err(PointFailure {
-                                    simpoint: p.sel_idx,
-                                    interval: p.interval,
-                                    weight: p.weight,
-                                    attempts: 1,
-                                    kind: FailureKind::Panicked {
-                                        message: "sweep point missing from memo".to_string(),
-                                    },
-                                })
-                            })
+            cells.push(assemble_cell(&cfgs[cfg_idx].name, workload, &prep[w_idx], |set| {
+                set.points
+                    .iter()
+                    .enumerate()
+                    .map(|(p_idx, p)| {
+                        let key = point_key(fps[cfg_idx], workload, flow, 0, p_idx);
+                        store.cached_point(&key).unwrap_or_else(|| {
+                            Err(escaped_panic(p, &"sweep point missing from memo".to_string()))
                         })
-                        .collect();
-                    let name = &cfgs[cfg_idx].name;
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        assemble_workload_result(name, workload, &set, outcomes)
-                    })) {
-                        Ok(Ok(r)) => Ok(Box::new(r)),
-                        Ok(Err(e)) => Err(CellFailure::Flow(e)),
-                        Err(payload) => Err(CellFailure::Panicked(panic_message(payload.as_ref()))),
-                    }
-                }
-            };
-            cells.push(CellResult {
-                config: cfgs[cfg_idx].name.clone(),
-                workload: workload.name,
-                outcome,
-            });
+                    })
+                    .collect()
+            }));
         }
     }
 

@@ -8,7 +8,7 @@
 use boom_uarch::BoomConfig;
 use boomflow::{
     run_simpoint_flow, run_simpoint_flow_with_store, supervise_campaign, supervise_matrix_with,
-    ArtifactStore, CampaignOptions, CampaignReport, FlowConfig, WorkloadResult,
+    ArtifactStore, CampaignOptions, CampaignReport, FaultInjection, FlowConfig, WorkloadResult,
 };
 use rtl_power::Component;
 use rv_workloads::{by_name, Scale, Workload};
@@ -77,24 +77,46 @@ fn assert_reports_identical(a: &CampaignReport, b: &CampaignReport) {
 }
 
 /// Satellite: a run through a warm store must be bit-identical to a cold
-/// (uncached) run — memoization changes cost, never content.
+/// (uncached) run — memoization changes cost, never content — and the
+/// single-cell flow (a 1×1 campaign) must equal the matching cell of a
+/// 3-configuration campaign, for a clean run and for one degraded by an
+/// injected point panic.
 #[test]
 fn cached_and_uncached_flows_are_identical() {
     let w = by_name("bitcount", Scale::Test).unwrap();
     let cfg = BoomConfig::medium();
-    let flow = quick_flow();
+    let panicking = FlowConfig {
+        inject: FaultInjection { panic_point: Some(1), ..FaultInjection::default() },
+        ..quick_flow()
+    };
+    for (what, flow) in [("clean", quick_flow()), ("panic_point", panicking)] {
+        let uncached = run_simpoint_flow(&cfg, &w, &flow).unwrap();
+        let store = ArtifactStore::new();
+        let cold = run_simpoint_flow_with_store(&cfg, &w, &flow, &store).unwrap();
+        let warm = run_simpoint_flow_with_store(&cfg, &w, &flow, &store).unwrap();
 
-    let uncached = run_simpoint_flow(&cfg, &w, &flow).unwrap();
-    let store = ArtifactStore::new();
-    let cold = run_simpoint_flow_with_store(&cfg, &w, &flow, &store).unwrap();
-    let warm = run_simpoint_flow_with_store(&cfg, &w, &flow, &store).unwrap();
+        assert_results_identical(&uncached, &cold, &format!("{what}: uncached vs cold"));
+        assert_results_identical(&cold, &warm, &format!("{what}: cold vs warm"));
+        let s = store.stats();
+        assert_eq!(s.profile_computed, 1, "{what}: warm run must reuse the profile");
+        assert_eq!(s.checkpoint_computed, 1, "{what}: warm run must reuse the checkpoints");
+        assert!(s.checkpoint_hits >= 1);
 
-    assert_results_identical(&uncached, &cold, "uncached vs cold");
-    assert_results_identical(&cold, &warm, "cold vs warm");
-    let s = store.stats();
-    assert_eq!(s.profile_computed, 1, "warm run must reuse the profile");
-    assert_eq!(s.checkpoint_computed, 1, "warm run must reuse the checkpoints");
-    assert!(s.checkpoint_hits >= 1);
+        let matrix = supervise_matrix_with(
+            &BoomConfig::all_three(),
+            std::slice::from_ref(&w),
+            &flow,
+            &CampaignOptions { jobs: 2, ..CampaignOptions::default() },
+        );
+        let cell = matrix.cells.iter().find(|c| c.config == cfg.name).unwrap();
+        let from_matrix = cell.outcome.as_ref().unwrap();
+        assert_results_identical(&uncached, from_matrix, &format!("{what}: flow vs matrix cell"));
+        assert_eq!(
+            uncached.degradation.is_some(),
+            what == "panic_point",
+            "{what}: only the injected panic degrades the result"
+        );
+    }
 }
 
 /// Satellite: concurrent cells racing on the same artifact key block on

@@ -103,37 +103,41 @@ fn clamp_collided_grid_points_fold_at_admission() {
 }
 
 /// The deterministic report — configs, rung history, every cell, and
-/// the frontier — is byte-identical across `--jobs` settings.
+/// the frontier — is byte-identical across `--jobs` settings and across
+/// batched (shared micro-op table) and solo lanes.
 #[test]
 fn sweep_report_is_jobs_invariant() {
     let cfgs = small_grid();
     let wls = workloads();
     let flow = quick_flow();
 
-    let solo = run_sweep(
-        &cfgs,
-        &wls,
-        &flow,
-        &ArtifactStore::new(),
-        &SweepOptions { jobs: 1, ..SweepOptions::default() },
-    )
-    .unwrap();
+    let run = |jobs: usize, batch_lanes: usize| {
+        run_sweep(
+            &cfgs,
+            &wls,
+            &flow,
+            &ArtifactStore::new(),
+            &SweepOptions { jobs, batch_lanes, ..SweepOptions::default() },
+        )
+        .unwrap()
+    };
+    let solo = run(1, 1);
     assert!(solo.all_ok());
+    assert_eq!(solo.stats.batched_points, 0, "batch_lanes 1 must not batch");
     let reference = solo.render_deterministic();
 
-    let parallel = run_sweep(
-        &cfgs,
-        &wls,
-        &flow,
-        &ArtifactStore::new(),
-        &SweepOptions { jobs: 4, ..SweepOptions::default() },
-    )
-    .unwrap();
-    assert_eq!(
-        parallel.render_deterministic(),
-        reference,
-        "a 4-job sweep must render byte-identically to a sequential one"
-    );
+    for (jobs, batch_lanes) in [(4, 1), (1, 4), (4, 4)] {
+        let other = run(jobs, batch_lanes);
+        assert_eq!(
+            other.render_deterministic(),
+            reference,
+            "jobs {jobs}, batch_lanes {batch_lanes}: must render byte-identically to \
+             jobs 1, batch_lanes 1"
+        );
+        if batch_lanes > 1 {
+            assert!(other.stats.batched_points > 0, "an 8-config rung with batch_lanes 4 batches");
+        }
+    }
 }
 
 /// A sweep killed partway through resumes from its journal — at any job

@@ -20,6 +20,9 @@
 //!   ([`rv_isa::checkpoint::SharedCheckpoint`]) so the memory images are
 //!   shared — not cloned — across configurations and worker threads.
 //!
+//! Behind them, every campaign, sweep rung and served request runs its
+//! detailed points through one single-flight point memo (`PointKey`).
+//!
 //! A full-run baseline cache ([`ArtifactStore::full_run`]) rides along for
 //! the methodology benches that compare SimPoint against full detailed
 //! simulation: the baseline is (configuration, workload)-keyed and only
@@ -31,7 +34,9 @@
 //! observable, not assumed.
 
 use crate::diskcache::{CacheStage, DiskCache, DiskFaultInjection, DiskLookup};
-use crate::flow::{run_full, FlowConfig, FlowError, FullRunResult};
+use crate::flow::{
+    run_full, supervision_fingerprint, FlowConfig, FlowError, FullRunResult, PointOutcome,
+};
 use crate::sync::lock;
 use boom_uarch::BoomConfig;
 use rv_isa::bbv::BbvProfile;
@@ -55,19 +60,14 @@ type CheckpointKey = (AnalysisKey, u64);
 /// Cache key of a full-run baseline.
 type FullRunKey = (u64, u64);
 
-/// Cache key of one memoized detailed-sim point outcome in a sweep:
-/// (config fingerprint, program fingerprint, interval size, warm-up,
-/// interval truncation shift, point index). Budget parameters are part of
-/// the key so a truncated rung-0 measurement never masquerades as the
-/// full-length result a later rung needs.
-pub(crate) type PointKey = (u64, u64, u64, u64, u32, u32);
-
-/// Cache key of a cross-request shared point outcome: the sweep
-/// [`PointKey`] plus the supervision fingerprint (retry policy, fault
-/// injection, idle-skip) — supervision knobs change *outcomes* (attempt
-/// counts, skipped-cycle stats), so requests that differ in them must not
-/// share results.
-pub(crate) type SharedPointKey = (PointKey, u64);
+/// The workload-and-flow part of a [`PointKey`]: the checkpoint-set key
+/// (program, interval size, profiling budget, SimPoint config, warm-up)
+/// and the [`supervision_fingerprint`].
+pub(crate) type PointScope = (CheckpointKey, u64);
+/// Cache key of one memoized point outcome: (config fingerprint,
+/// [`PointScope`], truncation shift, point index) — every input that
+/// changes an outcome.
+pub(crate) type PointKey = (u64, PointScope, u32, u32);
 
 /// A compute-exactly-once slot: concurrent callers of the same key block
 /// on the first computation and then share its result.
@@ -156,19 +156,18 @@ pub struct CacheStats {
     /// Cached stage *errors* replayed to later callers — the failure
     /// context is the original compute's, not the replaying cell's.
     pub error_replays: u64,
-    /// Sweep point lookups served from the point-outcome memo (a
-    /// promoted config re-reading a lower-rung measurement).
+    /// Plan-time point-memo lookups that found a completed outcome (a
+    /// promoted or resumed sweep re-reading an earlier measurement).
     pub sweep_point_hits: u64,
-    /// Sweep point outcomes recorded into the point-outcome memo.
+    /// Point outcomes inserted into the point memo.
     pub sweep_point_stored: u64,
-    /// Lookups (stage or shared point) that found the key *in flight* —
-    /// another caller was already computing it — and blocked on that
-    /// computation instead of duplicating it. Nonzero means single-flight
-    /// deduplication actually coalesced concurrent work.
+    /// Lookups (stage or single-flight point) that found the key *in
+    /// flight* — another caller was already computing it — and blocked
+    /// on that computation instead of duplicating it. Nonzero means
+    /// single-flight deduplication actually coalesced concurrent work.
     pub inflight_dedup_hits: u64,
-    /// Shared point lookups served from an already-*completed* slot of
-    /// the cross-request point map — warm reuse of work another request
-    /// (or an earlier pass) finished.
+    /// Single-flight point calls served from an already-*completed* memo
+    /// slot — warm reuse of work another run or request finished.
     pub warm_store_hits: u64,
 }
 
@@ -199,28 +198,23 @@ struct Counters {
 }
 
 /// Thread-safe memoization of the flow's configuration-independent
-/// stages, plus the full-run baseline cache and stage accounting.
+/// stages and of every supervised point outcome, plus the full-run
+/// baseline cache and stage accounting.
 ///
-/// One store per campaign (or per bench process) is the intended scope:
-/// artifacts live for the store's lifetime, and [`CacheStats`] then
-/// describes exactly that campaign's reuse.
+/// Artifacts and point outcomes live for the store's lifetime, which may
+/// span many runs: campaigns, sweeps and served requests sharing one
+/// store reuse each other's work, and [`CacheStats`] then describes the
+/// reuse over that whole lifetime. A store per run (or per bench
+/// process) confines both to the run.
 #[derive(Default)]
 pub struct ArtifactStore {
     profiles: Mutex<HashMap<ProfileKey, Slot<Arc<BbvProfile>>>>,
     analyses: Mutex<HashMap<AnalysisKey, Slot<Arc<SimPointAnalysis>>>>,
     checkpoints: Mutex<HashMap<CheckpointKey, Slot<Arc<CheckpointSet>>>>,
     full_runs: Mutex<HashMap<FullRunKey, Slot<Arc<FullRunResult>>>>,
-    /// Sweep point-outcome memo: completed detailed-sim measurements
-    /// keyed by (config, program, budget) so successive-halving rungs
-    /// and resumed sweeps never resimulate a finished point.
-    points: Mutex<HashMap<PointKey, crate::flow::PointOutcome>>,
-    /// Cross-request single-flight map of *supervised* point outcomes,
-    /// keyed by ([`PointKey`], supervision fingerprint): concurrent
-    /// requests for the same point share one computation (the second
-    /// blocks on the first), and later requests reuse the completed
-    /// result warm. Only point-sharing schedulers (the campaign service)
-    /// populate it.
-    flights: Mutex<HashMap<SharedPointKey, Arc<OnceLock<crate::flow::PointOutcome>>>>,
+    /// The point memo: one single-flight slot per [`PointKey`], shared
+    /// by every campaign, sweep rung and request on the store.
+    points: Mutex<HashMap<PointKey, Arc<OnceLock<PointOutcome>>>>,
     counters: Counters,
     /// Optional crash-safe disk tier behind the in-memory memo maps.
     disk: Option<DiskCache>,
@@ -607,39 +601,48 @@ impl ArtifactStore {
         self.counters.detailed_us.fetch_add(us, Ordering::Relaxed);
     }
 
-    /// Looks up a completed sweep point outcome; a hit means a promoted
-    /// (or resumed) config re-reads its earlier measurement instead of
-    /// resimulating it.
-    pub(crate) fn cached_point(&self, key: &PointKey) -> Option<crate::flow::PointOutcome> {
-        let hit = lock(&self.points).get(key).cloned();
+    /// The [`PointScope`] of `workload` under `flow`. The program
+    /// fingerprint hashes the whole image, so runs compute this once per
+    /// workload, not per point.
+    pub(crate) fn point_scope(workload: &Workload, flow: &FlowConfig) -> PointScope {
+        (Self::checkpoint_key(workload, flow), supervision_fingerprint(flow))
+    }
+
+    /// Looks up a completed point outcome without waiting on one in
+    /// flight; a hit means a promoted (or resumed) sweep configuration
+    /// re-reads an earlier measurement instead of resimulating it.
+    pub(crate) fn cached_point(&self, key: &PointKey) -> Option<PointOutcome> {
+        let hit = lock(&self.points).get(key).and_then(|slot| slot.get().cloned());
         if hit.is_some() {
             self.counters.sweep_point_hits.fetch_add(1, Ordering::Relaxed);
         }
         hit
     }
 
-    /// Records a sweep point outcome (fresh simulation or journal
-    /// replay) into the point-outcome memo.
-    pub(crate) fn record_point(&self, key: PointKey, outcome: &crate::flow::PointOutcome) {
-        if lock(&self.points).insert(key, outcome.clone()).is_none() {
+    /// Records an outcome computed outside the single-flight call (a
+    /// batch lane or a replayed sweep record) into the point memo.
+    pub(crate) fn record_point(&self, key: PointKey, outcome: &PointOutcome) {
+        let slot = lock(&self.points).entry(key).or_default().clone();
+        if slot.set(outcome.clone()).is_ok() {
             self.counters.sweep_point_stored.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Runs one supervised point through the cross-request single-flight
-    /// map: the first caller of `key` computes, concurrent callers of an
-    /// in-flight key block and share the result (`inflight_dedup_hits`),
-    /// and later callers reuse the completed slot (`warm_store_hits`).
+    /// Runs one supervised point through the point memo's single flight:
+    /// the first caller of `key` computes and stores the outcome,
+    /// concurrent callers of an in-flight key block and share it
+    /// (`inflight_dedup_hits`), and later callers reuse the completed
+    /// slot (`warm_store_hits`).
     pub(crate) fn singleflight_point(
         &self,
-        key: SharedPointKey,
-        compute: impl FnOnce() -> crate::flow::PointOutcome,
-    ) -> crate::flow::PointOutcome {
+        key: PointKey,
+        compute: impl FnOnce() -> PointOutcome,
+    ) -> PointOutcome {
         // The completion check happens under the map lock so "found it in
         // flight" is decided atomically with the slot lookup (observable
         // and testable without timing races).
         let (slot, pre_done) = {
-            let mut g = lock(&self.flights);
+            let mut g = lock(&self.points);
             let slot = g.entry(key).or_default().clone();
             let pre_done = slot.get().is_some();
             (slot, pre_done)
@@ -649,14 +652,13 @@ impl ArtifactStore {
             ran = true;
             compute()
         });
-        if !ran {
-            let c = &self.counters;
-            if pre_done {
-                c.warm_store_hits.fetch_add(1, Ordering::Relaxed);
-            } else {
-                c.inflight_dedup_hits.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let c = &self.counters;
+        let counter = match (ran, pre_done) {
+            (true, _) => &c.sweep_point_stored,
+            (false, true) => &c.warm_store_hits,
+            (false, false) => &c.inflight_dedup_hits,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         result.clone()
     }
 
@@ -816,7 +818,8 @@ mod tests {
     fn singleflight_point_counts_inflight_and_warm_hits() {
         use crate::supervisor::{FailureKind, PointFailure};
         let store = Arc::new(ArtifactStore::new());
-        let key: super::SharedPointKey = ((1, 2, 3, 4, 0, 0), 42);
+        let w = by_name("bitcount", Scale::Test).unwrap();
+        let key = (7, ArtifactStore::point_scope(&w, &quick_flow()), 0, 0);
         let outcome = |tag: &str| {
             Err(PointFailure {
                 simpoint: 0,
@@ -852,7 +855,7 @@ mod tests {
         // Only then is the first computation released.
         loop {
             let entered =
-                lock(&store.flights).get(&key).is_some_and(|slot| Arc::strong_count(slot) >= 3);
+                lock(&store.points).get(&key).is_some_and(|slot| Arc::strong_count(slot) >= 3);
             if entered {
                 break;
             }
@@ -877,6 +880,67 @@ mod tests {
         let s = store.stats();
         assert_eq!(s.inflight_dedup_hits, 1, "second caller blocked on the in-flight slot");
         assert_eq!(s.warm_store_hits, 1, "third caller reused the completed slot");
+        assert_eq!(s.sweep_point_stored, 1, "only the first caller inserted");
+        // A plan-time lookup reads the same slot; an insert of an
+        // already-memoized key is a no-op.
+        assert!(store.cached_point(&key).is_some());
+        store.record_point(key, &outcome("fourth"));
+        let s = store.stats();
+        assert_eq!((s.sweep_point_hits, s.sweep_point_stored), (1, 1));
+    }
+
+    #[test]
+    fn point_key_covers_every_outcome_input() {
+        let w = by_name("bitcount", Scale::Test).unwrap();
+        let fp = config_fingerprint(&BoomConfig::medium());
+        let key = |cfg_fp, w: &Workload, shift, p_idx: u32| {
+            (cfg_fp, ArtifactStore::point_scope(w, &quick_flow()), shift, p_idx)
+        };
+        let base = key(fp, &w, 0, 0);
+        let longer = Workload { interval_size: w.interval_size + 1, ..w.clone() };
+        let sha = by_name("sha", Scale::Test).unwrap();
+        let large = config_fingerprint(&BoomConfig::large());
+        for (what, k) in [
+            ("config", key(large, &w, 0, 0)),
+            ("program", key(fp, &sha, 0, 0)),
+            ("interval size", key(fp, &longer, 0, 0)),
+            ("shift", key(fp, &w, 1, 0)),
+            ("point index", key(fp, &w, 0, 1)),
+        ] {
+            assert_ne!(k, base, "perturbing the {what} must change the point key");
+        }
+        type Perturb = fn(&mut FlowConfig);
+        let flow_key = |perturb: Perturb| {
+            let mut flow = quick_flow();
+            perturb(&mut flow);
+            (fp, ArtifactStore::point_scope(&w, &flow), 0, 0)
+        };
+        let perturbations: [(&str, Perturb); 18] = [
+            ("max_profile_insts", |f| f.max_profile_insts += 1),
+            ("simpoint.max_k", |f| f.simpoint.max_k += 1),
+            ("simpoint.projected_dim", |f| f.simpoint.projected_dim += 1),
+            ("simpoint.bic_threshold", |f| f.simpoint.bic_threshold += 0.01),
+            ("simpoint.restarts", |f| f.simpoint.restarts += 1),
+            ("simpoint.max_iters", |f| f.simpoint.max_iters += 1),
+            ("simpoint.seed", |f| f.simpoint.seed += 1),
+            ("simpoint.coverage", |f| f.simpoint.coverage -= 0.01),
+            ("warm-up", |f| f.warmup_insts += 1),
+            ("retry.max_attempts", |f| f.retry.max_attempts += 1),
+            ("retry.warmup_perturb", |f| f.retry.warmup_perturb /= 2.0),
+            ("retry.cycle_budget", |f| f.retry.cycle_budget = Some(1)),
+            ("retry.budget_backoff", |f| f.retry.budget_backoff += 1.0),
+            ("retry.wall_clock", |f| f.retry.wall_clock = Some(std::time::Duration::from_secs(1))),
+            ("hang_point", |f| f.inject.hang_point = Some(0)),
+            ("hang_every_point", |f| f.inject.hang_every_point = true),
+            ("panic_point", |f| f.inject.panic_point = Some(0)),
+            ("idle_skip", |f| f.idle_skip = !f.idle_skip),
+        ];
+        for (what, perturb) in perturbations {
+            assert_ne!(flow_key(perturb), base, "perturbing {what} must change the point key");
+        }
+        // Kill-after only decides when the process dies, never what a
+        // completed point contains.
+        assert_eq!(flow_key(|f| f.inject.kill_after_points = Some(3)), base);
     }
 
     #[test]

@@ -1060,7 +1060,6 @@ fn main() {
         co_runs,
         batch_lanes: args.batch_lanes,
         pool: None,
-        share_points: false,
         progress: None,
     };
     let report = supervise_campaign(&cfgs, &ws, &flow, &store, &opts);

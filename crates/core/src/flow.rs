@@ -332,29 +332,16 @@ pub(crate) fn escaped_panic(
     }
 }
 
-/// [`run_point_supervised`] plus stage accounting: the attempt span is
-/// charged to the store's detailed-simulation wall-clock total.
+/// [`run_point_supervised`] under `catch_unwind`, plus stage accounting:
+/// the attempt span is charged to the store's detailed-simulation
+/// wall-clock total, and a panic that escapes the supervisor's own
+/// isolation still becomes this point's quarantine record, payload
+/// preserved.
 ///
 /// `uops` is the point's pre-classified micro-op table when this lane is
 /// part of a multi-config batch (classification is configuration-
 /// independent, so the batch computes it once and every lane shares it);
 /// `None` classifies privately, exactly as a solo run always has.
-pub(crate) fn run_point_timed(
-    cfg: &BoomConfig,
-    point: &PlannedPoint,
-    flow: &FlowConfig,
-    uops: Option<&Arc<UopTable>>,
-    store: &ArtifactStore,
-) -> PointOutcome {
-    let t0 = Instant::now();
-    let r = run_point_supervised(cfg, point, flow, uops);
-    store.charge_detailed_us(t0.elapsed().as_micros() as u64);
-    r
-}
-
-/// [`run_point_timed`] under `catch_unwind`: a panic that escapes the
-/// supervisor's own isolation still becomes this point's quarantine
-/// record, payload preserved.
 pub(crate) fn run_lane(
     cfg: &BoomConfig,
     point: &PlannedPoint,
@@ -362,40 +349,24 @@ pub(crate) fn run_lane(
     uops: Option<&Arc<UopTable>>,
     store: &ArtifactStore,
 ) -> PointOutcome {
-    catch_unwind(AssertUnwindSafe(|| run_point_timed(cfg, point, flow, uops, store)))
-        .unwrap_or_else(|payload| Err(escaped_panic(point, payload.as_ref())))
-}
-
-/// Runs one SimPoint for one or more configurations (the lanes of a
-/// batch), one lane after another on the calling thread. A single lane
-/// takes the exact unbatched path (private micro-op classification);
-/// several lanes share the predecoded image — already in the shared
-/// checkpoint — and the per-text-word micro-op table, which is
-/// configuration-independent and classified once here. Each lane is an
-/// independent [`run_lane`] under full per-point supervision, so lane
-/// `i`'s outcome, returned in `cfgs` order, is bit-identical to a solo
-/// run of `cfgs[i]` on the same point.
-pub(crate) fn run_point_batch(
-    cfgs: &[&BoomConfig],
-    point: &PlannedPoint,
-    flow: &FlowConfig,
-    store: &ArtifactStore,
-) -> Vec<PointOutcome> {
-    let uops = match cfgs {
-        [_] => None,
-        _ => point.checkpoint.image.as_ref().map(Core::shared_uop_table),
-    };
-    cfgs.iter().map(|cfg| run_lane(cfg, point, flow, uops.as_ref(), store)).collect()
+    catch_unwind(AssertUnwindSafe(|| {
+        let t0 = Instant::now();
+        let r = run_point_supervised(cfg, point, flow, uops);
+        store.charge_detailed_us(t0.elapsed().as_micros() as u64);
+        r
+    }))
+    .unwrap_or_else(|payload| Err(escaped_panic(point, payload.as_ref())))
 }
 
 /// Stable fingerprint of the supervision knobs that change point
 /// *outcomes*: retry policy (attempt counts, perturbed warm-ups,
 /// budgets), outcome-altering fault injection (hang/panic points), and
 /// idle-skip (skipped-cycle stats ride in the outcome). Part of the
-/// cross-request shared-point key — requests that differ in any of these
-/// must not share outcomes, while `kill_after_points` (which only
-/// decides *when the process dies*, never what a completed point
-/// contains) deliberately stays out.
+/// store's point-memo key ([`ArtifactStore::point_scope`]) — campaigns,
+/// sweeps and requests that differ in any of these must not share
+/// outcomes, while `kill_after_points` (which only decides *when the
+/// process dies*, never what a completed point contains) deliberately
+/// stays out.
 pub(crate) fn supervision_fingerprint(flow: &FlowConfig) -> u64 {
     let tag = format!(
         "{:?}|{:?}|{:?}|{:?}|{}",

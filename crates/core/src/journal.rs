@@ -16,6 +16,10 @@
 //! payload: cell index u64 | point index u64 | encoded PointOutcome
 //! ```
 //!
+//! Campaigns and sweeps address records alike: cell `cfg_idx · w + w_idx`
+//! over the admitted configurations (co-run cells last), point
+//! `shift << 24 | p_idx` — a campaign's records are the shift-0 case.
+//!
 //! All integers are little-endian. Records are appended with a single
 //! `write_all`; a crash mid-append leaves a *torn tail* that fails the
 //! length or checksum check on resume, at which point the journal is
@@ -104,11 +108,11 @@ impl From<std::io::Error> for JournalError {
     }
 }
 
-/// Outcomes recovered from a journal, keyed by `(cell index, point
-/// index)` in the campaign's deterministic cell order.
+/// Outcomes recovered from a journal, keyed by the decoded record
+/// address `(cell, shift, point)` (see the module docs).
 #[derive(Debug, Default)]
 pub struct JournalReplay {
-    pub(crate) outcomes: HashMap<(usize, usize), PointOutcome>,
+    pub(crate) outcomes: HashMap<(usize, u32, usize), PointOutcome>,
 }
 
 impl JournalReplay {
@@ -122,6 +126,9 @@ impl JournalReplay {
         self.outcomes.is_empty()
     }
 }
+
+/// Low bits of a record's point index holding the SimPoint index.
+const POINT_BITS: u32 = 24;
 
 /// An append-only write-ahead log of completed campaign points.
 ///
@@ -203,6 +210,12 @@ impl CampaignJournal {
         &self.path
     }
 
+    /// Appends the outcome of SimPoint `p_idx` at truncation `shift` of
+    /// `cell` under the shared record address (see the module docs).
+    pub(crate) fn append_point(&self, cell: usize, shift: u32, p_idx: usize, o: &PointOutcome) {
+        self.append(cell, ((shift as usize) << POINT_BITS) | p_idx, o);
+    }
+
     /// Appends one completed point. Best-effort: an I/O failure here
     /// only means the point is recomputed after a crash, so it is
     /// swallowed rather than aborting the campaign.
@@ -239,8 +252,9 @@ fn scan_record(bytes: &[u8], pos: usize, replay: &mut JournalReplay) -> Option<u
     if fnv1a(payload) != u64::from_le_bytes(sum) {
         return None;
     }
-    let (c_idx, p_idx, outcome) = decode_record(payload).ok()?;
-    replay.outcomes.insert((c_idx, p_idx), outcome);
+    let (cell, index, outcome) = decode_record(payload).ok()?;
+    let (shift, p_idx) = ((index >> POINT_BITS) as u32, index & ((1 << POINT_BITS) - 1));
+    replay.outcomes.insert((cell, shift, p_idx), outcome);
     Some(rec_end)
 }
 
@@ -1017,9 +1031,9 @@ mod tests {
 
         let (journal, replay) = CampaignJournal::resume(&path, 0xfeed).expect("resume");
         assert_eq!(replay.len(), 3);
-        assert_outcomes_identical(&replay.outcomes[&(0, 0)], &sample_ok());
-        assert_outcomes_identical(&replay.outcomes[&(0, 1)], &sample_hang());
-        assert_outcomes_identical(&replay.outcomes[&(2, 5)], &sample_ok());
+        assert_outcomes_identical(&replay.outcomes[&(0, 0, 0)], &sample_ok());
+        assert_outcomes_identical(&replay.outcomes[&(0, 0, 1)], &sample_hang());
+        assert_outcomes_identical(&replay.outcomes[&(2, 0, 5)], &sample_ok());
         // Appending after resume keeps the file valid.
         journal.append(3, 0, &sample_ok());
         drop(journal);
@@ -1077,7 +1091,7 @@ mod tests {
             std::fs::write(&path, &bytes).expect("write flipped");
             let (_, replay) = CampaignJournal::resume(&path, 1).expect("resume flipped");
             assert!(replay.len() <= 1, "flip at {pos} must not invent records");
-            if let Some(outcome) = replay.outcomes.get(&(0, 0)) {
+            if let Some(outcome) = replay.outcomes.get(&(0, 0, 0)) {
                 assert_outcomes_identical(outcome, &sample_ok());
             }
         }

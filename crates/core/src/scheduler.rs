@@ -10,24 +10,23 @@
 //! behind big ones, and the detailed-simulation phase saturates the
 //! machine at any matrix shape.
 //!
-//! The phases are `pub(crate)` helpers so an adaptive sweep rung runs
-//! the same code: [`prepare`] (phase 1), [`plan_lanes`] + the campaign's
-//! task loop (phase 2, with the one batching rule), [`assemble_cell`]
-//! (phase 3), plus the [`kill_switch`] fault-injection hook.
+//! The phases are `pub(crate)` so a sweep runs the same code:
+//! `PointRun::prepare`, `PointRun::pass` (the one point loop) and
+//! `PointRun::assemble`, plus the `kill_switch` hook. A campaign is one
+//! full-budget pass; a sweep rung is a pass over its survivors.
 //!
 //! Supervision semantics are exactly those of the sequential driver:
 //! per-point retry and quarantine
-//! ([`run_point_timed`](crate::flow::run_point_timed) →
-//! `run_point_supervised`), per-cell `catch_unwind` isolation around
+//! (`run_lane` → `run_point_supervised`), per-cell `catch_unwind` isolation around
 //! artifact preparation and result assembly, and deterministic
 //! (configuration-major) cell ordering with points assembled in plan
 //! order — a `--jobs 1` and a `--jobs N` campaign produce
 //! [`CampaignReport`]s with identical cells.
 
-use crate::artifacts::{config_fingerprint, ArtifactStore, CheckpointSet};
+use crate::artifacts::{config_fingerprint, ArtifactStore, CheckpointSet, PointKey, PointScope};
 use crate::flow::{
-    assemble_workload_result, escaped_panic, run_co_cell, run_lane, run_point_batch,
-    supervision_fingerprint, FlowConfig, PointOutcome,
+    assemble_workload_result, escaped_panic, run_co_cell, run_lane, FlowConfig, FlowError,
+    PointOutcome,
 };
 use crate::journal::{CampaignJournal, JournalReplay};
 use crate::pool::WorkPool;
@@ -35,7 +34,8 @@ use crate::supervisor::{
     panic_message, CampaignReport, CampaignStats, CellFailure, CellResult, CoRunCellResult,
     CoreRunResult, FailureKind, PointFailure,
 };
-use boom_uarch::BoomConfig;
+use crate::sweep::{truncated, RungSpec};
+use boom_uarch::{BoomConfig, Core};
 use rv_workloads::Workload;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -76,12 +76,6 @@ pub struct CampaignOptions {
     /// fairness span requests. `None` (solo runs) creates a private
     /// `WorkPool` of [`CampaignOptions::jobs`] workers for the run.
     pub pool: Option<Arc<WorkPool>>,
-    /// Route each solo-lane point through the store's cross-request
-    /// single-flight map, so concurrent campaigns sharing the store
-    /// coalesce overlapping points (one computation, both reports) and
-    /// later campaigns reuse completed ones warm. Only the service
-    /// enables it; outcomes are still journaled per request.
-    pub share_points: bool,
     /// Progress callback invoked as `(done, total)` over the campaign's
     /// point outcomes (replayed points count as already done).
     pub progress: Option<ProgressHook>,
@@ -106,7 +100,6 @@ impl Default for CampaignOptions {
             co_runs: Vec::new(),
             batch_lanes: 1,
             pool: None,
-            share_points: false,
             progress: None,
         }
     }
@@ -120,7 +113,7 @@ pub fn default_jobs() -> usize {
 /// One workload's prepared artifacts, or the failure every cell of that
 /// workload reports (exactly as each cell would fail when preparing the
 /// same artifacts itself).
-pub(crate) type Prepared = Result<Arc<CheckpointSet>, CellFailure>;
+type Prepared = Result<Arc<CheckpointSet>, CellFailure>;
 
 /// The pool a run drains its tasks on: the caller's shared pool (the
 /// campaign service's — one `--jobs` bound and round-robin fairness
@@ -132,42 +125,200 @@ pub(crate) fn run_pool(shared: Option<&Arc<WorkPool>>, jobs: usize) -> Arc<WorkP
     shared.map_or_else(|| Arc::new(WorkPool::new(jobs)), Arc::clone)
 }
 
-/// Phase 1 — per-workload artifact preparation (profile → analysis →
-/// checkpoints) on `pool`, each behind `catch_unwind`. The store
-/// memoizes, so duplicate workloads and every later phase share one
-/// computation.
-pub(crate) fn prepare(
-    pool: &WorkPool,
-    workloads: &[Workload],
-    flow: &FlowConfig,
-    store: &ArtifactStore,
-) -> Vec<Prepared> {
-    let prep: Vec<OnceLock<Prepared>> = workloads.iter().map(|_| OnceLock::new()).collect();
-    pool.run_scoped((0..workloads.len()).collect(), |w_idx| {
-        let r = match catch_unwind(AssertUnwindSafe(|| store.checkpoints(&workloads[w_idx], flow)))
-        {
-            Ok(Ok(set)) => Ok(set),
-            Ok(Err(e)) => Err(CellFailure::Flow(e)),
-            Err(payload) => Err(CellFailure::Panicked(panic_message(payload.as_ref()))),
-        };
-        let _ = prep[w_idx].set(r);
-    });
-    prep.into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|| Err(CellFailure::Panicked("artifact worker died".to_string())))
-        })
-        .collect()
+/// One run's prepared workloads and configurations (fingerprinted once
+/// per run): a campaign makes one point pass over it, a sweep one per
+/// rung.
+pub(crate) struct PointRun<'a> {
+    pub(crate) pool: Arc<WorkPool>,
+    store: &'a ArtifactStore,
+    flow: &'a FlowConfig,
+    workloads: &'a [Workload],
+    prep: Vec<Prepared>,
+    cfgs: &'a [BoomConfig],
+    pub(crate) fps: Vec<u64>,
+    scopes: Vec<PointScope>,
+    batch_lanes: usize,
+}
+
+/// One point pass's outcome slots, `[lane · w + w_idx][p_idx]` (unset
+/// only where a task never ran: a cancelled pool), and its accounting:
+/// points run fresh and `prefill`ed, fresh points that ran batched, and
+/// the fresh points' detailed and idle-skipped cycles.
+pub(crate) struct Pass {
+    pub(crate) slots: Vec<Vec<OnceLock<PointOutcome>>>,
+    pub(crate) fresh: u64,
+    pub(crate) reused: u64,
+    pub(crate) batched: u64,
+    pub(crate) cycles: u64,
+    pub(crate) idle_skipped: u64,
+}
+
+impl<'a> PointRun<'a> {
+    /// Phase 1 — per-workload artifact preparation (profile → analysis →
+    /// checkpoints) on `pool`, each behind `catch_unwind`. The store
+    /// memoizes, so duplicate workloads and every later phase share one
+    /// computation.
+    pub(crate) fn prepare(
+        pool: Arc<WorkPool>,
+        store: &'a ArtifactStore,
+        flow: &'a FlowConfig,
+        workloads: &'a [Workload],
+        cfgs: &'a [BoomConfig],
+        batch_lanes: usize,
+    ) -> PointRun<'a> {
+        let prep: Vec<OnceLock<Prepared>> = workloads.iter().map(|_| OnceLock::new()).collect();
+        pool.run_scoped((0..workloads.len()).collect(), |w_idx| {
+            let _ = prep[w_idx].set(isolated(|| store.checkpoints(&workloads[w_idx], flow)));
+        });
+        let died = || Err(CellFailure::Panicked("artifact worker died".to_string()));
+        let prep = prep.into_iter().map(|slot| slot.into_inner().unwrap_or_else(died)).collect();
+        let fps = cfgs.iter().map(config_fingerprint).collect();
+        let scopes = workloads.iter().map(|w| ArtifactStore::point_scope(w, flow)).collect();
+        PointRun { pool, store, flow, workloads, prep, cfgs, fps, scopes, batch_lanes }
+    }
+
+    /// The point-memo key of SimPoint `p_idx` of workload `w_idx` on
+    /// configuration `cfg_idx`, truncated by `shift`.
+    pub(crate) fn key(&self, cfg_idx: usize, w_idx: usize, shift: u32, p_idx: usize) -> PointKey {
+        (self.fps[cfg_idx], self.scopes[w_idx], shift, p_idx as u32)
+    }
+
+    /// Each workload's selected-point count, capped at `cap` (0 where
+    /// preparation failed).
+    pub(crate) fn n_points(&self, cap: usize) -> Vec<usize> {
+        self.prep.iter().map(|set| set.as_ref().map_or(0, |s| s.points.len().min(cap))).collect()
+    }
+
+    /// Phase 2 — every point of configurations `lanes` (indices into
+    /// `cfgs`) under `budget`: at most `budget.points` SimPoints per
+    /// workload, each interval truncated by `budget.shift`.
+    ///
+    /// `prefill(cfg_idx, w_idx, p_idx)` supplies what the run already
+    /// has (a campaign's journal replay, a sweep's memo); the rest is
+    /// planned ([`plan_lanes`]) and run on the pool under per-point
+    /// supervision. A solo lane goes through the store's single flight,
+    /// a batch records each lane's outcome in the memo after it ran, so
+    /// every run sharing the store computes a point once.
+    /// `on_outcome(cfg_idx, w_idx, p_idx, &outcome)` sees every fresh
+    /// outcome on its worker before its slot is filled.
+    pub(crate) fn pass(
+        &self,
+        lanes: &[usize],
+        budget: RungSpec,
+        prefill: impl Fn(usize, usize, usize) -> Option<PointOutcome>,
+        on_outcome: impl Fn(usize, usize, usize, &PointOutcome) + Sync,
+    ) -> Pass {
+        let w = self.workloads.len();
+        let n_points = self.n_points(budget.points);
+        let slots: Vec<Vec<OnceLock<PointOutcome>>> = lanes
+            .iter()
+            .flat_map(|_| &n_points)
+            .map(|&n| (0..n).map(|_| OnceLock::new()).collect())
+            .collect();
+        let mut reused = 0u64;
+        for (cell, cell_slots) in slots.iter().enumerate() {
+            for (p_idx, slot) in cell_slots.iter().enumerate() {
+                if let Some(outcome) = prefill(lanes[cell / w], cell % w, p_idx) {
+                    let _ = slot.set(outcome);
+                    reused += 1;
+                }
+            }
+        }
+        // Prefilled slots never enter a batch, so a resumed or promoted
+        // run only batches what it actually simulates.
+        let (tasks, batched) =
+            plan_lanes(&n_points, lanes.len(), self.batch_lanes, |l, w_idx, p| {
+                slots[l * w + w_idx][p].get().is_none()
+            });
+        let (fresh, cycles, idle_skipped) =
+            (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
+        self.pool.run_scoped(tasks, |LaneTask { w_idx, p_idx, lanes: task_lanes }| {
+            let Ok(set) = &self.prep[w_idx] else { return };
+            let point = truncated(&set.points[p_idx], budget.shift);
+            let key = |l: usize| self.key(lanes[l], w_idx, budget.shift, p_idx);
+            let lane = |l: usize, uops| {
+                run_lane(&self.cfgs[lanes[l]], &point, self.flow, uops, self.store)
+            };
+            let outcomes: Vec<PointOutcome> = match task_lanes[..] {
+                [l] => vec![self.store.singleflight_point(key(l), || lane(l, None))],
+                // A batch classifies the point's micro-op table once and
+                // runs its lanes one after another on this worker, each
+                // bit-identical to a solo run of its configuration.
+                _ => {
+                    let uops = point.checkpoint.image.as_ref().map(Core::shared_uop_table);
+                    let run = |&l: &usize| {
+                        let outcome = lane(l, uops.as_ref());
+                        self.store.record_point(key(l), &outcome);
+                        outcome
+                    };
+                    task_lanes.iter().map(run).collect()
+                }
+            };
+            for (&l, outcome) in task_lanes.iter().zip(outcomes) {
+                on_outcome(lanes[l], w_idx, p_idx, &outcome);
+                fresh.fetch_add(1, Ordering::Relaxed);
+                if let Ok((p, _)) = &outcome {
+                    cycles.fetch_add(p.stats.cycles, Ordering::Relaxed);
+                    idle_skipped.fetch_add(p.stats.idle_cycles_skipped, Ordering::Relaxed);
+                }
+                let _ = slots[l * w + w_idx][p_idx].set(outcome);
+            }
+        });
+        Pass {
+            slots,
+            fresh: fresh.into_inner(),
+            reused,
+            batched,
+            cycles: cycles.into_inner(),
+            idle_skipped: idle_skipped.into_inner(),
+        }
+    }
+
+    /// Phase 3 — one [`CellResult`] per (lane, workload) of a full-budget
+    /// pass over `lanes`, lane-major: the workload's prep failure, or
+    /// [`assemble_workload_result`] over the cell's outcomes in plan
+    /// order.
+    pub(crate) fn assemble(
+        &self,
+        lanes: &[usize],
+        slots: Vec<Vec<OnceLock<PointOutcome>>>,
+    ) -> Vec<CellResult> {
+        let w = self.workloads.len();
+        let mut cells = Vec::with_capacity(slots.len());
+        for (cell, cell_slots) in slots.into_iter().enumerate() {
+            let (config, w_idx) = (&self.cfgs[lanes[cell / w]].name, cell % w);
+            let workload = &self.workloads[w_idx];
+            let outcome = self.prep[w_idx].clone().and_then(|set| {
+                let died = |p| Err(escaped_panic(p, &"point worker died".to_string()));
+                let taken = set.points.iter().zip(cell_slots);
+                let outcomes =
+                    taken.map(|(p, s)| s.into_inner().unwrap_or_else(|| died(p))).collect();
+                isolated(|| assemble_workload_result(config, workload, &set, outcomes))
+                    .map(Box::new)
+            });
+            cells.push(CellResult { config: config.clone(), workload: workload.name, outcome });
+        }
+        cells
+    }
+}
+
+/// `f` behind `catch_unwind`, with its error or escaped panic as the
+/// cell's failure.
+fn isolated<T>(f: impl FnOnce() -> Result<T, FlowError>) -> Result<T, CellFailure> {
+    match catch_unwind(AssertUnwindSafe(f)) {
+        Ok(Ok(t)) => Ok(t),
+        Ok(Err(e)) => Err(CellFailure::Flow(e)),
+        Err(payload) => Err(CellFailure::Panicked(panic_message(payload.as_ref()))),
+    }
 }
 
 /// One phase-2 task: SimPoint `p_idx` of workload `w_idx`, simulated for
-/// `lanes` (in order; configuration indices in a campaign, surviving
-/// positions in a sweep rung) — one lane takes the solo path, several
-/// share a batch ([`run_point_batch`]).
-pub(crate) struct LaneTask {
-    pub(crate) w_idx: usize,
-    pub(crate) p_idx: usize,
-    pub(crate) lanes: Vec<usize>,
+/// `lanes` (in order; positions in the pass's lane list) — one lane
+/// takes the single-flight path, several share a batch.
+struct LaneTask {
+    w_idx: usize,
+    p_idx: usize,
+    lanes: Vec<usize>,
 }
 
 /// Narrowest chunk that runs as a batch: at ≤ 2 lanes the batch set-up
@@ -182,7 +333,7 @@ const MIN_BATCH: usize = 3;
 /// tasks). `points[w_idx]` is workload `w_idx`'s point budget. Returns
 /// the tasks and how many lanes run batched. With `batch_lanes == 1`
 /// this is one task per pending (lane, point).
-pub(crate) fn plan_lanes(
+fn plan_lanes(
     points: &[usize],
     n_lanes: usize,
     batch_lanes: usize,
@@ -211,28 +362,6 @@ pub(crate) fn plan_lanes(
     (tasks, batched)
 }
 
-/// Phase 3 — one cell's result: the workload's prep failure, or
-/// [`assemble_workload_result`] (behind `catch_unwind`) over the point
-/// outcomes `outcomes` gathers for the prepared set, in plan order.
-pub(crate) fn assemble_cell(
-    config: &str,
-    workload: &Workload,
-    prep: &Prepared,
-    outcomes: impl FnOnce(&CheckpointSet) -> Vec<PointOutcome>,
-) -> CellResult {
-    let outcome = prep.clone().and_then(|set| {
-        let outcomes = outcomes(&set);
-        match catch_unwind(AssertUnwindSafe(|| {
-            assemble_workload_result(config, workload, &set, outcomes)
-        })) {
-            Ok(Ok(r)) => Ok(Box::new(r)),
-            Ok(Err(e)) => Err(CellFailure::Flow(e)),
-            Err(payload) => Err(CellFailure::Panicked(panic_message(payload.as_ref()))),
-        }
-    });
-    CellResult { config: config.to_string(), workload: workload.name, outcome }
-}
-
 /// Fault injection ([`FaultInjection::kill_after_points`]): charge
 /// `fresh` newly journaled points and die once the total reaches the
 /// limit, exactly as an OOM kill or power cut would — the journal holds
@@ -250,16 +379,15 @@ pub(crate) fn kill_switch(flow: &FlowConfig) -> impl Fn(u64) + Sync + '_ {
     }
 }
 
-/// One unit of work in a campaign's detailed-simulation submission.
-enum PointTask {
-    /// One SimPoint for one or more configurations.
-    Lanes(LaneTask),
-    /// A dual-core co-run cell (index into the co-cell list).
-    CoRun(usize),
+/// The quarantine record of a co-run cell whose task panicked or never
+/// ran.
+fn co_failure(message: String) -> PointFailure {
+    let kind = FailureKind::Panicked { message };
+    PointFailure { simpoint: 0, interval: 0, weight: 1.0, attempts: 1, kind }
 }
 
 /// Runs the supervised campaign over every (configuration, workload)
-/// cell with the staged pipeline and the point-level work pool.
+/// cell: one full-budget point pass, then the co-run cells.
 pub(crate) fn run_campaign(
     cfgs: &[BoomConfig],
     workloads: &[Workload],
@@ -270,25 +398,14 @@ pub(crate) fn run_campaign(
     let t0 = Instant::now();
     let jobs = opts.jobs.max(1);
     let pool = run_pool(opts.pool.as_ref(), jobs);
-    let prep = prepare(&pool, workloads, flow, store);
+    let run = PointRun::prepare(pool, store, flow, workloads, cfgs, opts.batch_lanes);
 
-    // Phase 2 — one work item per (cell, point) across the whole matrix,
-    // each under the same per-point supervision (retry, budget,
-    // quarantine) as a single-cell flow. Cell `cfg_i * w + w_idx` is
-    // configuration `cfg_i` on workload `w_idx`.
+    // Cell `cfg_i * w + w_idx` is configuration `cfg_i` on workload
+    // `w_idx`. Co-run cells follow all of them, configuration-major, so
+    // adding co-runs never shifts a journal index; each owns two slots
+    // (one per core) filled by one co-run task.
     let w = workloads.len();
-    let n_points: Vec<usize> =
-        prep.iter().map(|set| set.as_ref().map_or(0, |s| s.points.len())).collect();
-    let cells: Vec<(&BoomConfig, usize)> =
-        cfgs.iter().flat_map(|cfg| (0..w).map(move |w_idx| (cfg, w_idx))).collect();
-    let slots: Vec<Vec<OnceLock<PointOutcome>>> = cells
-        .iter()
-        .map(|&(_, w_idx)| (0..n_points[w_idx]).map(|_| OnceLock::new()).collect())
-        .collect();
-    // Dual-core co-run cells, configuration-major like the single-core
-    // cells and appended *after* all of them, so adding co-runs never
-    // shifts an existing cell's journal index. Each co cell owns two
-    // outcome slots (one per core) filled by a single co-run task.
+    let n_cells = cfgs.len() * w;
     let co_cells: Vec<(&BoomConfig, (usize, usize))> =
         cfgs.iter().flat_map(|cfg| opts.co_runs.iter().map(move |&pair| (cfg, pair))).collect();
     for &(_, (a, b)) in &co_cells {
@@ -301,156 +418,88 @@ pub(crate) fn run_campaign(
     let co_slots: Vec<[OnceLock<PointOutcome>; 2]> =
         co_cells.iter().map(|_| [OnceLock::new(), OnceLock::new()]).collect();
 
-    // Replay: points already journaled by an interrupted run fill their
-    // slots up front (including quarantined failures, so weight
-    // re-normalization matches the original run exactly) and never
-    // enter the work pool. Co-run cells live past the single-core index
-    // range. Stale indices from a torn journal that somehow passed
-    // validation are simply out of range and ignored.
+    // Replay: journaled points (quarantined failures included, so
+    // weight re-normalization matches the original run) fill their
+    // slots and never enter the pool — co-run slots here, single-core
+    // ones as the pass's prefill. Out-of-range indices are ignored.
+    let n_points = run.n_points(usize::MAX);
+    let replay = opts.replay.as_deref().map(|r| &r.outcomes);
     let mut replayed: u64 = 0;
-    if let Some(replay) = &opts.replay {
-        for (&(c_idx, p_idx), outcome) in &replay.outcomes {
-            let slot = if c_idx < slots.len() {
-                slots[c_idx].get(p_idx)
-            } else {
-                co_slots.get(c_idx - slots.len()).and_then(|cell| cell.get(p_idx))
-            };
-            if let Some(slot) = slot {
-                if slot.set(outcome.clone()).is_ok() {
-                    replayed += 1;
-                }
-            }
+    for (&(cell, shift, p_idx), outcome) in replay.into_iter().flatten() {
+        if shift != 0 {
+            continue;
+        }
+        if cell < n_cells {
+            replayed += u64::from(p_idx < n_points[cell % w]);
+        } else if let Some(slot) = co_slots.get(cell - n_cells).and_then(|c| c.get(p_idx)) {
+            replayed += u64::from(slot.set(outcome.clone()).is_ok());
         }
     }
 
-    // Batching: replay-filled slots never enter a batch, so a resumed
-    // campaign only batches what it actually simulates.
-    let (lane_tasks, batched_points) =
-        plan_lanes(&n_points, cfgs.len(), opts.batch_lanes, |cfg_i, w_idx, p_idx| {
-            slots[cfg_i * w + w_idx][p_idx].get().is_none()
-        });
-    let mut point_tasks: Vec<PointTask> = lane_tasks.into_iter().map(PointTask::Lanes).collect();
-    // One task per co cell with any unfilled slot; one task simulates
-    // both cores.
-    point_tasks.extend(
-        (0..co_cells.len())
-            .filter(|&k| co_slots[k].iter().any(|s| s.get().is_none()))
-            .map(PointTask::CoRun),
+    // Progress: every point slot of the campaign, replays pre-counted.
+    let total_points = (cfgs.len() * n_points.iter().sum::<usize>() + 2 * co_slots.len()) as u64;
+    let done_points = AtomicU64::new(replayed);
+    let report_progress = |fresh: u64| {
+        if let Some(hook) = &opts.progress {
+            let done = done_points.fetch_add(fresh, Ordering::Relaxed) + fresh;
+            (hook.0)(done, total_points);
+        }
+    };
+    if let Some(hook) = &opts.progress {
+        (hook.0)(replayed, total_points);
+    }
+    let charge_and_maybe_kill = kill_switch(flow);
+
+    let lanes: Vec<usize> = (0..cfgs.len()).collect();
+    let pass = run.pass(
+        &lanes,
+        RungSpec { points: usize::MAX, shift: 0 },
+        |cfg_i, w_idx, p_idx| replay?.get(&(cfg_i * w + w_idx, 0, p_idx)).cloned(),
+        |cfg_i, w_idx, p_idx, outcome| {
+            if let Some(journal) = &opts.journal {
+                journal.append_point(cfg_i * w + w_idx, 0, p_idx, outcome);
+            }
+            report_progress(1);
+            charge_and_maybe_kill(1);
+        },
     );
-    {
-        // Progress: every point slot of the campaign, replays pre-counted.
-        let total_points: u64 =
-            slots.iter().map(|v| v.len() as u64).sum::<u64>() + 2 * co_slots.len() as u64;
-        let done_points = AtomicU64::new(replayed);
-        let report_progress = |fresh: u64| {
-            if let Some(hook) = &opts.progress {
-                let done = done_points.fetch_add(fresh, Ordering::Relaxed) + fresh;
-                (hook.0)(done, total_points);
+
+    // One task per co cell with any unfilled slot; one task steps both
+    // cores to completion and fills both outcome slots.
+    let co_tasks: Vec<usize> =
+        (0..co_cells.len()).filter(|&k| co_slots[k].iter().any(|s| s.get().is_none())).collect();
+    run.pool.run_scoped(co_tasks, |k| {
+        let (cfg, (a, b)) = co_cells[k];
+        let outcomes = match catch_unwind(AssertUnwindSafe(|| {
+            run_co_cell(cfg, [&workloads[a], &workloads[b]], &flow.inject)
+        })) {
+            Ok(o) => o,
+            Err(payload) => {
+                let f = co_failure(panic_message(payload.as_ref()));
+                [Err(f.clone()), Err(f)]
             }
         };
-        if let Some(hook) = &opts.progress {
-            (hook.0)(replayed, total_points);
+        let mut fresh = 0u64;
+        for (p, outcome) in outcomes.into_iter().enumerate() {
+            // A slot already filled by replay keeps the journaled
+            // outcome (identical anyway — the co-run is deterministic)
+            // and is not re-journaled.
+            if co_slots[k][p].get().is_some() {
+                continue;
+            }
+            if let Some(journal) = &opts.journal {
+                journal.append_point(n_cells + k, 0, p, &outcome);
+            }
+            let _ = co_slots[k][p].set(outcome);
+            fresh += 1;
         }
-        let charge_and_maybe_kill = kill_switch(flow);
-        pool.run_scoped(point_tasks, |task| match task {
-            PointTask::CoRun(k) => {
-                // Dual-core co-run cell: one task steps both cores to
-                // completion and fills both outcome slots.
-                let c_idx = cells.len() + k;
-                let (cfg, (a, b)) = co_cells[k];
-                let outcomes = match catch_unwind(AssertUnwindSafe(|| {
-                    run_co_cell(cfg, [&workloads[a], &workloads[b]], &flow.inject)
-                })) {
-                    Ok(o) => o,
-                    Err(payload) => {
-                        let f = PointFailure {
-                            simpoint: 0,
-                            interval: 0,
-                            weight: 1.0,
-                            attempts: 1,
-                            kind: FailureKind::Panicked {
-                                message: panic_message(payload.as_ref()),
-                            },
-                        };
-                        [Err(f.clone()), Err(f)]
-                    }
-                };
-                let mut fresh = 0u64;
-                for (p, outcome) in outcomes.into_iter().enumerate() {
-                    // A slot already filled by replay keeps the
-                    // journaled outcome (identical anyway — the
-                    // co-run is deterministic) and is not
-                    // re-journaled.
-                    if co_slots[k][p].get().is_some() {
-                        continue;
-                    }
-                    if let Some(journal) = &opts.journal {
-                        journal.append(c_idx, p, &outcome);
-                    }
-                    let _ = co_slots[k][p].set(outcome);
-                    fresh += 1;
-                }
-                report_progress(fresh);
-                charge_and_maybe_kill(fresh);
-            }
-            PointTask::Lanes(LaneTask { w_idx, p_idx, lanes }) => {
-                let Ok(set) = &prep[w_idx] else { return };
-                let point = &set.points[p_idx];
-                let lane_cfgs: Vec<&BoomConfig> = lanes.iter().map(|&cfg_i| &cfgs[cfg_i]).collect();
-                let outcomes = match lane_cfgs[..] {
-                    [cfg] if opts.share_points => {
-                        // Cross-request single flight: concurrent campaigns
-                        // sharing this store compute each (config,
-                        // workload, point, supervision) exactly once; the
-                        // outcome is deterministic, so every sharer's
-                        // report is bit-identical to a private computation.
-                        let key = (
-                            crate::sweep::point_key(
-                                config_fingerprint(cfg),
-                                &workloads[w_idx],
-                                flow,
-                                0,
-                                p_idx,
-                            ),
-                            supervision_fingerprint(flow),
-                        );
-                        vec![store
-                            .singleflight_point(key, || run_lane(cfg, point, flow, None, store))]
-                    }
-                    _ => run_point_batch(&lane_cfgs, point, flow, store),
-                };
-                for (&cfg_i, outcome) in lanes.iter().zip(outcomes) {
-                    let c_idx = cfg_i * w + w_idx;
-                    if let Some(journal) = &opts.journal {
-                        journal.append(c_idx, p_idx, &outcome);
-                    }
-                    let _ = slots[c_idx][p_idx].set(outcome);
-                    report_progress(1);
-                    charge_and_maybe_kill(1);
-                }
-            }
-        });
-    }
+        report_progress(fresh);
+        charge_and_maybe_kill(fresh);
+    });
 
     // Phase 3 — deterministic assembly, cell by cell in configuration-
     // major order.
-    let results: Vec<CellResult> = cells
-        .iter()
-        .zip(slots)
-        .map(|(&(cfg, w_idx), cell_slots)| {
-            assemble_cell(&cfg.name, &workloads[w_idx], &prep[w_idx], |set| {
-                set.points
-                    .iter()
-                    .zip(cell_slots)
-                    .map(|(point, slot)| {
-                        slot.into_inner().unwrap_or_else(|| {
-                            Err(escaped_panic(point, &"point worker died".to_string()))
-                        })
-                    })
-                    .collect()
-            })
-        })
-        .collect();
+    let results = run.assemble(&lanes, pass.slots);
 
     // Co-run cells assemble from their two per-core slots; a failure on
     // either core (both slots carry the same record) fails the cell.
@@ -459,15 +508,7 @@ pub(crate) fn run_campaign(
         let names = [workloads[*a].name, workloads[*b].name];
         let [s0, s1] = cell_slots;
         let take = |slot: OnceLock<PointOutcome>| {
-            slot.into_inner().unwrap_or_else(|| {
-                Err(PointFailure {
-                    simpoint: 0,
-                    interval: 0,
-                    weight: 1.0,
-                    attempts: 1,
-                    kind: FailureKind::Panicked { message: "co-run worker died".to_string() },
-                })
-            })
+            slot.into_inner().unwrap_or_else(|| Err(co_failure("co-run worker died".to_string())))
         };
         let outcome = match (take(s0), take(s1)) {
             (Ok((p0, _)), Ok((p1, _))) => Ok(Box::new([
@@ -479,22 +520,13 @@ pub(crate) fn run_campaign(
         co_results.push(CoRunCellResult { config: cfg.name.clone(), workloads: names, outcome });
     }
 
-    // Skip accounting is summed from the assembled results rather than
-    // tracked live: replayed points correctly contribute 0 (a replay
-    // skipped nothing in this process) and the sum is deterministic.
-    let idle_cycles_skipped: u64 = results
-        .iter()
-        .filter_map(|c| c.outcome.as_ref().ok())
-        .flat_map(|r| r.points.iter())
-        .map(|p| p.stats.idle_cycles_skipped)
-        .sum();
     let stats = CampaignStats {
         jobs,
         wall_ms: t0.elapsed().as_secs_f64() * 1000.0,
         cache: store.stats(),
         replayed_points: replayed,
-        batched_points,
-        idle_cycles_skipped,
+        batched_points: pass.batched,
+        idle_cycles_skipped: pass.idle_skipped,
     };
     CampaignReport { cells: results, co_cells: co_results, stats }
 }

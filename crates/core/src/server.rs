@@ -527,7 +527,6 @@ fn execute(state: &Arc<ServerState>, rs: &Arc<RequestState>, req: &Request) -> S
                 co_runs: Vec::new(),
                 batch_lanes: c.batch_lanes.max(1),
                 pool: Some(Arc::clone(&state.pool)),
-                share_points: true,
                 progress: Some(ProgressHook(Arc::new(move |done, total| {
                     progress_rs
                         .publish(&ServerMsg::Progress { id: progress_rs.id, done, total }, false);

@@ -11,21 +11,20 @@
 //! point budget at shift 0, so every surviving configuration's report is
 //! bit-identical to what an exhaustive campaign would have produced.
 //!
-//! Three mechanisms compound to make this cheap:
+//! A rung is a campaign pass: one point pass of the campaign scheduler
+//! (`PointRun::pass` — the same loop, batching rule and single flight)
+//! over the survivors at the rung's budget, so this module keeps only
+//! admission, the rung schedule, elimination, the frontier and
+//! rendering. Two mechanisms make the sweep cheap:
 //!
 //! 1. The configuration-independent front half of the flow
 //!    (Profile → SimPoint → Checkpoint) is computed once for the entire
 //!    sweep through the shared [`ArtifactStore`], exactly as in a
 //!    campaign.
-//! 2. Every completed (configuration, point, budget) measurement is
-//!    memoized in the store's point-outcome memo, so a configuration
-//!    promoted from rung *N* to rung *N+1* never resimulates a point it
-//!    already ran at the same budget — only the *new* points of the
-//!    larger budget cost anything.
-//! 3. Fresh points are batched exactly as in a campaign
-//!    ([`plan_lanes`], [`run_point_batch`]): lanes of up to `batch_lanes`
-//!    configurations share the predecoded image and the per-text-word
-//!    micro-op table of the point they simulate.
+//! 2. Each rung's prefill reads the store's point memo, keyed by every
+//!    input of a point (budget included): a configuration promoted from
+//!    rung *N* to rung *N+1* never resimulates a point it already ran at
+//!    the same budget — only the *new* points of the larger budget cost.
 //!
 //! Determinism contract: [`SweepReport::render_deterministic`] and
 //! [`SweepReport::render_frontier`] are byte-identical across `jobs`
@@ -35,11 +34,11 @@
 //! outcomes. Resume-variant accounting (fresh/reused splits, wall
 //! clock) lives only in [`SweepReport::stage_summary`].
 
-use crate::artifacts::{config_fingerprint, ArtifactStore, CacheStats, PlannedPoint, PointKey};
-use crate::flow::{escaped_panic, run_point_batch, weighted_estimate, FlowConfig, PointOutcome};
+use crate::artifacts::{config_fingerprint, ArtifactStore, CacheStats, PlannedPoint};
+use crate::flow::{weighted_estimate, FlowConfig, PointOutcome};
 use crate::journal::{sweep_fingerprint, CampaignJournal, JournalError};
 use crate::report::render_table;
-use crate::scheduler::{assemble_cell, kill_switch, plan_lanes, prepare, run_pool, LaneTask};
+use crate::scheduler::{kill_switch, run_pool, PointRun};
 use crate::supervisor::{fb, render_cell_body, CellResult};
 use boom_uarch::{BoomConfig, ConfigError, MemBackendKind};
 use rv_workloads::Workload;
@@ -750,33 +749,13 @@ impl SweepReport {
     }
 }
 
-/// The point-memo key for (configuration, workload, budget, point).
-/// Also the first half of the campaign service's cross-request
-/// shared-point key (shift 0 there — campaigns never truncate).
-pub(crate) fn point_key(
-    cfg_fp: u64,
-    workload: &Workload,
-    flow: &FlowConfig,
-    shift: u32,
-    p_idx: usize,
-) -> PointKey {
-    (
-        cfg_fp,
-        workload.program.fingerprint(),
-        workload.interval_size,
-        flow.warmup_insts,
-        shift,
-        p_idx as u32,
-    )
-}
-
 /// A planned point with its measured interval truncated by `shift` (the
 /// rung budget). Shift 0 is the identity; the interval never truncates
 /// below 100 instructions (or its full length). The warm-up is
 /// deliberately *not* truncated: warm-up exists to remove cold-start
 /// bias, and shortening it would make early-rung rankings lie about
 /// exactly the structures (caches, predictors) the sweep varies.
-fn truncated(p: &PlannedPoint, shift: u32) -> PlannedPoint {
+pub(crate) fn truncated(p: &PlannedPoint, shift: u32) -> PlannedPoint {
     let mut t = p.clone();
     if shift > 0 {
         t.interval_len = (p.interval_len >> shift).max(p.interval_len.min(100));
@@ -832,16 +811,15 @@ pub fn run_sweep(
     let jobs = opts.jobs.max(1);
     let (cfgs, folded) = admit(cfgs.to_vec());
     let w = workloads.len();
-    let fps: Vec<u64> = cfgs.iter().map(config_fingerprint).collect();
 
     // Phase 1 — per-workload artifact preparation, shared by every rung
     // through the store.
     let pool = run_pool(opts.pool.as_ref(), jobs);
-    let prep = prepare(&pool, workloads, flow, store);
+    let run = PointRun::prepare(pool, store, flow, workloads, &cfgs, opts.batch_lanes);
 
     // The rung schedule depends on the largest selected-point count,
     // which the (deterministic, disk-cacheable) prep phase just fixed.
-    let max_points = prep.iter().flatten().map(|s| s.points.len()).max().unwrap_or(0).max(1);
+    let max_points = run.n_points(usize::MAX).into_iter().max().unwrap_or(0).max(1);
     let rungs_spec = rung_schedule(
         max_points,
         opts.rung0_points,
@@ -853,7 +831,7 @@ pub fn run_sweep(
     // Journal: the fingerprint covers the admitted configs, workloads,
     // flow, rung schedule, and ε — everything that determines record
     // indices and outcomes. Replayed records prefill the point memo, so
-    // the rung loop below treats them exactly like lower-rung reuse.
+    // the rungs below treat them exactly like lower-rung reuse.
     let rung_pairs: Vec<(usize, u32)> = rungs_spec.iter().map(|r| (r.points, r.shift)).collect();
     let sweep_fp =
         sweep_fingerprint(&cfgs, workloads, flow, &rung_pairs, opts.epsilon, opts.epsilon_decay);
@@ -862,15 +840,9 @@ pub fn run_sweep(
         None => None,
         Some(path) if opts.resume => {
             let (j, replay) = CampaignJournal::resume(path, sweep_fp)?;
-            for (&(c_enc, p_enc), outcome) in &replay.outcomes {
-                let (Some(cfg_idx), Some(w_idx)) = (c_enc.checked_div(w), c_enc.checked_rem(w))
-                else {
-                    continue;
-                };
-                let (shift, p_idx) = ((p_enc >> 24) as u32, p_enc & 0x00FF_FFFF);
-                if cfg_idx < cfgs.len() {
-                    let key = point_key(fps[cfg_idx], &workloads[w_idx], flow, shift, p_idx);
-                    store.record_point(key, outcome);
+            for (&(cell, shift, p_idx), outcome) in &replay.outcomes {
+                if cell < cfgs.len() * w {
+                    store.record_point(run.key(cell / w, cell % w, shift, p_idx), outcome);
                     replayed += 1;
                 }
             }
@@ -881,81 +853,26 @@ pub fn run_sweep(
 
     let charge_and_maybe_kill = kill_switch(flow);
 
-    // Phase 2 — the rungs.
+    // Phase 2 — the rungs: point passes over the survivors, memo-prefilled.
     let mut alive: Vec<usize> = (0..cfgs.len()).collect();
+    let mut final_slots = Vec::new();
     let mut rung_summaries: Vec<RungSummary> = Vec::new();
-    let mut detailed_cycles_total: u64 = 0;
-    let mut idle_skipped_total: u64 = 0;
-    let mut batched_total: u64 = 0;
+    let mut idle_cycles_skipped = 0u64;
     let n_rungs = rungs_spec.len();
-    for (r_idx, rung) in rungs_spec.iter().enumerate() {
+    for (r_idx, &rung) in rungs_spec.iter().enumerate() {
         let entered = alive.len();
-        // Per-workload effective budget: the rung's cap, bounded by what
-        // the analysis actually selected.
-        let actual: Vec<usize> = prep
-            .iter()
-            .map(|s| s.as_ref().map_or(0, |s| s.points.len().min(rung.points)))
-            .collect();
-        let slot_of =
-            |a_pos: usize, w_idx: usize, p_idx: usize| (a_pos * w + w_idx) * rung.points + p_idx;
-        let slots: Vec<OnceLock<PointOutcome>> =
-            (0..alive.len() * w * rung.points).map(|_| OnceLock::new()).collect();
-
-        // Prefill every point the memo already has (lower-rung reuse and
-        // journal replay); whatever is left is this rung's fresh work.
-        let mut reused: u64 = 0;
-        for (a_pos, &cfg_idx) in alive.iter().enumerate() {
-            for (w_idx, workload) in workloads.iter().enumerate() {
-                for p_idx in 0..actual[w_idx] {
-                    let key = point_key(fps[cfg_idx], workload, flow, rung.shift, p_idx);
-                    if let Some(outcome) = store.cached_point(&key) {
-                        let _ = slots[slot_of(a_pos, w_idx, p_idx)].set(outcome);
-                        reused += 1;
-                    }
-                }
-            }
-        }
-        let (tasks, batched) =
-            plan_lanes(&actual, alive.len(), opts.batch_lanes, |a_pos, w_idx, p_idx| {
-                slots[slot_of(a_pos, w_idx, p_idx)].get().is_none()
-            });
-        let fresh_slots: Vec<usize> = tasks
-            .iter()
-            .flat_map(|t| t.lanes.iter().map(move |&a_pos| slot_of(a_pos, t.w_idx, t.p_idx)))
-            .collect();
-
-        pool.run_scoped(tasks, |LaneTask { w_idx, p_idx, lanes }| {
-            let Ok(set) = &prep[w_idx] else { return };
-            let point = truncated(&set.points[p_idx], rung.shift);
-            let lane_cfgs: Vec<&BoomConfig> = lanes.iter().map(|&a| &cfgs[alive[a]]).collect();
-            let outcomes = run_point_batch(&lane_cfgs, &point, flow, store);
-            for (&a_pos, outcome) in lanes.iter().zip(outcomes) {
-                let cfg_idx = alive[a_pos];
+        let pass = run.pass(
+            &alive,
+            rung,
+            |cfg_idx, w_idx, p_idx| store.cached_point(&run.key(cfg_idx, w_idx, rung.shift, p_idx)),
+            |cfg_idx, w_idx, p_idx, outcome| {
                 if let Some(j) = &journal {
-                    let enc_p = ((rung.shift as usize) << 24) | p_idx;
-                    j.append(cfg_idx * w + w_idx, enc_p, &outcome);
+                    j.append_point(cfg_idx * w + w_idx, rung.shift, p_idx, outcome);
                 }
-                let key = point_key(fps[cfg_idx], &workloads[w_idx], flow, rung.shift, p_idx);
-                store.record_point(key, &outcome);
-                let _ = slots[slot_of(a_pos, w_idx, p_idx)].set(outcome);
                 charge_and_maybe_kill(1);
-            }
-        });
-
-        // Fresh-point accounting, iterated in deterministic order on the
-        // coordinator thread.
-        let mut fresh_points: u64 = 0;
-        let mut rung_cycles: u64 = 0;
-        for &slot in &fresh_slots {
-            if let Some(outcome) = slots[slot].get() {
-                fresh_points += 1;
-                if let Ok((p, _)) = outcome {
-                    rung_cycles += p.stats.cycles;
-                    idle_skipped_total += p.stats.idle_cycles_skipped;
-                }
-            }
-        }
-        detailed_cycles_total += rung_cycles;
+            },
+        );
+        idle_cycles_skipped += pass.idle_skipped;
 
         // Elimination: ε-band Pareto retention on the rung's estimates.
         // The final rung never eliminates — its entrants are the report.
@@ -963,13 +880,14 @@ pub fn run_sweep(
         let (promoted, eliminated) = if last {
             (entered, 0)
         } else {
-            let ests: Vec<Vec<Option<(f64, f64)>>> = (0..alive.len())
-                .map(|a_pos| {
-                    (0..w)
-                        .map(|w_idx| {
-                            let refs: Vec<&PointOutcome> = (0..actual[w_idx])
-                                .filter_map(|p_idx| slots[slot_of(a_pos, w_idx, p_idx)].get())
-                                .collect();
+            let ests: Vec<Vec<Option<(f64, f64)>>> = pass
+                .slots
+                .chunks(w.max(1))
+                .map(|lane| {
+                    lane.iter()
+                        .map(|cell| {
+                            let refs: Vec<&PointOutcome> =
+                                cell.iter().filter_map(OnceLock::get).collect();
                             weighted_estimate(&refs)
                         })
                         .collect()
@@ -1009,40 +927,25 @@ pub fn run_sweep(
             alive = survivors.into_iter().map(|a| alive[a]).collect();
             (promoted, entered - promoted)
         };
-        batched_total += batched;
         rung_summaries.push(RungSummary {
             points: rung.points,
             shift: rung.shift,
             entered,
             promoted,
             eliminated,
-            fresh_points,
-            reused_points: reused,
-            batched_points: batched,
-            detailed_cycles: rung_cycles,
+            fresh_points: pass.fresh,
+            reused_points: pass.reused,
+            batched_points: pass.batched,
+            detailed_cycles: pass.cycles,
         });
-    }
-
-    // Phase 3 — assemble the survivors' full-budget results from the
-    // memo (shift 0, every selected point: exactly what the final rung
-    // just ran or reused) and derive the Pareto frontiers.
-    let mut cells: Vec<CellResult> = Vec::with_capacity(alive.len() * w);
-    for &cfg_idx in &alive {
-        for (w_idx, workload) in workloads.iter().enumerate() {
-            cells.push(assemble_cell(&cfgs[cfg_idx].name, workload, &prep[w_idx], |set| {
-                set.points
-                    .iter()
-                    .enumerate()
-                    .map(|(p_idx, p)| {
-                        let key = point_key(fps[cfg_idx], workload, flow, 0, p_idx);
-                        store.cached_point(&key).unwrap_or_else(|| {
-                            Err(escaped_panic(p, &"sweep point missing from memo".to_string()))
-                        })
-                    })
-                    .collect()
-            }));
+        if last {
+            final_slots = pass.slots;
         }
     }
+
+    // Phase 3 — the survivors' results from the final rung, which always
+    // covers every selected point at shift 0, and the Pareto frontiers.
+    let cells = run.assemble(&alive, final_slots);
 
     let mut frontier: Vec<FrontierPoint> = Vec::new();
     for workload in workloads {
@@ -1060,22 +963,23 @@ pub fn run_sweep(
         }
     }
 
+    let stats = SweepStats {
+        jobs,
+        wall_ms: t0.elapsed().as_millis(),
+        cache: store.stats(),
+        replayed_points: replayed,
+        batched_points: rung_summaries.iter().map(|r| r.batched_points).sum(),
+        idle_cycles_skipped,
+        detailed_cycles: rung_summaries.iter().map(|r| r.detailed_cycles).sum(),
+    };
     Ok(SweepReport {
-        configs: cfgs.iter().zip(&fps).map(|(c, &fp)| (c.name.clone(), fp)).collect(),
+        configs: cfgs.iter().zip(&run.fps).map(|(c, &fp)| (c.name.clone(), fp)).collect(),
         folded,
         workloads: workloads.iter().map(|wl| wl.name).collect(),
         rungs: rung_summaries,
         cells,
         frontier,
-        stats: SweepStats {
-            jobs,
-            wall_ms: t0.elapsed().as_millis(),
-            cache: store.stats(),
-            replayed_points: replayed,
-            batched_points: batched_total,
-            idle_cycles_skipped: idle_skipped_total,
-            detailed_cycles: detailed_cycles_total,
-        },
+        stats,
     })
 }
 

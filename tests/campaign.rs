@@ -356,3 +356,50 @@ fn parallel_campaign_isolates_failing_workload_column() {
     // The failing profile ran once and its error replayed to all cells.
     assert_eq!(store.stats().profile_computed, 2, "one pass each for broken and healthy");
 }
+
+/// The point memo serves campaigns as it serves sweeps and served
+/// requests: a second identical campaign on one store renders the same
+/// bytes without simulating a point, while a fault-injected campaign on
+/// that store recomputes and degrades exactly as it does on a fresh
+/// store.
+#[test]
+fn repeated_campaign_on_one_store_reuses_every_point() {
+    let cfgs = BoomConfig::all_three();
+    let workloads = test_workloads();
+    let opts = CampaignOptions { jobs: 2, ..CampaignOptions::default() };
+    let store = ArtifactStore::new();
+
+    let first = supervise_campaign(&cfgs, &workloads, &quick_flow(), &store, &opts);
+    assert!(first.all_ok(), "{:?}", first.failure_log());
+    assert_eq!(first.stats.cache.warm_store_hits, 0, "a fresh store has nothing to reuse");
+    let points: u64 =
+        first.cells.iter().map(|c| c.outcome.as_ref().unwrap().points.len() as u64).sum();
+    assert_eq!(first.stats.cache.sweep_point_stored, points, "every point lands in the memo");
+
+    let second = supervise_campaign(&cfgs, &workloads, &quick_flow(), &store, &opts);
+    assert_eq!(second.render_deterministic(), first.render_deterministic());
+    assert_eq!(
+        second.stats.cache.detailed_ms, first.stats.cache.detailed_ms,
+        "the second campaign must simulate nothing"
+    );
+    assert_eq!(second.stats.cache.warm_store_hits, points, "every point is a warm-store hit");
+
+    let panicking = FlowConfig {
+        inject: FaultInjection { panic_point: Some(1), ..FaultInjection::default() },
+        ..quick_flow()
+    };
+    let fresh = supervise_campaign(&cfgs, &workloads, &panicking, &ArtifactStore::new(), &opts);
+    let shared = supervise_campaign(&cfgs, &workloads, &panicking, &store, &opts);
+    assert!(
+        shared.stats.cache.detailed_ms > second.stats.cache.detailed_ms,
+        "a fault-injected campaign must not reuse clean points"
+    );
+    let degradation = |r: &CampaignReport| -> Vec<(String, &str, usize, u64)> {
+        r.degraded()
+            .map(|(c, d)| (c.config.clone(), c.workload, d.failed.len(), d.lost_weight.to_bits()))
+            .collect()
+    };
+    assert!(!degradation(&fresh).is_empty(), "panic_point 1 must degrade some cell");
+    assert_eq!(degradation(&shared), degradation(&fresh));
+    assert_eq!(shared.render_deterministic(), fresh.render_deterministic());
+}

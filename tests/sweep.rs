@@ -9,8 +9,8 @@
 
 use boom_uarch::{BoomConfig, ConfigError, HierarchyParams, MemBackendKind};
 use boomflow::{
-    admit, all_fixed_latency, run_sweep, ArtifactStore, FlowConfig, SweepKnob, SweepOptions,
-    SweepSpec,
+    admit, all_fixed_latency, run_sweep, ArtifactStore, FaultInjection, FlowConfig, SweepKnob,
+    SweepOptions, SweepSpec,
 };
 use rv_workloads::{by_name, Scale, Workload};
 use simpoint::SimPointConfig;
@@ -137,6 +137,40 @@ fn sweep_report_is_jobs_invariant() {
         if batch_lanes > 1 {
             assert!(other.stats.batched_points > 0, "an 8-config rung with batch_lanes 4 batches");
         }
+    }
+}
+
+/// Regression: the point memo is keyed by every input that changes an
+/// outcome, so a sweep on a store that already ran a fault-injected or a
+/// differently clustered sweep renders exactly what the same sweep
+/// renders on a fresh store — no stale degraded or mis-clustered point
+/// leaks in.
+#[test]
+fn sweeps_sharing_a_store_render_as_on_a_fresh_store() {
+    let cfgs = small_grid();
+    let wls = workloads();
+    let opts = SweepOptions { jobs: 2, ..SweepOptions::default() };
+    let panicking = FlowConfig {
+        inject: FaultInjection { panic_point: Some(0), ..FaultInjection::default() },
+        ..quick_flow()
+    };
+    let max_k3 = FlowConfig {
+        simpoint: SimPointConfig { max_k: 3, restarts: 2, ..SimPointConfig::default() },
+        ..quick_flow()
+    };
+    for (what, first, second) in [
+        ("panic_point 0, then clean", panicking, quick_flow()),
+        ("max_k 6, then 3", quick_flow(), max_k3),
+    ] {
+        let fresh = run_sweep(&cfgs, &wls, &second, &ArtifactStore::new(), &opts).unwrap();
+        let store = ArtifactStore::new();
+        run_sweep(&cfgs, &wls, &first, &store, &opts).unwrap();
+        let shared = run_sweep(&cfgs, &wls, &second, &store, &opts).unwrap();
+        assert_eq!(
+            shared.render_deterministic(),
+            fresh.render_deterministic(),
+            "{what}: the second sweep must render as on a fresh store"
+        );
     }
 }
 

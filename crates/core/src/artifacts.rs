@@ -166,8 +166,9 @@ pub struct CacheStats {
     /// on that computation instead of duplicating it. Nonzero means
     /// single-flight deduplication actually coalesced concurrent work.
     pub inflight_dedup_hits: u64,
-    /// Single-flight point calls served from an already-*completed* memo
-    /// slot — warm reuse of work another run or request finished.
+    /// Campaign point lookups (at plan time, or single-flight calls)
+    /// served from an already-*completed* memo slot — warm reuse of work
+    /// another run or request finished.
     pub warm_store_hits: u64,
 }
 
@@ -608,15 +609,46 @@ impl ArtifactStore {
         (Self::checkpoint_key(workload, flow), supervision_fingerprint(flow))
     }
 
+    /// The checkpoint set of `scope`'s workload when it is already
+    /// complete in the store, counted as [`ArtifactStore::checkpoints`]
+    /// counts a completed-slot hit (plus `error_replays` for a cached
+    /// error). Never waits on a set in flight: `None` means the caller
+    /// must go through [`ArtifactStore::checkpoints`].
+    pub(crate) fn cached_checkpoints(
+        &self,
+        scope: &PointScope,
+    ) -> Option<Result<Arc<CheckpointSet>, FlowError>> {
+        let hit = lock(&self.checkpoints).get(&scope.0).and_then(|slot| slot.get().cloned())?;
+        let c = &self.counters;
+        c.checkpoint_hits.fetch_add(1, Ordering::Relaxed);
+        if hit.is_err() {
+            c.error_replays.fetch_add(1, Ordering::Relaxed);
+        }
+        Some(hit)
+    }
+
     /// Looks up a completed point outcome without waiting on one in
-    /// flight; a hit means a promoted (or resumed) sweep configuration
-    /// re-reads an earlier measurement instead of resimulating it.
-    pub(crate) fn cached_point(&self, key: &PointKey) -> Option<PointOutcome> {
+    /// flight, charging a hit to `hits`.
+    fn completed_point(&self, key: &PointKey, hits: &AtomicU64) -> Option<PointOutcome> {
         let hit = lock(&self.points).get(key).and_then(|slot| slot.get().cloned());
         if hit.is_some() {
-            self.counters.sweep_point_hits.fetch_add(1, Ordering::Relaxed);
+            hits.fetch_add(1, Ordering::Relaxed);
         }
         hit
+    }
+
+    /// A completed point outcome read at plan time by a sweep rung: a
+    /// hit means a promoted (or resumed) configuration re-reads an
+    /// earlier measurement instead of resimulating it.
+    pub(crate) fn cached_point(&self, key: &PointKey) -> Option<PointOutcome> {
+        self.completed_point(key, &self.counters.sweep_point_hits)
+    }
+
+    /// A completed point outcome read at plan time by a campaign — the
+    /// warm reuse [`ArtifactStore::singleflight_point`] would find, taken
+    /// without a pool task and counted the same (`warm_store_hits`).
+    pub(crate) fn warm_point(&self, key: &PointKey) -> Option<PointOutcome> {
+        self.completed_point(key, &self.counters.warm_store_hits)
     }
 
     /// Records an outcome computed outside the single-flight call (a

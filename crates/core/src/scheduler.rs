@@ -10,6 +10,13 @@
 //! behind big ones, and the detailed-simulation phase saturates the
 //! machine at any matrix shape.
 //!
+//! Only incomplete work becomes a pool task. A checkpoint set or point
+//! outcome the store already holds complete is taken at plan time on the
+//! submitting thread (a campaign journals a warm point exactly as a
+//! single-flight hit would be journaled), so a fully warm run — a served
+//! request over cells an earlier request computed — submits nothing to
+//! the shared pool and never waits behind other requests' simulation.
+//!
 //! The phases are `pub(crate)` so a sweep runs the same code:
 //! `PointRun::prepare`, `PointRun::pass` (the one point loop) and
 //! `PointRun::assemble`, plus the `kill_switch` hook. A campaign is one
@@ -155,7 +162,9 @@ pub(crate) struct Pass {
 
 impl<'a> PointRun<'a> {
     /// Phase 1 — per-workload artifact preparation (profile → analysis →
-    /// checkpoints) on `pool`, each behind `catch_unwind`. The store
+    /// checkpoints). A checkpoint set already complete in the store is
+    /// taken here, on the submitting thread; only missing or in-flight
+    /// sets become `pool` tasks, each behind `catch_unwind`. The store
     /// memoizes, so duplicate workloads and every later phase share one
     /// computation.
     pub(crate) fn prepare(
@@ -166,14 +175,20 @@ impl<'a> PointRun<'a> {
         cfgs: &'a [BoomConfig],
         batch_lanes: usize,
     ) -> PointRun<'a> {
-        let prep: Vec<OnceLock<Prepared>> = workloads.iter().map(|_| OnceLock::new()).collect();
-        pool.run_scoped((0..workloads.len()).collect(), |w_idx| {
+        let scopes: Vec<PointScope> =
+            workloads.iter().map(|w| ArtifactStore::point_scope(w, flow)).collect();
+        let cached = |scope| store.cached_checkpoints(scope).map(|s| s.map_err(CellFailure::Flow));
+        let prep: Vec<OnceLock<Prepared>> = scopes
+            .iter()
+            .map(|scope| cached(scope).map_or_else(OnceLock::new, OnceLock::from))
+            .collect();
+        let missing = (0..workloads.len()).filter(|&w_idx| prep[w_idx].get().is_none()).collect();
+        pool.run_scoped(missing, |w_idx| {
             let _ = prep[w_idx].set(isolated(|| store.checkpoints(&workloads[w_idx], flow)));
         });
         let died = || Err(CellFailure::Panicked("artifact worker died".to_string()));
         let prep = prep.into_iter().map(|slot| slot.into_inner().unwrap_or_else(died)).collect();
         let fps = cfgs.iter().map(config_fingerprint).collect();
-        let scopes = workloads.iter().map(|w| ArtifactStore::point_scope(w, flow)).collect();
         PointRun { pool, store, flow, workloads, prep, cfgs, fps, scopes, batch_lanes }
     }
 
@@ -194,7 +209,8 @@ impl<'a> PointRun<'a> {
     /// workload, each interval truncated by `budget.shift`.
     ///
     /// `prefill(cfg_idx, w_idx, p_idx)` supplies what the run already
-    /// has (a campaign's journal replay, a sweep's memo); the rest is
+    /// has (a campaign's journal replay or warm memo, a sweep's memo)
+    /// on the calling thread, before any task is submitted; the rest is
     /// planned ([`plan_lanes`]) and run on the pool under per-point
     /// supervision. A solo lane goes through the store's single flight,
     /// a batch records each lane's outcome in the memo after it ran, so
@@ -449,19 +465,30 @@ pub(crate) fn run_campaign(
         (hook.0)(replayed, total_points);
     }
     let charge_and_maybe_kill = kill_switch(flow);
+    let completed = |cfg_i: usize, w_idx: usize, p_idx: usize, outcome: &PointOutcome| {
+        if let Some(journal) = &opts.journal {
+            journal.append_point(cfg_i * w + w_idx, 0, p_idx, outcome);
+        }
+        report_progress(1);
+        charge_and_maybe_kill(1);
+    };
 
+    // Replayed points fill their slots as they are; a point the memo
+    // already holds is taken here, off the pool, and journaled like a
+    // warm single-flight hit, so the journal still holds every point.
     let lanes: Vec<usize> = (0..cfgs.len()).collect();
     let pass = run.pass(
         &lanes,
         RungSpec { points: usize::MAX, shift: 0 },
-        |cfg_i, w_idx, p_idx| replay?.get(&(cfg_i * w + w_idx, 0, p_idx)).cloned(),
-        |cfg_i, w_idx, p_idx, outcome| {
-            if let Some(journal) = &opts.journal {
-                journal.append_point(cfg_i * w + w_idx, 0, p_idx, outcome);
+        |cfg_i, w_idx, p_idx| {
+            if let Some(outcome) = replay.and_then(|r| r.get(&(cfg_i * w + w_idx, 0, p_idx))) {
+                return Some(outcome.clone());
             }
-            report_progress(1);
-            charge_and_maybe_kill(1);
+            let outcome = store.warm_point(&run.key(cfg_i, w_idx, 0, p_idx))?;
+            completed(cfg_i, w_idx, p_idx, &outcome);
+            Some(outcome)
         },
+        completed,
     );
 
     // One task per co cell with any unfilled slot; one task steps both

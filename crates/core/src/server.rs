@@ -378,7 +378,12 @@ fn admit(
     let runner_state = Arc::clone(state);
     let runner_rs = Arc::clone(&rs);
     let handle = std::thread::spawn(move || run_request(&runner_state, &runner_rs, &req));
-    lock(&state.runners).push(handle);
+    // Reap finished runners, so a long-lived server holds only live
+    // ones (shutdown joins those). A runner contains its own panics, so
+    // dropping a finished handle loses nothing and frees its stack.
+    let mut runners = lock(&state.runners);
+    runners.retain(|h| !h.is_finished());
+    runners.push(handle);
     Ok(rs)
 }
 

@@ -118,26 +118,34 @@ pub struct Workload {
     pub interval_size: u64,
 }
 
+/// Builds one workload at a scale.
+type Builder = fn(Scale) -> Workload;
+
+/// Every workload's paper name and builder, in the paper's Table II
+/// order — the one list both [`all`] and [`by_name`] read.
+const TABLE: [(&str, Builder); 11] = [
+    ("Basicmath", basicmath::build),
+    ("Stringsearch", stringsearch::build),
+    ("FFT", |scale| fft::build(scale, false)),
+    ("iFFT", |scale| fft::build(scale, true)),
+    ("Bitcount", bitcount::build),
+    ("Qsort", qsort::build),
+    ("Dijkstra", dijkstra::build),
+    ("Patricia", patricia::build),
+    ("Matmult", matmult::build),
+    ("Sha", sha::build),
+    ("Tarfind", tarfind::build),
+];
+
 /// Builds all eleven workloads in the paper's Table II order.
 pub fn all(scale: Scale) -> Vec<Workload> {
-    vec![
-        basicmath::build(scale),
-        stringsearch::build(scale),
-        fft::build(scale, false),
-        fft::build(scale, true),
-        bitcount::build(scale),
-        qsort::build(scale),
-        dijkstra::build(scale),
-        patricia::build(scale),
-        matmult::build(scale),
-        sha::build(scale),
-        tarfind::build(scale),
-    ]
+    TABLE.iter().map(|(_, build)| build(scale)).collect()
 }
 
-/// Looks a workload up by its paper name (case-insensitive).
+/// Looks a workload up by its paper name (case-insensitive) and builds
+/// only that one.
 pub fn by_name(name: &str, scale: Scale) -> Option<Workload> {
-    all(scale).into_iter().find(|w| w.name.eq_ignore_ascii_case(name))
+    TABLE.iter().find(|(n, _)| n.eq_ignore_ascii_case(name)).map(|(_, build)| build(scale))
 }
 
 #[cfg(test)]
@@ -167,9 +175,17 @@ mod tests {
 
     #[test]
     fn lookup_by_name() {
-        assert!(by_name("sha", Scale::Test).is_some());
-        assert!(by_name("SHA", Scale::Test).is_some());
+        for w in all(Scale::Test) {
+            for name in [w.name.to_string(), w.name.to_lowercase(), w.name.to_uppercase()] {
+                let found = by_name(&name, Scale::Test)
+                    .unwrap_or_else(|| panic!("'{name}' must name a workload"));
+                assert_eq!(found.name, w.name, "'{name}'");
+                assert_eq!(found.program.fingerprint(), w.program.fingerprint(), "'{name}'");
+                assert_eq!(found.interval_size, w.interval_size, "'{name}'");
+            }
+        }
         assert!(by_name("nope", Scale::Test).is_none());
+        assert!(by_name("", Scale::Test).is_none());
     }
 }
 

@@ -8,12 +8,14 @@
 use boom_uarch::BoomConfig;
 use boomflow::{
     run_simpoint_flow, run_simpoint_flow_with_store, supervise_campaign, supervise_matrix_with,
-    ArtifactStore, CampaignOptions, CampaignReport, FaultInjection, FlowConfig, WorkloadResult,
+    ArtifactStore, CampaignOptions, CampaignReport, FaultInjection, FlowConfig, WorkPool,
+    WorkloadResult,
 };
 use rtl_power::Component;
 use rv_workloads::{by_name, Scale, Workload};
 use simpoint::SimPointConfig;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::Duration;
 
 fn quick_flow() -> FlowConfig {
     FlowConfig {
@@ -402,4 +404,66 @@ fn repeated_campaign_on_one_store_reuses_every_point() {
     assert!(!degradation(&fresh).is_empty(), "panic_point 1 must degrade some cell");
     assert_eq!(degradation(&shared), degradation(&fresh));
     assert_eq!(shared.render_deterministic(), fresh.render_deterministic());
+}
+
+/// A fully warm campaign takes every checkpoint set and point at plan
+/// time and submits nothing to the pool: with a shared one-worker pool's
+/// only worker parked, a second campaign over the same cells on the same
+/// store still finishes, renders the same bytes, and computes nothing.
+#[test]
+fn warm_campaign_finishes_while_the_shared_pool_is_parked() {
+    let cfgs = vec![BoomConfig::medium(), BoomConfig::large()];
+    let workloads = test_workloads();
+    let pool = Arc::new(WorkPool::new(1));
+    let opts = CampaignOptions { pool: Some(Arc::clone(&pool)), ..CampaignOptions::default() };
+    let store = ArtifactStore::new();
+
+    let first = supervise_campaign(&cfgs, &workloads, &quick_flow(), &store, &opts);
+    assert!(first.all_ok(), "{:?}", first.failure_log());
+    let points: u64 =
+        first.cells.iter().map(|c| c.outcome.as_ref().unwrap().points.len() as u64).sum();
+    let before = store.stats();
+
+    let (parked, release) = (Barrier::new(2), Barrier::new(2));
+    let (done_tx, done_rx) = mpsc::channel();
+    let (second, finished) = std::thread::scope(|s| {
+        let parker = s.spawn(|| {
+            pool.run_scoped(vec![()], |()| {
+                parked.wait();
+                release.wait();
+            })
+        });
+        parked.wait();
+        let warm = s.spawn(|| {
+            let report = supervise_campaign(&cfgs, &workloads, &quick_flow(), &store, &opts);
+            let _ = done_tx.send(());
+            report
+        });
+        let finished = done_rx.recv_timeout(Duration::from_secs(20)).is_ok();
+        // Unpark the worker either way, so a campaign that did queue on
+        // the pool still completes and the test fails instead of hanging.
+        release.wait();
+        parker.join().unwrap();
+        (warm.join().unwrap(), finished)
+    });
+    assert!(finished, "a fully warm campaign must not wait on the shared pool");
+    assert_eq!(second.render_deterministic(), first.render_deterministic());
+
+    let after = store.stats();
+    assert_eq!(after.warm_store_hits - before.warm_store_hits, points, "warm-store hits");
+    assert_eq!(
+        after.checkpoint_hits - before.checkpoint_hits,
+        workloads.len() as u64,
+        "checkpoint hits"
+    );
+    for (what, b, a) in [
+        ("profile_computed", before.profile_computed, after.profile_computed),
+        ("cluster_computed", before.cluster_computed, after.cluster_computed),
+        ("checkpoint_computed", before.checkpoint_computed, after.checkpoint_computed),
+        ("full_run_computed", before.full_run_computed, after.full_run_computed),
+        ("sweep_point_stored", before.sweep_point_stored, after.sweep_point_stored),
+        ("inflight_dedup_hits", before.inflight_dedup_hits, after.inflight_dedup_hits),
+    ] {
+        assert_eq!(a, b, "a fully warm campaign must leave {what} unchanged");
+    }
 }

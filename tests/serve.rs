@@ -325,6 +325,70 @@ fn killed_server_resumes_on_restart_and_attach() {
     shutdown(&addr, handle);
 }
 
+/// A request served fully warm still journals every point. Request X
+/// computes its cells; request Y has the same cells in the other order
+/// (a distinct id) and takes every point from the warm store. Restarted
+/// on the same state directory with a fresh store, the server resumes Y
+/// from its journal alone: every point replays, nothing is simulated,
+/// and the report is Y's solo render.
+#[test]
+fn warm_served_request_journals_every_point() {
+    let state_dir = scratch("state-warm");
+    let opts = |state_dir: PathBuf| ServeOptions {
+        jobs: 2,
+        max_active: 4,
+        cache_dir: None,
+        state_dir,
+        kill_after_points: None,
+    };
+    let req_x = campaign_request("bitcount,sha");
+    let req_y = campaign_request("sha,bitcount");
+    let id_y = request_id(&Request::Campaign(req_y.clone()));
+    assert_ne!(request_id(&Request::Campaign(req_x.clone())), id_y);
+    let solo_y = solo_report(&req_y);
+    let (cfgs, ws, flow) = realize_campaign(&req_y).unwrap();
+    let points: u64 = supervise_matrix_with(&cfgs, &ws, &flow, &CampaignOptions::default())
+        .cells
+        .iter()
+        .map(|c| c.outcome.as_ref().unwrap().points.len() as u64)
+        .sum();
+
+    let (addr, handle) = start_server("sock-warm", opts(state_dir.clone()));
+    for req in [&req_x, &req_y] {
+        match roundtrip(&addr, &ClientMsg::Submit(Request::Campaign(req.clone()))) {
+            ServerMsg::Done { ok: true, report, .. } => {
+                assert_eq!(String::from_utf8(report).unwrap(), solo_report(req));
+            }
+            other => panic!("expected successful Done, got {other:?}"),
+        }
+    }
+    shutdown(&addr, handle);
+
+    let (addr, handle) = start_server("sock-warm2", opts(state_dir));
+    match roundtrip(&addr, &ClientMsg::Attach(id_y)) {
+        ServerMsg::Done { ok: true, report, summary, .. } => {
+            assert!(
+                summary.contains(&format!("Journal: {points} point(s) replayed")),
+                "every point of the warm request must replay:\n{summary}"
+            );
+            assert_eq!(String::from_utf8(report).unwrap(), solo_y);
+        }
+        other => panic!("attach after restart: expected Done, got {other:?}"),
+    }
+    // The relaunching attach's `Admitted` may be sent before the runner
+    // has opened the journal; once the run is done, `Admitted` carries
+    // the replayed count.
+    let mut replayed = None;
+    request_events(&addr, &ClientMsg::Attach(id_y), |event| {
+        if let ServerMsg::Admitted { replayed: r, .. } = event {
+            replayed = Some(*r);
+        }
+    })
+    .unwrap();
+    assert_eq!(replayed, Some(points), "Admitted.replayed must count every point of Y");
+    shutdown(&addr, handle);
+}
+
 fn sock_addr(path: &std::path::Path) -> ServeAddr {
     ServeAddr::Unix(path.to_path_buf())
 }

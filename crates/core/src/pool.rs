@@ -289,14 +289,21 @@ mod tests {
     fn cancel_pending_unblocks_submitters() {
         let pool = Arc::new(WorkPool::new(1));
         let gate = Arc::new(AtomicBool::new(false));
-        let (p2, g2) = (Arc::clone(&pool), Arc::clone(&gate));
+        let started = Arc::new(AtomicBool::new(false));
+        let (p2, g2, s2) = (Arc::clone(&pool), Arc::clone(&gate), Arc::clone(&started));
         let slow = std::thread::spawn(move || {
             p2.run_scoped(vec![()], |()| {
+                s2.store(true, Ordering::Release);
                 while !g2.load(Ordering::Acquire) {
                     std::thread::yield_now();
                 }
             });
         });
+        // The only worker must be blocked before the second submission
+        // arrives, or it could take that submission first.
+        while !started.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
         // Queue a second submission behind the blocked worker, then
         // cancel: it must return without running its task.
         let (p3, ran) = (Arc::clone(&pool), Arc::new(AtomicUsize::new(0)));

@@ -130,10 +130,9 @@ pub struct Core {
     /// state/`done_at` check makes processing idempotent).
     wb_ring: Vec<Vec<u64>>,
     wb_overflow: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Scratch for the issue stage's ready list (reused every cycle).
-    scratch_ready: Vec<(usize, u64)>,
-    /// Scratch for the issue stage's remove set (reused every cycle).
-    scratch_remove: Vec<usize>,
+    /// Scratch for the issue stage's issued age positions (reused every
+    /// cycle).
+    scratch_issued: Vec<usize>,
     /// Scratch for squashed-uop records (reused across mispredicts).
     scratch_squash: Vec<SquashedUop>,
     /// Branch bookkeeping for in-flight control-flow uops, indexed by
@@ -297,8 +296,7 @@ impl Core {
             fdiv_free_at: 0,
             wb_ring: vec![Vec::new(); WB_RING],
             wb_overflow: BinaryHeap::new(),
-            scratch_ready: Vec::new(),
-            scratch_remove: Vec::new(),
+            scratch_issued: Vec::new(),
             scratch_squash: Vec::new(),
             branch_info: vec![
                 BranchInfo {
@@ -419,7 +417,10 @@ impl Core {
         &self.cfg
     }
 
-    /// Accumulated activity counters.
+    /// Accumulated activity counters. The issue queues' per-slot counters
+    /// are folded in when [`Core::run`] returns and when
+    /// [`Core::step_cycle`] returns with the program exited; between
+    /// earlier [`Core::step_cycle`] calls they may lag the other counters.
     pub fn stats(&self) -> &Stats {
         &self.stats
     }
@@ -431,10 +432,14 @@ impl Core {
 
     /// Clears activity counters while keeping all microarchitectural state
     /// (caches, predictors, rename maps) — the measurement boundary after a
-    /// SimPoint warm-up.
+    /// SimPoint warm-up. Per-slot issue-queue counters not yet folded
+    /// into [`Core::stats`] are dropped with the rest.
     pub fn reset_stats(&mut self) {
         self.stats =
             Stats::new(self.cfg.int_issue_slots, self.cfg.mem_issue_slots, self.cfg.fp_issue_slots);
+        self.iq_int.discard_deferred();
+        self.iq_mem.discard_deferred();
+        self.iq_fp.discard_deferred();
     }
 
     /// Committed (architectural) value of integer register `r`.
@@ -457,7 +462,8 @@ impl Core {
     }
 
     /// Runs until the program exits, `max_insts` more instructions commit,
-    /// or the pipeline hangs.
+    /// or the pipeline hangs. Per-slot issue-queue counters are folded
+    /// into [`Core::stats`] before it returns.
     pub fn run(&mut self, max_insts: u64) -> RunResult {
         let start_retired = self.stats.retired;
         let start_cycles = self.stats.cycles;
@@ -470,6 +476,7 @@ impl Core {
         } else {
             self.run_loop::<false>(start_retired, max_insts);
         }
+        self.flush_iq_stats();
         RunResult {
             exited: self.exited.is_some(),
             exit_code: self.exited,
@@ -550,13 +557,8 @@ impl Core {
         // means "blocked for the whole window".
         if let Some(f) = self.fetch_buffer.front() {
             let uop = self.uop_for(f.pc, &f.inst);
-            let q_full = match uop.iq {
-                IqKind::Int => self.iq_int.is_full(),
-                IqKind::Mem => self.iq_mem.is_full(),
-                IqKind::Fp => self.iq_fp.is_full(),
-            };
             let blocked = self.rob.is_full()
-                || q_full
+                || self.iq(uop.iq).is_full()
                 || (f.inst.is_load() && self.lsu.ldq_full())
                 || (f.inst.is_store() && self.lsu.stq_full())
                 || (needs_snapshot(&f.inst) && self.br_inflight >= self.cfg.max_br_count)
@@ -712,13 +714,25 @@ impl Core {
         self.mem_backend = backend;
     }
 
-    /// Advances the pipeline by one cycle.
+    /// Advances the pipeline by one cycle (the dual-core co-run path).
+    /// Once the program has exited, per-slot issue-queue counters are
+    /// folded into [`Core::stats`] before it returns.
     pub fn step_cycle(&mut self) {
         if self.tracer.is_some() {
             self.step_cycle_impl::<true>();
         } else {
             self.step_cycle_impl::<false>();
         }
+        if self.exited.is_some() {
+            self.flush_iq_stats();
+        }
+    }
+
+    /// Folds the issue queues' deferred per-slot counters into the stats.
+    fn flush_iq_stats(&mut self) {
+        self.iq_int.flush_stats(&mut self.stats.int_iq);
+        self.iq_mem.flush_stats(&mut self.stats.mem_iq);
+        self.iq_fp.flush_stats(&mut self.stats.fp_iq);
     }
 
     fn step_cycle_impl<const TRACED: bool>(&mut self) {
@@ -1046,40 +1060,32 @@ impl Core {
     // Issue / execute
     // ------------------------------------------------------------------
 
+    fn iq(&self, kind: IqKind) -> &IssueQueue {
+        match kind {
+            IqKind::Int => &self.iq_int,
+            IqKind::Mem => &self.iq_mem,
+            IqKind::Fp => &self.iq_fp,
+        }
+    }
+
     fn issue<const TRACED: bool>(&mut self, kind: IqKind) {
         // No entry can select this cycle: skipping the stage entirely is
-        // observationally identical (an empty scan touches no stats).
-        let any_ready = match kind {
-            IqKind::Int => self.iq_int.has_ready(),
-            IqKind::Mem => self.iq_mem.has_ready(),
-            IqKind::Fp => self.iq_fp.has_ready(),
-        };
-        if !any_ready {
+        // observationally identical (an empty select touches no stats).
+        if !self.iq(kind).has_ready() {
             return;
         }
-        let mut ready = std::mem::take(&mut self.scratch_ready);
-        let mut remove = std::mem::take(&mut self.scratch_remove);
-        ready.clear();
-        remove.clear();
         let width = match kind {
-            IqKind::Int => {
-                self.iq_int.ready_candidates_into(&mut ready);
-                self.cfg.int_issue_width
-            }
-            IqKind::Mem => {
-                self.iq_mem.ready_candidates_into(&mut ready);
-                self.cfg.mem_issue_width
-            }
-            IqKind::Fp => {
-                self.iq_fp.ready_candidates_into(&mut ready);
-                self.cfg.fp_issue_width
-            }
+            IqKind::Int => self.cfg.int_issue_width,
+            IqKind::Mem => self.cfg.mem_issue_width,
+            IqKind::Fp => self.cfg.fp_issue_width,
         };
+        let mut issued = std::mem::take(&mut self.scratch_issued);
+        issued.clear();
+        // Ready entries oldest first, until the ports are used up.
+        let mut sel = self.iq(kind).select();
         let mut ports = 0usize;
-        for &(pos, seq) in ready.iter() {
-            if ports >= width {
-                break;
-            }
+        while ports < width {
+            let Some((pos, seq)) = self.iq(kind).next_ready(&mut sel) else { break };
             // The scoreboard only surfaces entries whose sources have all
             // broadcast, so no per-candidate readiness poll is needed.
             debug_assert!({
@@ -1094,7 +1100,7 @@ impl Core {
                             t.execute(self.cycle, seq);
                         }
                     }
-                    remove.push(pos);
+                    issued.push(pos);
                     ports += 1;
                 }
                 Start::Replay => {
@@ -1104,14 +1110,12 @@ impl Core {
                 Start::UnitBusy => {}
             }
         }
-        remove.sort_unstable();
         match kind {
-            IqKind::Int => self.iq_int.remove_slots(&remove, &mut self.stats.int_iq),
-            IqKind::Mem => self.iq_mem.remove_slots(&remove, &mut self.stats.mem_iq),
-            IqKind::Fp => self.iq_fp.remove_slots(&remove, &mut self.stats.fp_iq),
+            IqKind::Int => self.iq_int.issue(&issued, &mut self.stats.int_iq),
+            IqKind::Mem => self.iq_mem.issue(&issued, &mut self.stats.mem_iq),
+            IqKind::Fp => self.iq_fp.issue(&issued, &mut self.stats.fp_iq),
         }
-        self.scratch_ready = ready;
-        self.scratch_remove = remove;
+        self.scratch_issued = issued;
     }
 
     fn srcs_ready(&self, e: &RobEntry) -> bool {
@@ -1278,12 +1282,7 @@ impl Core {
             if self.rob.is_full() {
                 break;
             }
-            let q_full = match uop.iq {
-                IqKind::Int => self.iq_int.is_full(),
-                IqKind::Mem => self.iq_mem.is_full(),
-                IqKind::Fp => self.iq_fp.is_full(),
-            };
-            if q_full {
+            if self.iq(uop.iq).is_full() {
                 break;
             }
             if f.inst.is_load() && self.lsu.ldq_full() {

@@ -15,18 +15,35 @@
 //!
 //! # Layout
 //!
-//! Every *activity counter* of the collapsing queue — insert position,
-//! shift count, per-slot writes and residency — is a function of logical
-//! (age-order) positions only, never of where entries sit in host memory.
-//! That licenses a ring-buffer representation: logical position `i` lives
-//! at physical index `(head + i) & mask`, so issuing the oldest entry is
-//! a head bump instead of memmoving the whole queue, and a mid-queue
-//! removal shifts whichever side of the hole is shorter. The modeled
-//! collapse energy (`collapse_writes`, `slot_writes`) is still charged
-//! from the logical positions, so the power inputs are bit-identical to
-//! the naive shift-everything layout. Entries are packed 24-byte records
-//! (seq + three one-word source tags + pending mask), and a cached ready
-//! count lets the issue stage skip queues with nothing to select.
+//! Host work follows the entries a broadcast wakes and the entries select
+//! takes, not the queue's occupancy; every modeled counter is still the
+//! one the shift-everything hardware would produce.
+//!
+//! - **Slab and age index.** Entries are packed 24-byte records (seq,
+//!   three one-word source tags, pending mask) at stable ids that never
+//!   move while queued; ids are allocated lowest-free first, so a
+//!   non-collapsing queue's id *is* its physical slot. A small `order`
+//!   array of ids gives age order — insertion order for the collapsing
+//!   flavour, sequence order for the non-collapsing one — and a
+//!   collapsing entry's logical position is its index there, so a removal
+//!   moves 4-byte ids rather than entries.
+//! - **Waiter masks.** Each (physical register, class) tag keeps a
+//!   bitmask of the ids with a pending source on it, so a wakeup
+//!   broadcast visits only the entries it wakes. The modeled CAM energy
+//!   (`wakeup_cam_matches`) is still charged for every occupied entry.
+//! - **Width-bounded select.** [`IssueQueue::next_ready`] walks ready
+//!   entries oldest first, one at a time, so the issue stage stops as
+//!   soon as its ports are used up; a cached ready count lets it skip
+//!   queues with nothing to select.
+//! - **Deferred per-slot counters.** A collapsing queue's residency is a
+//!   function of occupancy alone, so each cycle adds to a
+//!   cycles-at-occupancy histogram, and collapse shifts go into a
+//!   difference array over `slot_writes`. Both reach [`IssueQueueStats`]
+//!   only through [`IssueQueue::flush_stats`] ([`Core::run`](crate::Core::run)
+//!   flushes before it returns, [`Core::step_cycle`](crate::Core::step_cycle)
+//!   once the program has exited). A non-collapsing queue charges each
+//!   occupied slot's residency directly every cycle, and every scalar
+//!   counter is charged immediately.
 
 use crate::regfile::PReg;
 use crate::rob::SrcPhys;
@@ -57,6 +74,13 @@ fn unpack_src(tag: u32) -> Option<SrcPhys> {
     }
 }
 
+/// Row of a packed (non-empty) tag in the waiter table: two rows per
+/// physical register index, one per register class.
+#[inline]
+fn tag_row(tag: u32) -> usize {
+    (((tag & 0xFFFF) << 1) | ((tag >> 16) & 1)) as usize
+}
+
 /// One issue-queue entry: a uop's identity, its renamed sources as CAM
 /// tags, and which of them are still outstanding.
 #[derive(Clone, Copy, Debug, Default)]
@@ -77,30 +101,45 @@ pub enum IssueQueueKind {
     NonCollapsing,
 }
 
+/// A select pass over one queue: where [`IssueQueue::next_ready`]
+/// resumes, and how many ready entries lie at or beyond it. Valid until
+/// the queue is next mutated.
+#[derive(Clone, Copy, Debug)]
+pub struct Select {
+    pos: usize,
+    left: usize,
+}
+
 /// An issue queue holding uop sequence numbers.
 ///
 /// Both implementations expose the same interface: [`IssueQueue::candidates`]
 /// yields `(slot, seq)` pairs oldest-first — logical age positions for the
-/// collapsing flavour, physical slots for the non-collapsing one — and
-/// [`IssueQueue::remove_slots`] removes issued entries by those indices.
+/// collapsing flavour, physical slots for the non-collapsing one. Entries
+/// are selected ([`IssueQueue::next_ready`]) and removed
+/// ([`IssueQueue::issue`]) by age position, an index into `candidates()`,
+/// for both flavours.
 #[derive(Clone, Debug)]
 pub struct IssueQueue {
     kind: IssueQueueKind,
-    /// Collapsing: a ring sized to the next power of two, where logical
-    /// position `i` lives at `(head + i) & mask`. Non-collapsing: exactly
-    /// `capacity` fixed slots gated by `valid`.
-    slots: Vec<Slot>,
-    /// Slot validity (non-collapsing only).
-    valid: Vec<bool>,
-    /// Ring origin (collapsing only).
-    head: usize,
-    /// Ring index mask (collapsing only).
-    mask: usize,
-    occupied: usize,
-    /// Occupied entries whose pending mask is clear — lets the issue
-    /// stage skip the ready scan entirely when nothing can select.
-    ready: usize,
     capacity: usize,
+    /// Entries by stable id (`capacity` of them).
+    slots: Vec<Slot>,
+    /// Free ids, one bit each (set = free).
+    free: Vec<u64>,
+    /// Queued ids, oldest first.
+    order: Vec<u32>,
+    /// Queued entries whose pending mask is clear.
+    ready: usize,
+    /// Per-tag waiter masks: `words` words per [`tag_row`], holding the
+    /// ids with a pending source on that tag; grown on first use.
+    waiters: Vec<u64>,
+    words: usize,
+    /// Collapsing: cycles spent at each occupancy `0..=capacity` since
+    /// the last flush.
+    cycles_at: Vec<u64>,
+    /// Collapsing: unflushed collapse shifts as a (wrapping) difference
+    /// array over `slot_writes`.
+    shift_diff: Vec<u64>,
 }
 
 impl IssueQueue {
@@ -111,26 +150,25 @@ impl IssueQueue {
 
     /// Creates a queue of the given implementation kind.
     pub fn with_kind(kind: IssueQueueKind, capacity: usize) -> IssueQueue {
-        let storage = match kind {
-            IssueQueueKind::Collapsing => capacity.next_power_of_two().max(1),
-            IssueQueueKind::NonCollapsing => capacity,
-        };
+        let words = capacity.div_ceil(64);
+        let mut free = vec![0u64; words];
+        for id in 0..capacity {
+            free[id / 64] |= 1 << (id % 64);
+        }
+        let collapsing = kind == IssueQueueKind::Collapsing;
+        let per_slot = |on: bool, n: usize| if on { vec![0; n] } else { Vec::new() };
         IssueQueue {
             kind,
-            slots: vec![Slot::default(); storage],
-            valid: vec![false; storage],
-            head: 0,
-            mask: storage - 1,
-            occupied: 0,
-            ready: 0,
             capacity,
+            slots: vec![Slot::default(); capacity],
+            free,
+            order: Vec::with_capacity(capacity),
+            ready: 0,
+            waiters: Vec::new(),
+            words,
+            cycles_at: per_slot(collapsing, capacity + 1),
+            shift_diff: per_slot(collapsing, capacity),
         }
-    }
-
-    /// Physical ring index of logical (age) position `i` (collapsing).
-    #[inline]
-    fn ring(&self, i: usize) -> usize {
-        (self.head + i) & self.mask
     }
 
     /// The implementation flavour.
@@ -140,17 +178,17 @@ impl IssueQueue {
 
     /// Number of occupied slots.
     pub fn len(&self) -> usize {
-        self.occupied
+        self.order.len()
     }
 
     /// True when no entries are waiting.
     pub fn is_empty(&self) -> bool {
-        self.occupied == 0
+        self.order.is_empty()
     }
 
     /// True when no slot is free.
     pub fn is_full(&self) -> bool {
-        self.occupied >= self.capacity
+        self.order.len() >= self.capacity
     }
 
     /// True when at least one occupied entry has a clear pending mask.
@@ -162,6 +200,15 @@ impl IssueQueue {
     /// Queue capacity in slots.
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// The waiter mask of `tag`, growing the table to cover it.
+    fn waiters_mut(&mut self, tag: u32) -> &mut [u64] {
+        let at = tag_row(tag) * self.words;
+        if self.waiters.len() < at + self.words {
+            self.waiters.resize(at + self.words, 0);
+        }
+        &mut self.waiters[at..at + self.words]
     }
 
     /// Inserts a dispatched uop with its renamed sources and the pending
@@ -179,186 +226,154 @@ impl IssueQueue {
         stats: &mut IssueQueueStats,
     ) {
         assert!(!self.is_full(), "issue queue overflow");
+        let w = self.free.iter().position(|&w| w != 0).expect("a free id exists when not full");
+        let id = w * 64 + self.free[w].trailing_zeros() as usize;
+        self.free[w] &= self.free[w] - 1;
         let slot =
             Slot { seq, tags: [pack_src(srcs[0]), pack_src(srcs[1]), pack_src(srcs[2])], pending };
-        let (pos, idx) = match self.kind {
-            IssueQueueKind::Collapsing => (self.occupied, self.ring(self.occupied)),
+        self.slots[id] = slot;
+        for (i, &tag) in slot.tags.iter().enumerate() {
+            if pending & (1 << i) != 0 && tag != SRC_NONE {
+                self.waiters_mut(tag)[id / 64] |= 1 << (id % 64);
+            }
+        }
+        let pos = match self.kind {
+            IssueQueueKind::Collapsing => {
+                self.order.push(id as u32);
+                self.order.len() - 1
+            }
             IssueQueueKind::NonCollapsing => {
-                let idx =
-                    self.valid.iter().position(|v| !v).expect("a free slot exists when not full");
-                (idx, idx)
+                // Dispatch order is seq order, so this is almost always
+                // an append.
+                let at = match self.order.last() {
+                    Some(&last) if self.slots[last as usize].seq > seq => {
+                        self.order.partition_point(|&o| self.slots[o as usize].seq <= seq)
+                    }
+                    _ => self.order.len(),
+                };
+                self.order.insert(at, id as u32);
+                id
             }
         };
-        self.slots[idx] = slot;
-        self.valid[idx] = true;
-        self.occupied += 1;
         self.ready += usize::from(pending == 0);
         stats.writes += 1;
         stats.slot_writes[pos] += 1;
     }
 
     /// Waiting uops as `(slot, seq)` pairs, oldest first (allocates;
-    /// diagnostics/tests only — the issue stage uses
-    /// [`IssueQueue::ready_candidates_into`]).
+    /// diagnostics/tests only).
     pub fn candidates(&self) -> Vec<(usize, u64)> {
+        let seq = |id: u32| self.slots[id as usize].seq;
         match self.kind {
             IssueQueueKind::Collapsing => {
-                (0..self.occupied).map(|i| (i, self.slots[self.ring(i)].seq)).collect()
+                self.order.iter().enumerate().map(|(i, &id)| (i, seq(id))).collect()
             }
             IssueQueueKind::NonCollapsing => {
-                // The age-ordered select network: oldest sequence first.
-                let mut out: Vec<(usize, u64)> = (0..self.capacity)
-                    .filter(|&i| self.valid[i])
-                    .map(|i| (i, self.slots[i].seq))
-                    .collect();
-                out.sort_unstable_by_key(|&(_, seq)| seq);
-                out
+                self.order.iter().map(|&id| (id as usize, seq(id))).collect()
             }
         }
     }
 
-    /// Appends the *ready* waiting uops (pending mask clear) to `out` as
-    /// `(slot, seq)` pairs, oldest first. The issue stage walks only
-    /// these — readiness was already resolved by wakeup broadcasts, so no
-    /// register-file or ROB lookups happen here.
-    pub fn ready_candidates_into(&self, out: &mut Vec<(usize, u64)>) {
-        if self.ready == 0 {
-            return;
-        }
-        match self.kind {
-            IssueQueueKind::Collapsing => {
-                for i in 0..self.occupied {
-                    let s = &self.slots[self.ring(i)];
-                    if s.pending == 0 {
-                        out.push((i, s.seq));
-                    }
-                }
-            }
-            IssueQueueKind::NonCollapsing => {
-                let from = out.len();
-                for i in 0..self.capacity {
-                    if self.valid[i] && self.slots[i].pending == 0 {
-                        out.push((i, self.slots[i].seq));
-                    }
-                }
-                out[from..].sort_unstable_by_key(|&(_, seq)| seq);
-            }
-        }
+    /// Starts a select pass (see [`IssueQueue::next_ready`]).
+    pub fn select(&self) -> Select {
+        Select { pos: 0, left: self.ready }
     }
 
-    /// Removes the issued entries at the given slots (ascending; logical
-    /// positions for the collapsing flavour), charging collapse shifts
-    /// exactly as the shift-everything hardware would pay them.
+    /// The next *ready* entry (pending mask clear) of a select pass, as
+    /// `(age position, seq)`, oldest first. Readiness was already resolved
+    /// by wakeup broadcasts, so the walk reads only this queue, and it
+    /// ends at the youngest ready entry.
+    #[inline]
+    pub fn next_ready(&self, sel: &mut Select) -> Option<(usize, u64)> {
+        if sel.left == 0 {
+            return None;
+        }
+        while let Some(&id) = self.order.get(sel.pos) {
+            sel.pos += 1;
+            let s = &self.slots[id as usize];
+            if s.pending == 0 {
+                sel.left -= 1;
+                return Some((sel.pos - 1, s.seq));
+            }
+        }
+        None
+    }
+
+    /// Removes the issued entries at the given age positions (ascending,
+    /// as [`IssueQueue::next_ready`] returns them), charging collapse
+    /// shifts exactly as the shift-everything hardware would pay them.
     ///
     /// # Panics
     ///
-    /// Panics if slots are not strictly ascending or not occupied.
-    pub fn remove_slots(&mut self, slots: &[usize], stats: &mut IssueQueueStats) {
-        debug_assert!(slots.windows(2).all(|w| w[0] < w[1]));
-        match self.kind {
-            IssueQueueKind::Collapsing => {
-                for &pos in slots.iter().rev() {
-                    assert!(pos < self.occupied, "removing an empty slot");
-                    self.ready -= usize::from(self.slots[self.ring(pos)].pending == 0);
-                    // Modeled energy: entries logically above `pos` each
-                    // shift down one slot, regardless of how the host
-                    // representation fills the hole.
-                    let after = self.occupied - 1 - pos;
-                    stats.collapse_writes += after as u64;
-                    for target in pos..self.occupied - 1 {
-                        stats.slot_writes[target] += 1;
-                    }
-                    stats.issued += 1;
-                    // Host movement: close the hole from the shorter side.
-                    if pos <= after {
-                        for j in (0..pos).rev() {
-                            let (dst, src) = (self.ring(j + 1), self.ring(j));
-                            self.slots[dst] = self.slots[src];
-                        }
-                        self.head = (self.head + 1) & self.mask;
-                    } else {
-                        for j in pos..self.occupied - 1 {
-                            let (dst, src) = (self.ring(j), self.ring(j + 1));
-                            self.slots[dst] = self.slots[src];
-                        }
-                    }
-                    self.occupied -= 1;
+    /// Panics if a position is not occupied.
+    pub fn issue(&mut self, positions: &[usize], stats: &mut IssueQueueStats) {
+        debug_assert!(positions.windows(2).all(|w| w[0] < w[1]));
+        let Some(&first) = positions.first() else { return };
+        let n = self.order.len();
+        assert!(positions[positions.len() - 1] < n, "removing an empty slot");
+        stats.issued += positions.len() as u64;
+        if self.kind == IssueQueueKind::Collapsing {
+            // Modeled energy, youngest removal first: the entries
+            // logically above each hole shift down one slot.
+            for (k, &pos) in positions.iter().rev().enumerate() {
+                let top = n - 1 - k;
+                stats.collapse_writes += (top - pos) as u64;
+                if pos < top {
+                    self.shift_diff[pos] = self.shift_diff[pos].wrapping_add(1);
+                    self.shift_diff[top] = self.shift_diff[top].wrapping_sub(1);
                 }
-            }
-            IssueQueueKind::NonCollapsing => {
-                for &pos in slots {
-                    assert!(self.valid[pos], "removing an empty slot");
-                    self.valid[pos] = false;
-                    self.ready -= usize::from(self.slots[pos].pending == 0);
-                    stats.issued += 1;
-                }
-                self.occupied -= slots.len();
             }
         }
+        // Close the holes: each run of survivors moves down as a block.
+        let mut keep = first;
+        for (j, &pos) in positions.iter().enumerate() {
+            self.leave(self.order[pos] as usize);
+            let end = positions.get(j + 1).copied().unwrap_or(n);
+            self.order.copy_within(pos + 1..end, keep);
+            keep += end - pos - 1;
+        }
+        self.order.truncate(keep);
+    }
+
+    /// Bookkeeping for an entry leaving the queue (already unlinked from
+    /// `order`, or about to be).
+    fn leave(&mut self, id: usize) {
+        let s = self.slots[id];
+        if s.pending == 0 {
+            self.ready -= 1;
+        } else {
+            for (i, &tag) in s.tags.iter().enumerate() {
+                if s.pending & (1 << i) != 0 && tag != SRC_NONE {
+                    self.waiters_mut(tag)[id / 64] &= !(1 << (id % 64));
+                }
+            }
+        }
+        self.free[id / 64] |= 1 << (id % 64);
     }
 
     /// Drops every entry younger than (strictly after) `seq`; returns the
     /// number squashed. Squashes invalidate in place (no collapse energy).
     pub fn squash_after(&mut self, seq: u64) -> usize {
-        let mut squashed = 0;
-        match self.kind {
-            IssueQueueKind::Collapsing => {
-                // Dispatch order means squashed entries are normally a
-                // suffix; trim it first, then compact any stragglers.
-                while self.occupied > 0 && self.slots[self.ring(self.occupied - 1)].seq > seq {
-                    self.occupied -= 1;
-                    self.ready -= usize::from(self.slots[self.ring(self.occupied)].pending == 0);
-                    squashed += 1;
-                }
-                let mut keep = 0;
-                for i in 0..self.occupied {
-                    let s = self.slots[self.ring(i)];
-                    if s.seq <= seq {
-                        if keep != i {
-                            let dst = self.ring(keep);
-                            self.slots[dst] = s;
-                        }
-                        keep += 1;
-                    } else {
-                        squashed += 1;
-                        self.ready -= usize::from(s.pending == 0);
-                    }
-                }
-                self.occupied = keep;
-            }
-            IssueQueueKind::NonCollapsing => {
-                for i in 0..self.capacity {
-                    if self.valid[i] && self.slots[i].seq > seq {
-                        self.valid[i] = false;
-                        self.ready -= usize::from(self.slots[i].pending == 0);
-                        squashed += 1;
-                    }
-                }
-                self.occupied -= squashed;
+        let n = self.order.len();
+        let mut keep = 0;
+        for i in 0..n {
+            let id = self.order[i];
+            if self.slots[id as usize].seq > seq {
+                self.leave(id as usize);
+            } else {
+                self.order[keep] = id;
+                keep += 1;
             }
         }
-        squashed
+        self.order.truncate(keep);
+        n - keep
     }
 
-    /// Per-cycle bookkeeping: occupancy sums and per-slot residency.
-    /// Collapsing residency is by logical position, so no entry data is
-    /// read at all — only `occupied` matters.
-    pub fn tick(&self, stats: &mut IssueQueueStats) {
-        stats.occupancy_sum += self.occupied as u64;
-        match self.kind {
-            IssueQueueKind::Collapsing => {
-                for slot in &mut stats.slot_occupancy[..self.occupied] {
-                    *slot += 1;
-                }
-            }
-            IssueQueueKind::NonCollapsing => {
-                for i in 0..self.capacity {
-                    if self.valid[i] {
-                        stats.slot_occupancy[i] += 1;
-                    }
-                }
-            }
-        }
+    /// Per-cycle bookkeeping: the occupancy sum and per-slot residency
+    /// (deferred to [`IssueQueue::flush_stats`] for a collapsing queue).
+    #[inline]
+    pub fn tick(&mut self, stats: &mut IssueQueueStats) {
+        self.charge_idle(1, stats);
     }
 
     /// Charges `cycles` consecutive idle ticks at once — exactly what
@@ -366,61 +381,72 @@ impl IssueQueue {
     /// queue untouched in between. Used by the core's event-driven idle
     /// skip, which proves no insert/issue/wakeup can occur in the window
     /// before fast-forwarding the clock.
-    pub fn charge_idle(&self, cycles: u64, stats: &mut IssueQueueStats) {
-        stats.occupancy_sum += cycles * self.occupied as u64;
+    #[inline]
+    pub fn charge_idle(&mut self, cycles: u64, stats: &mut IssueQueueStats) {
+        let occupied = self.order.len();
+        stats.occupancy_sum += cycles * occupied as u64;
         match self.kind {
-            IssueQueueKind::Collapsing => {
-                for slot in &mut stats.slot_occupancy[..self.occupied] {
-                    *slot += cycles;
-                }
-            }
+            IssueQueueKind::Collapsing => self.cycles_at[occupied] += cycles,
             IssueQueueKind::NonCollapsing => {
-                for i in 0..self.capacity {
-                    if self.valid[i] {
-                        stats.slot_occupancy[i] += cycles;
-                    }
+                for &id in &self.order {
+                    stats.slot_occupancy[id as usize] += cycles;
                 }
             }
         }
     }
 
+    /// Folds a collapsing queue's deferred per-slot counters
+    /// (`slot_occupancy`, and the collapse part of `slot_writes`) into
+    /// `stats`. Afterwards `stats` holds exactly what charging every cycle
+    /// and shift eagerly would. A non-collapsing queue defers nothing.
+    pub fn flush_stats(&mut self, stats: &mut IssueQueueStats) {
+        if self.kind == IssueQueueKind::NonCollapsing {
+            return;
+        }
+        // Slot `i` was occupied in every cycle the queue held more than
+        // `i` entries.
+        let mut above = 0;
+        for occ in (1..=self.capacity).rev() {
+            above += std::mem::take(&mut self.cycles_at[occ]);
+            stats.slot_occupancy[occ - 1] += above;
+        }
+        self.cycles_at[0] = 0;
+        let mut shifts = 0u64;
+        for (w, d) in stats.slot_writes.iter_mut().zip(&mut self.shift_diff) {
+            shifts = shifts.wrapping_add(std::mem::take(d));
+            *w += shifts;
+        }
+    }
+
+    /// Drops the deferred per-slot counters unflushed (a stats reset).
+    pub fn discard_deferred(&mut self) {
+        self.cycles_at.fill(0);
+        self.shift_diff.fill(0);
+    }
+
     /// Records a wakeup broadcast: every waiting entry compares its source
     /// tags against the completing destination (CAM match energy), and
     /// matching entries clear the corresponding pending bit — the
-    /// scoreboard update that replaces per-cycle readiness polling.
+    /// scoreboard update that replaces per-cycle readiness polling. Only
+    /// the tag's waiters are visited.
     pub fn wakeup_broadcast(&mut self, written: SrcPhys, stats: &mut IssueQueueStats) {
-        stats.wakeup_cam_matches += self.occupied as u64;
-        if self.ready == self.occupied {
+        stats.wakeup_cam_matches += self.order.len() as u64;
+        if self.ready == self.order.len() {
             return; // nothing is waiting on any source
         }
         let target = pack_src(Some(written));
-        match self.kind {
-            IssueQueueKind::Collapsing => {
-                for i in 0..self.occupied {
-                    let idx = self.ring(i);
-                    let s = &mut self.slots[idx];
-                    if s.pending != 0 {
-                        let hit = u8::from(s.tags[0] == target)
-                            | (u8::from(s.tags[1] == target) << 1)
-                            | (u8::from(s.tags[2] == target) << 2);
-                        let np = s.pending & !hit;
-                        s.pending = np;
-                        self.ready += usize::from(np == 0);
-                    }
-                }
-            }
-            IssueQueueKind::NonCollapsing => {
-                for i in 0..self.capacity {
-                    let s = &mut self.slots[i];
-                    if s.pending != 0 && self.valid[i] {
-                        let hit = u8::from(s.tags[0] == target)
-                            | (u8::from(s.tags[1] == target) << 1)
-                            | (u8::from(s.tags[2] == target) << 2);
-                        let np = s.pending & !hit;
-                        s.pending = np;
-                        self.ready += usize::from(np == 0);
-                    }
-                }
+        let at = tag_row(target) * self.words;
+        let Some(mask) = self.waiters.get_mut(at..at + self.words) else { return };
+        for (w, bits) in mask.iter_mut().enumerate() {
+            let mut m = std::mem::take(bits);
+            while m != 0 {
+                let s = &mut self.slots[w * 64 + m.trailing_zeros() as usize];
+                m &= m - 1;
+                let hit = u8::from(s.tags[0] == target)
+                    | (u8::from(s.tags[1] == target) << 1)
+                    | (u8::from(s.tags[2] == target) << 2);
+                s.pending &= !hit;
+                self.ready += usize::from(s.pending == 0);
             }
         }
     }
@@ -428,11 +454,11 @@ impl IssueQueue {
     /// The renamed sources of the entry at `slot` (diagnostics/tests;
     /// logical position for the collapsing flavour).
     pub fn slot_srcs(&self, slot: usize) -> [Option<SrcPhys>; 3] {
-        let idx = match self.kind {
-            IssueQueueKind::Collapsing => self.ring(slot),
+        let id = match self.kind {
+            IssueQueueKind::Collapsing => self.order[slot] as usize,
             IssueQueueKind::NonCollapsing => slot,
         };
-        let t = &self.slots[idx].tags;
+        let t = &self.slots[id].tags;
         [unpack_src(t[0]), unpack_src(t[1]), unpack_src(t[2])]
     }
 }
@@ -456,9 +482,8 @@ mod tests {
     }
 
     fn ready_seqs(q: &IssueQueue) -> Vec<u64> {
-        let mut out = Vec::new();
-        q.ready_candidates_into(&mut out);
-        out.iter().map(|&(_, s)| s).collect()
+        let mut sel = q.select();
+        std::iter::from_fn(|| q.next_ready(&mut sel)).map(|(_, s)| s).collect()
     }
 
     #[test]
@@ -479,7 +504,8 @@ mod tests {
             ins(&mut q, seq, &mut s);
         }
         // Issue the oldest: 3 entries shift down.
-        q.remove_slots(&[0], &mut s);
+        q.issue(&[0], &mut s);
+        q.flush_stats(&mut s);
         assert_eq!(seqs(&q), vec![1, 2, 3]);
         assert_eq!(s.collapse_writes, 3);
         // slots 0..=2 each received a shifted entry
@@ -492,7 +518,7 @@ mod tests {
         for seq in 0..6 {
             ins(&mut q, seq, &mut s);
         }
-        q.remove_slots(&[1, 4], &mut s);
+        q.issue(&[1, 4], &mut s);
         assert_eq!(seqs(&q), vec![0, 2, 3, 5]);
         assert_eq!(s.issued, 2);
     }
@@ -500,14 +526,14 @@ mod tests {
     #[test]
     fn ring_wraps_across_sustained_insert_remove() {
         let (mut q, mut s) = queue_and_stats(4);
-        // Far more operations than the ring size, always removing the
-        // oldest: exercises head wrap-around.
+        // Far more operations than the capacity, always removing the
+        // oldest: every id is freed and reused many times over.
         for seq in 0..64u64 {
             ins(&mut q, seq, &mut s);
             if q.len() == 3 {
                 let head = q.candidates()[0];
                 assert_eq!(head.1, seq - 2, "oldest survives in age order");
-                q.remove_slots(&[head.0], &mut s);
+                q.issue(&[head.0], &mut s);
             }
         }
         assert_eq!(seqs(&q), vec![62, 63]);
@@ -542,6 +568,7 @@ mod tests {
         ins(&mut q, 2, &mut s);
         q.tick(&mut s);
         q.tick(&mut s);
+        q.flush_stats(&mut s);
         assert_eq!(s.occupancy_sum, 4);
         assert_eq!(s.slot_occupancy, vec![2, 2, 0, 0]);
     }
@@ -566,7 +593,7 @@ mod tests {
         for seq in 0..4 {
             ins(&mut q, seq, &mut s);
         }
-        q.remove_slots(&[1], &mut s);
+        q.issue(&[1], &mut s); // age position 1: seq 1 in slot 1
         assert_eq!(s.collapse_writes, 0, "no shifts in a non-collapsing queue");
         // Next insert lands in the freed slot 1.
         ins(&mut q, 9, &mut s);
@@ -649,7 +676,7 @@ mod tests {
         for seq in [4, 1, 7, 2] {
             ins(&mut q, seq, &mut s);
         }
-        q.remove_slots(&[1], &mut s); // free slot 1 (held seq 1)
+        q.issue(&[0], &mut s); // oldest, seq 1: frees slot 1
         q.insert(9, [Some(SrcPhys::Int(60)), None, None], 0b1, &mut s); // lands in slot 1
         assert_eq!(ready_seqs(&q), vec![2, 4, 7], "pending entry excluded");
         q.wakeup_broadcast(SrcPhys::Int(60), &mut s);
@@ -671,7 +698,7 @@ mod tests {
         q.insert(2, [Some(SrcPhys::Int(40)), None, None], 0b1, &mut s);
         ins(&mut q, 3, &mut s);
         assert!(q.has_ready());
-        q.remove_slots(&[0, 2], &mut s); // both ready entries issue
+        q.issue(&[0, 2], &mut s); // both ready entries issue
         assert!(!q.has_ready(), "only the pending entry remains");
         q.wakeup_broadcast(SrcPhys::Int(40), &mut s);
         assert!(q.has_ready());

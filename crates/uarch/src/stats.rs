@@ -7,7 +7,7 @@
 //! activity that forms the "rest of tile".
 
 /// Activity of one issue queue (BOOM's collapsing queues).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct IssueQueueStats {
     /// Dispatch writes into the queue.
     pub writes: u64,

@@ -6,6 +6,7 @@ use boom_uarch::cache::{Access, Cache};
 use boom_uarch::config::CacheParams;
 use boom_uarch::issue::{IssueQueue, IssueQueueKind};
 use boom_uarch::predictor::{BranchKind, Btb, CondPredictor, Ras};
+use boom_uarch::rob::SrcPhys;
 use boom_uarch::stats::{IssueQueueStats, MemSysStats, PredictorStats};
 use boom_uarch::{FixedLatency, PredictorKind};
 use proptest::prelude::*;
@@ -136,12 +137,317 @@ proptest! {
                 let c_head = coll.candidates()[0];
                 let n_head = nc.candidates()[0];
                 prop_assert_eq!(c_head.1, n_head.1, "age order diverged");
-                coll.remove_slots(&[c_head.0], &mut cs);
-                nc.remove_slots(&[n_head.0], &mut ns);
+                coll.issue(&[0], &mut cs);
+                nc.issue(&[0], &mut ns);
             }
             prop_assert_eq!(coll.len(), nc.len());
         }
         // Non-collapsing never pays shift writes; collapsing often does.
         prop_assert_eq!(ns.collapse_writes, 0);
+    }
+}
+
+/// A plain scan-based issue queue with the shift-everything semantics:
+/// every counter is charged eagerly, every broadcast compares every
+/// entry, and select scans the whole queue. [`IssueQueue`] must match it
+/// operation for operation.
+struct RefQueue {
+    collapsing: bool,
+    /// Collapsing: entries in age order. Non-collapsing: `capacity` fixed
+    /// slots.
+    slots: Vec<Option<RefEntry>>,
+    stats: IssueQueueStats,
+}
+
+#[derive(Clone, Copy, Debug)]
+struct RefEntry {
+    seq: u64,
+    srcs: [Option<SrcPhys>; 3],
+    pending: u8,
+}
+
+impl RefQueue {
+    fn new(kind: IssueQueueKind, cap: usize) -> RefQueue {
+        let collapsing = kind == IssueQueueKind::Collapsing;
+        let slots = if collapsing { Vec::new() } else { vec![None; cap] };
+        RefQueue { collapsing, slots, stats: IssueQueueStats::new(cap) }
+    }
+
+    fn len(&self) -> usize {
+        self.slots.iter().flatten().count()
+    }
+
+    fn insert(&mut self, seq: u64, srcs: [Option<SrcPhys>; 3], pending: u8) {
+        let e = Some(RefEntry { seq, srcs, pending });
+        let slot = if self.collapsing {
+            self.slots.push(e);
+            self.slots.len() - 1
+        } else {
+            let i = self.slots.iter().position(Option::is_none).expect("not full");
+            self.slots[i] = e;
+            i
+        };
+        self.stats.writes += 1;
+        self.stats.slot_writes[slot] += 1;
+    }
+
+    /// `(slot, seq, pending)` oldest first.
+    fn entries(&self) -> Vec<(usize, u64, u8)> {
+        let mut out: Vec<_> = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, e)| e.map(|e| (i, e.seq, e.pending)))
+            .collect();
+        if !self.collapsing {
+            out.sort_by_key(|&(_, seq, _)| seq);
+        }
+        out
+    }
+
+    fn candidates(&self) -> Vec<(usize, u64)> {
+        self.entries().into_iter().map(|(slot, seq, _)| (slot, seq)).collect()
+    }
+
+    /// Ready entries as `(age position, seq)`, oldest first.
+    fn ready(&self) -> Vec<(usize, u64)> {
+        let entries = self.entries().into_iter().enumerate();
+        entries.filter(|(_, e)| e.2 == 0).map(|(pos, e)| (pos, e.1)).collect()
+    }
+
+    fn wakeup(&mut self, written: SrcPhys) {
+        self.stats.wakeup_cam_matches += self.len() as u64;
+        for e in self.slots.iter_mut().flatten() {
+            for (i, src) in e.srcs.iter().enumerate() {
+                if *src == Some(written) {
+                    e.pending &= !(1 << i);
+                }
+            }
+        }
+    }
+
+    /// Removes the entries at the given (ascending) slots.
+    fn remove(&mut self, slots: &[usize]) {
+        for &slot in slots.iter().rev() {
+            self.stats.issued += 1;
+            if self.collapsing {
+                let n = self.slots.len();
+                self.stats.collapse_writes += (n - 1 - slot) as u64;
+                for w in &mut self.stats.slot_writes[slot..n - 1] {
+                    *w += 1;
+                }
+                self.slots.remove(slot);
+            } else {
+                assert!(self.slots[slot].take().is_some());
+            }
+        }
+    }
+
+    fn squash_after(&mut self, seq: u64) -> usize {
+        let mut squashed = 0;
+        for e in &mut self.slots {
+            if e.is_some_and(|e| e.seq > seq) {
+                *e = None;
+                squashed += 1;
+            }
+        }
+        if self.collapsing {
+            self.slots.retain(Option::is_some);
+        }
+        squashed
+    }
+
+    fn charge_idle(&mut self, cycles: u64) {
+        self.stats.occupancy_sum += cycles * self.len() as u64;
+        for (i, e) in self.slots.iter().enumerate() {
+            if e.is_some() {
+                self.stats.slot_occupancy[i] += cycles;
+            }
+        }
+    }
+}
+
+/// One operation of the reference-model test.
+#[derive(Clone, Debug)]
+enum QueueOp {
+    /// Insert with these sources (`None` = no source) and pending bits;
+    /// `dup` copies source 0 into source 1, and `early` (when not live)
+    /// replaces the next sequence number, so entries arrive out of age
+    /// order.
+    Insert {
+        srcs: [Option<(bool, u16)>; 3],
+        pending: u8,
+        dup: bool,
+        early: Option<u64>,
+    },
+    /// Broadcast a completing destination.
+    Wakeup {
+        fp: bool,
+        preg: u16,
+    },
+    /// Walk the ready entries oldest first; the `i`-th issues if bit `i`
+    /// of the mask is set (the others model a busy unit or a replay).
+    Issue(u16),
+    /// Remove one or two entries picked by the two halves of the word,
+    /// ready or not.
+    Remove(u64),
+    /// Squash everything younger than `back` entries before the next seq.
+    Squash(u64),
+    Tick,
+    Idle(u64),
+    Flush,
+}
+
+fn src_phys((fp, preg): (bool, u16)) -> SrcPhys {
+    if fp {
+        SrcPhys::Fp(preg)
+    } else {
+        SrcPhys::Int(preg)
+    }
+}
+
+/// A register tag drawn from 16 random bits: few registers, so tags
+/// collide across entries and source slots, plus an occasional high
+/// index that grows the waiter table.
+fn reg_of(x: u64) -> (bool, u16) {
+    let preg = if x.is_multiple_of(16) { 200 + (x >> 4) % 3 } else { (x >> 4) % 6 };
+    ((x >> 8) & 1 == 1, preg as u16)
+}
+
+/// Decodes one operation from a selector and two random words.
+fn queue_op((sel, a, b): (u8, u64, u64)) -> QueueOp {
+    match sel {
+        0..=5 => {
+            let src = |i: u64| {
+                let x = a >> (16 * i);
+                ((x >> 12) & 3 != 0).then(|| reg_of(x))
+            };
+            QueueOp::Insert {
+                srcs: [src(0), src(1), src(2)],
+                pending: (b & 7) as u8,
+                dup: b % 5 == 3,
+                early: b.is_multiple_of(7).then_some((b >> 32) % 256),
+            }
+        }
+        6..=9 => {
+            let (fp, preg) = reg_of(a);
+            QueueOp::Wakeup { fp, preg }
+        }
+        10..=12 => QueueOp::Issue(a as u16),
+        13 => QueueOp::Remove(a),
+        14 => QueueOp::Squash(a % 12),
+        15 | 16 => QueueOp::Tick,
+        17 => QueueOp::Idle(1 + a % 5000),
+        _ => QueueOp::Flush,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    /// The slab/waiter-mask queue with its width-bounded select and
+    /// deferred per-slot counters is observationally the scan-based
+    /// reference: same candidates, ready set and length after every
+    /// operation, and the same stats after every flush. Capacities run
+    /// past 64 so waiter masks and the free-id map span several words;
+    /// `churn` (out of 16) thins the removing operations so some cases
+    /// fill the queue.
+    #[test]
+    fn issue_queue_matches_scan_reference(
+        nc in any::<bool>(),
+        cap in 1usize..=130,
+        churn in 0usize..=16,
+        ops in proptest::collection::vec((0u8..19, any::<u64>(), any::<u64>()).prop_map(queue_op), 1..700),
+    ) {
+        let kind = if nc { IssueQueueKind::NonCollapsing } else { IssueQueueKind::Collapsing };
+        let mut q = IssueQueue::with_kind(kind, cap);
+        let mut stats = IssueQueueStats::new(cap);
+        let mut r = RefQueue::new(kind, cap);
+        let mut next_seq = 0u64;
+        for (step, op) in ops.iter().enumerate() {
+            let removes = matches!(op, QueueOp::Issue(_) | QueueOp::Remove(_) | QueueOp::Squash(_));
+            if removes && step % 16 >= churn {
+                continue;
+            }
+            match *op {
+                QueueOp::Insert { srcs, pending, dup, early } => {
+                    if q.is_full() {
+                        continue;
+                    }
+                    let mut srcs = srcs.map(|s| s.map(src_phys));
+                    if dup {
+                        srcs[1] = srcs[0];
+                    }
+                    let seq = match early {
+                        Some(e) if e < next_seq && r.candidates().iter().all(|c| c.1 != e) => e,
+                        _ => {
+                            next_seq += 1;
+                            next_seq - 1
+                        }
+                    };
+                    q.insert(seq, srcs, pending, &mut stats);
+                    r.insert(seq, srcs, pending);
+                }
+                QueueOp::Wakeup { fp, preg } => {
+                    q.wakeup_broadcast(src_phys((fp, preg)), &mut stats);
+                    r.wakeup(src_phys((fp, preg)));
+                }
+                QueueOp::Issue(mask) => {
+                    let mut sel = q.select();
+                    let mut positions = Vec::new();
+                    let mut i = 0;
+                    while let Some((pos, _)) = q.next_ready(&mut sel) {
+                        if i < 16 && mask & (1 << i) != 0 {
+                            positions.push(pos);
+                        }
+                        i += 1;
+                    }
+                    let cands = r.candidates();
+                    let mut slots: Vec<usize> = positions.iter().map(|&p| cands[p].0).collect();
+                    slots.sort_unstable();
+                    q.issue(&positions, &mut stats);
+                    r.remove(&slots);
+                }
+                QueueOp::Remove(pick) => {
+                    let cands = r.candidates();
+                    if cands.is_empty() {
+                        continue;
+                    }
+                    let (a, b) = (pick as u32 as usize, (pick >> 32) as usize);
+                    let mut positions = vec![a % cands.len(), b % cands.len()];
+                    positions.sort_unstable();
+                    positions.dedup();
+                    let mut slots: Vec<usize> = positions.iter().map(|&p| cands[p].0).collect();
+                    slots.sort_unstable();
+                    q.issue(&positions, &mut stats);
+                    r.remove(&slots);
+                }
+                QueueOp::Squash(back) => {
+                    let seq = next_seq.saturating_sub(1 + back);
+                    prop_assert_eq!(q.squash_after(seq), r.squash_after(seq));
+                    next_seq = next_seq.min(seq + 1);
+                }
+                QueueOp::Tick => {
+                    q.tick(&mut stats);
+                    r.charge_idle(1);
+                }
+                QueueOp::Idle(cycles) => {
+                    q.charge_idle(cycles, &mut stats);
+                    r.charge_idle(cycles);
+                }
+                QueueOp::Flush => {
+                    q.flush_stats(&mut stats);
+                    prop_assert_eq!(&stats, &r.stats);
+                }
+            }
+            prop_assert_eq!(q.candidates(), r.candidates(), "after {:?}", op);
+            let mut sel = q.select();
+            let ready: Vec<_> = std::iter::from_fn(|| q.next_ready(&mut sel)).collect();
+            prop_assert_eq!(&ready, &r.ready(), "after {:?}", op);
+            prop_assert_eq!(q.has_ready(), !ready.is_empty());
+            prop_assert_eq!(q.len(), r.len());
+        }
+        q.flush_stats(&mut stats);
+        prop_assert_eq!(&stats, &r.stats);
     }
 }

@@ -13,6 +13,7 @@
 //! To re-capture goldens after an *intentional* model change, run with
 //! `--nocapture` and copy the printed table into `GOLDEN`.
 
+use boom_uarch::issue::IssueQueueKind;
 use boom_uarch::{BoomConfig, Core, HierarchyParams};
 use rv_workloads::{by_name, Scale};
 
@@ -21,7 +22,10 @@ use rv_workloads::{by_name, Scale};
 /// pins the hierarchy memory backend (shared L2 + DRAM model): its
 /// fingerprint includes the `MemSysStats` counters, so any change to L2
 /// MSHR handling, DRAM bandwidth accounting, or the refill path moves it.
-const GOLDEN: [(&str, &str, u64); 7] = [
+/// The `large+nc` row pins the non-collapsing issue queue: its per-slot
+/// counters are indexed by physical slot, so it fixes the slot each
+/// insert lands in, not just the age order.
+const GOLDEN: [(&str, &str, u64); 8] = [
     ("medium", "bitcount", 0x828e_42cf_8749_bf2a),
     ("medium", "dijkstra", 0x5b5e_dc63_0790_cf44),
     ("large", "bitcount", 0x58c5_fc8e_5344_4bb4),
@@ -29,7 +33,15 @@ const GOLDEN: [(&str, &str, u64); 7] = [
     ("mega", "bitcount", 0x3bea_1766_f4d7_73aa),
     ("mega", "dijkstra", 0x8b6c_b37d_163c_a301),
     ("medium+l2", "dijkstra", 0x54cd_4c01_ed7e_74cf),
+    ("large+nc", "dijkstra", 0x6dda_686b_2add_9373),
 ];
+
+/// (config, workload, warm-up instructions, golden fingerprint): the
+/// SimPoint measurement shape — run a warm-up, [`Core::reset_stats`],
+/// then measure to exit. Pins that a stats reset mid-run drops every
+/// counter the warm-up accumulated, per-slot ones included, and nothing
+/// the measurement accumulates afterwards.
+const WARM_MEASURE: (&str, &str, u64, u64) = ("mega", "dijkstra", 6_000, 0xdd4f_fad9_cf77_d3cb);
 
 fn config(name: &str) -> BoomConfig {
     match name {
@@ -37,6 +49,7 @@ fn config(name: &str) -> BoomConfig {
         "large" => BoomConfig::large(),
         "mega" => BoomConfig::mega(),
         "medium+l2" => BoomConfig::medium().with_hierarchy(HierarchyParams::default_uncore()),
+        "large+nc" => BoomConfig::large().with_issue_queue(IssueQueueKind::NonCollapsing),
         other => panic!("unknown config {other}"),
     }
 }
@@ -68,6 +81,44 @@ fn detailed_core_fingerprints_match_goldens() {
          power inputs changed):\n{}",
         failures.join("\n")
     );
+}
+
+/// Warm-up, stats reset, measurement: the fingerprint of the measured
+/// part alone must match its golden.
+#[test]
+fn warm_reset_measure_fingerprint_matches_golden() {
+    let (cfg, workload, warm, golden) = WARM_MEASURE;
+    let w = by_name(workload, Scale::Test).expect("known workload");
+    let mut core = Core::new(config(cfg), &w.program);
+    let r = core.run(warm);
+    assert!(!r.exited && r.retired >= warm, "{cfg}/{workload} warm-up: {r:?}");
+    core.reset_stats();
+    let r = core.run(500_000_000);
+    assert!(r.exited && !r.hung, "{cfg}/{workload}: {r:?}");
+    assert_eq!(r.exit_code, Some(0), "{cfg}/{workload} failed self-verification");
+    let got = core.stats().fingerprint();
+    println!("    WARM_MEASURE {cfg}/{workload}/{warm}: {got:#018x}");
+    assert_eq!(got, golden, "warm-up/reset/measure fingerprint drifted");
+}
+
+/// Driving a core one [`Core::step_cycle`] at a time to exit — the
+/// dual-core co-run path — must hash exactly like [`Core::run`].
+#[test]
+fn step_cycle_to_exit_matches_run_golden() {
+    for (cfg, workload) in [("large", "dijkstra"), ("large+nc", "dijkstra")] {
+        let golden = GOLDEN.iter().find(|g| g.0 == cfg && g.1 == workload).expect("golden row").2;
+        let w = by_name(workload, Scale::Test).expect("known workload");
+        let mut core = Core::new(config(cfg), &w.program);
+        while core.exit_code().is_none() {
+            core.step_cycle();
+        }
+        assert_eq!(core.exit_code(), Some(0), "{cfg}/{workload} failed self-verification");
+        assert_eq!(
+            core.stats().fingerprint(),
+            golden,
+            "{cfg}/{workload}: step_cycle run diverged from run() golden"
+        );
+    }
 }
 
 /// The fingerprint must be a pure function of the run — two identical

@@ -47,7 +47,7 @@ fn main() {
     .collect();
     let mut rows = Vec::new();
     for w in all(BENCH_SCALE) {
-        let bbv = profile(&w, u64::MAX).expect("workload profiles cleanly");
+        let (bbv, _) = profile(&w, u64::MAX).expect("workload profiles cleanly");
         let analysis = analyze(&bbv, &SimPointConfig::default());
         let (p_int, p_sp, p_insts) = paper_row(w.name);
         rows.push(vec![

@@ -20,6 +20,13 @@
 //!   ([`rv_isa::checkpoint::SharedCheckpoint`]) so the memory images are
 //!   shared — not cloned — across configurations and worker threads.
 //!
+//! A profile this store computes also parks [`RestartPoints`] along its
+//! pass. They go only to the computing thread, whose next checkpoint
+//! capture of the same profile resumes from them and then drops them;
+//! they are never memoized or persisted. A profile served from the disk
+//! tier or from another thread's computation leaves none, and capture
+//! then runs from the program entry — the same bytes either way.
+//!
 //! Behind them, every campaign, sweep rung and served request runs its
 //! detailed points through one single-flight point memo (`PointKey`).
 //!
@@ -40,7 +47,7 @@ use crate::flow::{
 use crate::sync::lock;
 use boom_uarch::BoomConfig;
 use rv_isa::bbv::BbvProfile;
-use rv_isa::checkpoint::{checkpoints_at_shared, Checkpoint, SharedCheckpoint};
+use rv_isa::checkpoint::{checkpoints_from, Checkpoint, RestartPoints, SharedCheckpoint};
 use rv_isa::codec::{fnv1a, ByteReader, ByteWriter, CodecError};
 use rv_workloads::Workload;
 use simpoint::{analyze, SimPointAnalysis};
@@ -49,6 +56,7 @@ use std::hash::Hash;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::ThreadId;
 use std::time::Instant;
 
 /// Cache key of a profiling artifact.
@@ -138,7 +146,10 @@ pub struct CacheStats {
     pub profile_ms: f64,
     /// Wall-clock spent clustering, in ms.
     pub cluster_ms: f64,
-    /// Wall-clock spent capturing checkpoints, in ms.
+    /// Wall-clock spent capturing checkpoints, in ms: the capture pass
+    /// and the disk tier's load or write of the set. The profile and
+    /// analysis a capture needs are charged to their own stages, so the
+    /// three stage times add up to the front half's worker time.
     pub checkpoint_ms: f64,
     /// Wall-clock spent in detailed point simulation, in ms (accumulated
     /// across worker threads; not a cached stage).
@@ -219,6 +230,9 @@ pub struct ArtifactStore {
     counters: Counters,
     /// Optional crash-safe disk tier behind the in-memory memo maps.
     disk: Option<DiskCache>,
+    /// Restart points of the last profile each thread computed, until
+    /// that thread's capture of the same profile takes them.
+    restarts: Mutex<HashMap<ThreadId, (ProfileKey, RestartPoints)>>,
 }
 
 /// Fetches `key` from `map`, computing it exactly once across threads:
@@ -239,8 +253,6 @@ struct MemoMeters<'a> {
     error_replays: &'a AtomicU64,
     /// Hits that blocked on another caller's in-flight computation.
     inflight: &'a AtomicU64,
-    /// Wall-clock microseconds spent computing.
-    spent_us: &'a AtomicU64,
 }
 
 fn memoize<K, T>(
@@ -262,10 +274,8 @@ where
     let mut from_disk = false;
     let result = slot.get_or_init(|| {
         ran = true;
-        let t0 = Instant::now();
         let (r, disk) = compute();
         from_disk = disk;
-        meters.spent_us.fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
         r
     });
     if ran {
@@ -333,7 +343,7 @@ impl ArtifactStore {
     /// undecodable payload) recomputes and persists the result. The bool
     /// reports whether the value came from disk. Stage *errors* are never
     /// persisted — only successful artifacts are worth replaying across
-    /// processes.
+    /// processes. The fill's wall-clock is charged to `stage`.
     fn with_disk<T>(
         &self,
         stage: CacheStage,
@@ -343,37 +353,47 @@ impl ArtifactStore {
         encode: impl FnOnce(&T) -> Vec<u8>,
         compute: impl FnOnce() -> Result<T, FlowError>,
     ) -> (Result<T, FlowError>, bool) {
-        let Some(disk) = &self.disk else {
-            return (compute(), false);
-        };
         let c = &self.counters;
-        match disk.load(stage, key, name) {
-            DiskLookup::Hit(bytes) => match decode(&bytes) {
-                Ok(t) => {
-                    c.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    return (Ok(t), true);
+        let spent_us = match stage {
+            CacheStage::Profile => &c.profile_us,
+            CacheStage::Analysis => &c.cluster_us,
+            CacheStage::Checkpoints => &c.checkpoint_us,
+        };
+        let t0 = Instant::now();
+        let fill = 'fill: {
+            let Some(disk) = &self.disk else {
+                break 'fill (compute(), false);
+            };
+            match disk.load(stage, key, name) {
+                DiskLookup::Hit(bytes) => match decode(&bytes) {
+                    Ok(t) => {
+                        c.disk_hits.fetch_add(1, Ordering::Relaxed);
+                        break 'fill (Ok(t), true);
+                    }
+                    Err(_) => {
+                        // Checksum passed but the payload does not decode
+                        // (format drift): quarantine like any corruption.
+                        disk.quarantine_entry(stage, name);
+                        c.disk_quarantined.fetch_add(1, Ordering::Relaxed);
+                    }
+                },
+                DiskLookup::Miss => {
+                    c.disk_misses.fetch_add(1, Ordering::Relaxed);
                 }
-                Err(_) => {
-                    // Checksum passed but the payload does not decode
-                    // (format drift): quarantine like any corruption.
-                    disk.quarantine_entry(stage, name);
+                DiskLookup::Quarantined => {
                     c.disk_quarantined.fetch_add(1, Ordering::Relaxed);
                 }
-            },
-            DiskLookup::Miss => {
-                c.disk_misses.fetch_add(1, Ordering::Relaxed);
             }
-            DiskLookup::Quarantined => {
-                c.disk_quarantined.fetch_add(1, Ordering::Relaxed);
+            let result = compute();
+            if let Ok(t) = &result {
+                if disk.store(stage, key, name, &encode(t)).is_ok() {
+                    c.disk_writes.fetch_add(1, Ordering::Relaxed);
+                }
             }
-        }
-        let result = compute();
-        if let Ok(t) = &result {
-            if disk.store(stage, key, name, &encode(t)).is_ok() {
-                c.disk_writes.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        (result, false)
+            (result, false)
+        };
+        spent_us.fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+        fill
     }
 
     /// Stage 1 — the workload's BBV profile, computed at most once per
@@ -399,7 +419,6 @@ impl ArtifactStore {
                 hits: &c.profile_hits,
                 error_replays: &c.error_replays,
                 inflight: &c.inflight_dedup_hits,
-                spent_us: &c.profile_us,
             },
             || {
                 self.with_disk(
@@ -417,7 +436,12 @@ impl ArtifactStore {
                         p.encode(&mut w);
                         w.into_bytes()
                     },
-                    || crate::flow::profile(workload, flow.max_profile_insts).map(Arc::new),
+                    || {
+                        let (p, restarts) = crate::flow::profile(workload, flow.max_profile_insts)?;
+                        let parked = (key, restarts);
+                        lock(&self.restarts).insert(std::thread::current().id(), parked);
+                        Ok(Arc::new(p))
+                    },
                 )
             },
         )
@@ -444,7 +468,6 @@ impl ArtifactStore {
                 hits: &c.cluster_hits,
                 error_replays: &c.error_replays,
                 inflight: &c.inflight_dedup_hits,
-                spent_us: &c.cluster_us,
             },
             || {
                 self.with_disk(
@@ -471,9 +494,22 @@ impl ArtifactStore {
         )
     }
 
+    /// Takes the restart points this thread's last computed profile
+    /// parked, if that profile is `key`'s.
+    fn take_restarts(&self, key: &ProfileKey) -> Option<RestartPoints> {
+        let mut parked = lock(&self.restarts);
+        let id = std::thread::current().id();
+        match parked.get(&id) {
+            Some((k, _)) if k == key => parked.remove(&id).map(|(_, r)| r),
+            _ => None,
+        }
+    }
+
     /// Stage 3 — the planned checkpoint set: one architectural snapshot
     /// per selected point at (interval start − warm-up), captured in a
-    /// single functional pass at most once per (analysis, warm-up).
+    /// single functional pass at most once per (analysis, warm-up). The
+    /// pass resumes from the restart points this thread's profile of the
+    /// workload parked, when there are any, and from the entry otherwise.
     ///
     /// # Errors
     ///
@@ -486,7 +522,7 @@ impl ArtifactStore {
     ) -> Result<Arc<CheckpointSet>, FlowError> {
         let c = &self.counters;
         let key = Self::checkpoint_key(workload, flow);
-        memoize(
+        let set = memoize(
             &self.checkpoints,
             key,
             MemoMeters {
@@ -494,7 +530,6 @@ impl ArtifactStore {
                 hits: &c.checkpoint_hits,
                 error_replays: &c.error_replays,
                 inflight: &c.inflight_dedup_hits,
-                spent_us: &c.checkpoint_us,
             },
             || {
                 // Both the disk-decode and the compute path need the
@@ -508,6 +543,7 @@ impl ArtifactStore {
                     Ok(a) => a,
                     Err(e) => return (Err(e), false),
                 };
+                let restarts = self.take_restarts(&key.0 .0);
                 let (dec_profile, dec_analysis) = (profile.clone(), analysis.clone());
                 let ((pk, ik, bk), sk) = key.0;
                 self.with_disk(
@@ -545,7 +581,9 @@ impl ArtifactStore {
                             .collect();
                         targets.sort_by_key(|&(_, at, _)| at);
                         let sorted: Vec<u64> = targets.iter().map(|&(_, at, _)| at).collect();
-                        let checkpoints = checkpoints_at_shared(&workload.program, &sorted)?;
+                        let restarts =
+                            restarts.unwrap_or_else(|| RestartPoints::entry(&workload.program));
+                        let checkpoints = checkpoints_from(restarts, &sorted)?;
                         let points = targets
                             .into_iter()
                             .zip(checkpoints)
@@ -557,7 +595,7 @@ impl ArtifactStore {
                                     weight: sp.weight,
                                     interval_len: profile.intervals[sp.interval].len,
                                     warmup,
-                                    checkpoint,
+                                    checkpoint: Arc::new(checkpoint),
                                 }
                             })
                             .collect();
@@ -565,7 +603,11 @@ impl ArtifactStore {
                     },
                 )
             },
-        )
+        );
+        // A set found complete leaves any restarts this thread parked for
+        // it unused; they are dropped here, never kept for later.
+        self.take_restarts(&key.0 .0);
+        set
     }
 
     /// Full-detailed-simulation baseline for one (configuration,
@@ -590,9 +632,13 @@ impl ArtifactStore {
                 hits: &c.full_run_hits,
                 error_replays: &c.error_replays,
                 inflight: &c.inflight_dedup_hits,
-                spent_us: &c.full_run_us,
             },
-            || (run_full(cfg, workload).map(Arc::new), false),
+            || {
+                let t0 = Instant::now();
+                let r = run_full(cfg, workload).map(Arc::new);
+                c.full_run_us.fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+                (r, false)
+            },
         )
     }
 
@@ -973,6 +1019,84 @@ mod tests {
         // Kill-after only decides when the process dies, never what a
         // completed point contains.
         assert_eq!(flow_key(|f| f.inject.kill_after_points = Some(3)), base);
+    }
+
+    /// FNV-1a digest of each workload's encoded checkpoint set (the
+    /// disk tier's payload, [`encode_points`]) at `Scale::Test` under the
+    /// default flow, captured from the capture pass that re-ran every
+    /// program from its entry. It pins both the disk format and the
+    /// architectural state of every captured checkpoint.
+    const GOLDEN_SETS: [(&str, u64); 11] = [
+        ("Basicmath", 0xd2a6_987c_e37e_4b1c),
+        ("Stringsearch", 0xbffb_ece8_2d52_5d77),
+        ("FFT", 0xccbc_a774_0de0_4949),
+        ("iFFT", 0x540e_df67_ea1e_60ad),
+        ("Bitcount", 0xd01e_873a_7c08_a233),
+        ("Qsort", 0x293c_84f2_68e7_59b2),
+        ("Dijkstra", 0xb230_eee7_e280_4df9),
+        ("Patricia", 0x4214_a1c3_3884_8e6d),
+        ("Matmult", 0xb656_4e9a_4505_01ce),
+        ("Sha", 0x9fbe_6c3a_5a48_4399),
+        ("Tarfind", 0x5cf1_1396_5164_6d01),
+    ];
+
+    #[test]
+    fn encoded_checkpoint_sets_match_golden_digests() {
+        let flow = FlowConfig::default();
+        let store = ArtifactStore::new();
+        let workloads = rv_workloads::all(Scale::Test);
+        let mut digests = Vec::new();
+        for w in &workloads {
+            let set = store.checkpoints(w, &flow).unwrap();
+            let mut wr = ByteWriter::new();
+            encode_points(&mut wr, &set.points);
+            digests.push((w.name, fnv1a(&wr.into_bytes())));
+        }
+        assert_eq!(digests, GOLDEN_SETS.to_vec());
+    }
+
+    #[test]
+    fn restarts_go_only_to_the_profiling_thread_and_never_outlive_capture() {
+        let w = by_name("sha", Scale::Test).unwrap();
+        let flow = quick_flow();
+        let parked = |s: &ArtifactStore| lock(&s.restarts).len();
+        let encoded = |set: &CheckpointSet| {
+            let mut wr = ByteWriter::new();
+            encode_points(&mut wr, &set.points);
+            wr.into_bytes()
+        };
+        // This thread profiles, then captures: the capture takes the
+        // parked restarts and nothing is left behind.
+        let here = ArtifactStore::new();
+        here.profile(&w, &flow).unwrap();
+        assert_eq!(parked(&here), 1);
+        let resumed = here.checkpoints(&w, &flow).unwrap();
+        assert_eq!(parked(&here), 0, "capture drops the restarts it used");
+        // This thread profiles and another captures: the restarts
+        // stay parked for this thread, so the capture runs from the entry,
+        // to the same bytes.
+        let there = Arc::new(ArtifactStore::new());
+        there.profile(&w, &flow).unwrap();
+        let (store, wl, fl) = (Arc::clone(&there), w.clone(), flow.clone());
+        let from_entry = std::thread::spawn(move || store.checkpoints(&wl, &fl))
+            .join()
+            .expect("capturing thread")
+            .unwrap();
+        assert_eq!(encoded(&resumed), encoded(&from_entry));
+        assert_eq!(parked(&there), 1);
+        // This thread's lookup finds the set complete and drops them.
+        there.checkpoints(&w, &flow).unwrap();
+        assert_eq!(parked(&there), 0);
+        // A later profile replaces the restarts a thread parked, and a
+        // capture takes only its own profile's: this one runs from the
+        // entry, never from another program's CPUs.
+        let other = by_name("bitcount", Scale::Test).unwrap();
+        let mixed = ArtifactStore::new();
+        mixed.profile(&w, &flow).unwrap();
+        mixed.profile(&other, &flow).unwrap();
+        assert_eq!(parked(&mixed), 1);
+        assert_eq!(encoded(&mixed.checkpoints(&w, &flow).unwrap()), encoded(&resumed));
+        assert_eq!(parked(&mixed), 1, "the other program's restarts stay parked");
     }
 
     #[test]

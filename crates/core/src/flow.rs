@@ -28,6 +28,7 @@ use boom_uarch::{
 };
 use rtl_power::{estimate_core, PowerReport};
 use rv_isa::bbv::{BbvCollector, BbvProfile};
+use rv_isa::checkpoint::RestartPoints;
 use rv_isa::cpu::{Cpu, SimError, StopReason};
 use rv_workloads::Workload;
 use simpoint::SimPointConfig;
@@ -233,17 +234,26 @@ impl WorkloadResult {
     }
 }
 
-/// Functionally profiles a workload, returning its BBV profile.
+/// Functionally profiles a workload, returning its BBV profile and the
+/// restart points the pass parked on the way (one per interval at first,
+/// thinned to at most [`RestartPoints::BUDGET`]), from which checkpoint
+/// capture can resume instead of re-running the program.
 ///
 /// # Errors
 ///
 /// Fails if the program faults, never exits, or fails self-verification.
-pub fn profile(workload: &Workload, max_insts: u64) -> Result<BbvProfile, FlowError> {
+pub fn profile(
+    workload: &Workload,
+    max_insts: u64,
+) -> Result<(BbvProfile, RestartPoints), FlowError> {
     let mut cpu = Cpu::new(&workload.program);
     let mut collector = BbvCollector::for_program(workload.interval_size, &workload.program);
-    let stop = cpu.run_with(max_insts, |r| collector.observe(r))?;
+    let (stop, restarts) =
+        RestartPoints::run_with(&mut cpu, workload.interval_size, max_insts, |r| {
+            collector.observe(r)
+        })?;
     match stop {
-        StopReason::Exited(0) => Ok(collector.finish()),
+        StopReason::Exited(0) => Ok((collector.finish(), restarts)),
         StopReason::Exited(code) => Err(FlowError::SelfCheckFailed(code)),
         _ => Err(FlowError::NoExit),
     }
@@ -774,6 +784,39 @@ mod tests {
             warmup_insts: 1_000,
             max_profile_insts: 500_000_000,
             ..FlowConfig::default()
+        }
+    }
+
+    #[test]
+    fn capture_via_restarts_matches_capture_from_the_entry_for_every_workload() {
+        use rv_isa::checkpoint::{checkpoints_at, checkpoints_from, Checkpoint};
+        use rv_isa::codec::ByteWriter;
+        let encoded = |cks: Vec<Checkpoint>| -> Vec<Vec<u8>> {
+            cks.iter()
+                .map(|ck| {
+                    let mut w = ByteWriter::new();
+                    ck.encode(&mut w);
+                    w.into_bytes()
+                })
+                .collect()
+        };
+        for w in rv_workloads::all(Scale::Test) {
+            let (bbv, restarts) = profile(&w, u64::MAX).unwrap();
+            let at = restarts.positions();
+            assert!(at.len() > 2 && at.len() <= RestartPoints::BUDGET, "{}: {at:?}", w.name);
+            // Before the first restart past the entry, on and just after
+            // every restart, inside the last stretch, and past the exit.
+            let mut points = vec![at[1] / 2];
+            for &x in &at[1..] {
+                points.extend([x, x + 1]);
+            }
+            points.push((at[at.len() - 1] + bbv.total_insts) / 2);
+            points.retain(|&p| p < bbv.total_insts);
+            points.push(bbv.total_insts + 1_000);
+            let resumed = encoded(checkpoints_from(restarts, &points).unwrap());
+            let entry = encoded(checkpoints_at(&w.program, &points).unwrap());
+            assert_eq!(resumed.len(), points.len());
+            assert!(resumed == entry, "{}: a resumed checkpoint differs", w.name);
         }
     }
 

@@ -15,7 +15,8 @@
 //!   *and* the cycle-level out-of-order core model (`boom-uarch`), so that
 //!   golden-model co-simulation agrees by construction.
 //! * [`mem::Memory`] — a physical memory with a contiguous flat fast-path
-//!   region (program image + stack) backed by sparse overflow pages.
+//!   region (program image + stack) backed by sparse overflow pages; it
+//!   tracks the flat pages it holds, so snapshots cost what was written.
 //! * [`image::DecodedImage`] — the text segment predecoded once at load,
 //!   shared behind `Arc` by every simulator and worker thread.
 //! * [`cpu::Cpu`] — a fast functional (architectural) simulator with syscall
@@ -23,7 +24,9 @@
 //! * [`asm::Assembler`] — a label-resolving macro-assembler DSL used to write
 //!   the MiBench/Embench-style workloads in `rv-workloads`.
 //! * [`checkpoint::Checkpoint`] — architectural checkpoints (the Spike role
-//!   in the paper's Fig. 4) that can be restored into any simulator.
+//!   in the paper's Fig. 4) that can be restored into any simulator, and
+//!   [`checkpoint::RestartPoints`], the CPUs a profiling pass parks so
+//!   capture can resume instead of re-running from the entry.
 //! * [`bbv`] — per-interval basic-block vector collection (the gem5 role in
 //!   the paper's Fig. 4), consumed by the `simpoint` crate.
 //!

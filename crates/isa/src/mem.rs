@@ -8,6 +8,12 @@
 //! back to 4 KiB overflow pages (with a one-entry last-page cache), which
 //! preserves the sparse 64-bit address space and the zeroed-DRAM
 //! convention: reads of untouched memory return zero everywhere.
+//!
+//! The region is a 16 MiB reservation, but a program writes only a small
+//! part of it. A bitmap of *held* flat pages — every page a write has
+//! touched, plus those a frozen base holds — lets clones, serialization
+//! and footprint accounting visit only the pages the program wrote, so
+//! their cost follows the program, not the reservation.
 
 use crate::codec::{ByteReader, ByteWriter, CodecError};
 use std::collections::HashMap;
@@ -35,6 +41,8 @@ const FLAT_ALLOC_FLOOR: usize = 33 * 1024 * 1024;
 
 type Page = [u8; PAGE_SIZE as usize];
 
+const ZERO_PAGE: Page = [0; PAGE_SIZE as usize];
+
 /// A sparse 64-bit physical address space: one contiguous flat region for
 /// the program's footprint, 4 KiB overflow pages everywhere else.
 ///
@@ -49,9 +57,14 @@ pub struct Memory {
     flat_base: u64,
     /// Flat backing store for `[flat_base, flat_base + flat.len())`.
     /// A `Vec` so the allocation can be padded to [`FLAT_ALLOC_FLOOR`]
-    /// while the logical length stays the reserved size (clones copy
-    /// only the logical length).
+    /// while the logical length stays the reserved size.
     flat: Vec<u8>,
+    /// One bit per flat page: set ⇒ the page's authoritative copy lives
+    /// in `flat`. In owned mode these are the pages written since the
+    /// reservation (every other page is zero); in copy-on-write mode,
+    /// the pages written since the freeze (every other page reads from
+    /// the base).
+    held: Vec<u64>,
     /// Overflow page table: page number → index into `page_store`.
     page_index: HashMap<u64, u32>,
     /// Page storage; indices stay stable so `last_page` and clones remain
@@ -61,16 +74,21 @@ pub struct Memory {
     /// overflow page touched by a `&mut` access.
     last_page: (u64, u32),
     /// Copy-on-write base for the flat region. `None` is *owned* mode:
-    /// `flat` is authoritative and accesses behave exactly as before CoW
-    /// existed. [`Memory::freeze_flat`] moves the flat contents behind
-    /// this `Arc`; from then on `flat` is a same-length local overlay and
-    /// only pages whose bit is set in `cow_dirty` have been copied into
-    /// it. Checkpoints freeze once after capture so every per-SimPoint
-    /// clone shares the base instead of copying the whole footprint.
-    cow_base: Option<Arc<Vec<u8>>>,
-    /// One bit per flat page (only meaningful in CoW mode): set ⇒ the
-    /// page lives in `flat`, clear ⇒ read it from `cow_base`.
-    cow_dirty: Vec<u64>,
+    /// `flat` is authoritative. [`Memory::freeze_flat`] moves the flat
+    /// contents and their page set behind this `Arc`; from then on
+    /// `flat` is a same-length local overlay holding only the pages
+    /// written since. Checkpoints freeze once after capture so every
+    /// per-SimPoint clone shares the base instead of copying the
+    /// footprint.
+    base: Option<Arc<FlatBase>>,
+}
+
+/// The frozen flat contents a copy-on-write [`Memory`] reads through to.
+#[derive(Debug)]
+struct FlatBase {
+    bytes: Vec<u8>,
+    /// The pages `bytes` holds (every other page is zero).
+    held: Vec<u64>,
 }
 
 /// Sentinel page number that can never match a real address (addresses
@@ -86,73 +104,59 @@ fn zeroed_flat(len: usize) -> Vec<u8> {
     flat
 }
 
-/// Iterator over the set bit positions (page indices) of a dirty bitmap.
-struct DirtyPages<'a> {
-    words: &'a [u64],
-    word_idx: usize,
-    current: u64,
+/// An all-clear page bitmap for a flat region of `len` bytes.
+fn page_bitmap(len: usize) -> Vec<u64> {
+    vec![0; len.div_ceil(PAGE_SIZE as usize).div_ceil(64)]
 }
 
-impl<'a> DirtyPages<'a> {
-    fn new(words: &'a [u64]) -> DirtyPages<'a> {
-        DirtyPages { words, word_idx: 0, current: words.first().copied().unwrap_or(0) }
-    }
+#[inline]
+fn bit_is_set(words: &[u64], page: usize) -> bool {
+    (words[page / 64] >> (page % 64)) & 1 != 0
 }
 
-impl Iterator for DirtyPages<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        while self.current == 0 {
-            self.word_idx += 1;
-            self.current = *self.words.get(self.word_idx)?;
-        }
-        let bit = self.current.trailing_zeros() as usize;
-        self.current &= self.current - 1;
-        Some(self.word_idx * 64 + bit)
-    }
+/// The set bit positions (page indices) of a bitmap, ascending.
+fn set_bits(words: impl Iterator<Item = u64>) -> impl Iterator<Item = usize> {
+    words.enumerate().flat_map(|(i, mut word)| {
+        std::iter::from_fn(move || {
+            (word != 0).then(|| {
+                let bit = word.trailing_zeros() as usize;
+                word &= word - 1;
+                i * 64 + bit
+            })
+        })
+    })
 }
 
 impl Clone for Memory {
-    /// Clones with a *sparse* copy of the flat region: the fresh buffer
-    /// comes back from the kernel already zeroed (see
-    /// [`FLAT_ALLOC_FLOOR`]), so all-zero source pages are skipped
-    /// rather than copied. Checkpoints clone one `Memory` per SimPoint;
-    /// skipping untouched pages keeps each clone's resident size at the
-    /// workload's real footprint instead of the full flat reservation.
+    /// Copies only the held flat pages into a fresh buffer, which comes
+    /// back from the kernel already zeroed (see [`FLAT_ALLOC_FLOOR`]), so
+    /// a clone costs O(pages held) and its resident size is the
+    /// program's real footprint, not the reservation. An owned clone
+    /// also skips held pages that read as zero; in copy-on-write mode
+    /// such a page may shadow a non-zero base page, so it is kept, and
+    /// the base itself is shared, not copied.
     fn clone(&self) -> Memory {
-        let flat = if self.flat.is_empty() {
-            Vec::new()
-        } else if self.cow_base.is_some() {
-            // CoW mode: the shared base carries the image; only pages
-            // dirtied since the freeze live in `flat`, so the clone
-            // copies those and nothing else. Cost is O(dirty pages +
-            // bitmap), independent of the workload footprint.
-            let mut flat = zeroed_flat(self.flat.len());
-            for page in DirtyPages::new(&self.cow_dirty) {
-                let off = page * PAGE_SIZE as usize;
-                flat[off..off + PAGE_SIZE as usize]
-                    .copy_from_slice(&self.flat[off..off + PAGE_SIZE as usize]);
-            }
-            flat
-        } else {
-            let mut flat = zeroed_flat(self.flat.len());
-            const ZERO_PAGE: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
-            for (i, chunk) in self.flat.chunks(PAGE_SIZE as usize).enumerate() {
-                if chunk != &ZERO_PAGE[..chunk.len()] {
-                    flat[i * PAGE_SIZE as usize..][..chunk.len()].copy_from_slice(chunk);
+        let mut flat = Vec::new();
+        let mut held = page_bitmap(self.flat.len());
+        if !self.flat.is_empty() {
+            flat = zeroed_flat(self.flat.len());
+            for page in set_bits(self.held.iter().copied()) {
+                let range = page * PAGE_SIZE as usize..(page + 1) * PAGE_SIZE as usize;
+                let src = &self.flat[range.clone()];
+                if self.base.is_some() || src != ZERO_PAGE {
+                    flat[range].copy_from_slice(src);
+                    held[page / 64] |= 1 << (page % 64);
                 }
             }
-            flat
-        };
+        }
         Memory {
             flat_base: self.flat_base,
             flat,
+            held,
             page_index: self.page_index.clone(),
             page_store: self.page_store.clone(),
             last_page: self.last_page,
-            cow_base: self.cow_base.clone(),
-            cow_dirty: self.cow_dirty.clone(),
+            base: self.base.clone(),
         }
     }
 }
@@ -162,11 +166,11 @@ impl Default for Memory {
         Memory {
             flat_base: 0,
             flat: Vec::new(),
+            held: Vec::new(),
             page_index: HashMap::new(),
             page_store: Vec::new(),
             last_page: NO_PAGE,
-            cow_base: None,
-            cow_dirty: Vec::new(),
+            base: None,
         }
     }
 }
@@ -202,93 +206,110 @@ impl Memory {
         // FLAT_ALLOC_FLOOR keeps it on the untouched-mmap path (see the
         // constant's doc comment). `truncate` only adjusts the length.
         self.flat = zeroed_flat(len as usize);
+        self.held = page_bitmap(len as usize);
         // Migrate overlapping overflow pages; their `page_store` slots are
         // orphaned (not freed) so other indices stay valid.
         let first_pn = start / PAGE_SIZE;
         let last_pn = first_pn + len / PAGE_SIZE;
         for pn in first_pn..last_pn {
             if let Some(idx) = self.page_index.remove(&pn) {
-                let dst = ((pn - first_pn) * PAGE_SIZE) as usize;
+                let page = (pn - first_pn) as usize;
+                let dst = page * PAGE_SIZE as usize;
                 self.flat[dst..dst + PAGE_SIZE as usize]
                     .copy_from_slice(&self.page_store[idx as usize][..]);
+                self.held[page / 64] |= 1 << (page % 64);
             }
         }
         self.last_page = NO_PAGE;
     }
 
     /// Converts the flat region from owned to copy-on-write: the current
-    /// contents move behind a shared `Arc` and `flat` becomes an all-zero
-    /// same-length overlay with an empty dirty bitmap. Subsequent clones
-    /// share the base and copy only pages dirtied after the freeze, so a
-    /// clone's cost is O(dirty pages) instead of O(footprint).
+    /// contents and their page set move behind a shared `Arc`, and `flat`
+    /// becomes an all-zero same-length overlay holding no pages.
+    /// Subsequent clones share the base and copy only pages written
+    /// after the freeze.
     ///
     /// Reads and writes behave identically before and after freezing
     /// (writes materialize the touched page from the base first), so
     /// freezing a checkpoint's memory cannot change simulation results.
     /// A no-op when already frozen or when no flat region exists.
     pub fn freeze_flat(&mut self) {
-        if self.cow_base.is_some() || self.flat.is_empty() {
+        if self.base.is_some() || self.flat.is_empty() {
             return;
         }
         let len = self.flat.len();
-        let base = std::mem::replace(&mut self.flat, zeroed_flat(len));
-        self.cow_dirty = vec![0u64; len.div_ceil(PAGE_SIZE as usize).div_ceil(64)];
-        self.cow_base = Some(Arc::new(base));
+        let bytes = std::mem::replace(&mut self.flat, zeroed_flat(len));
+        let held = std::mem::replace(&mut self.held, page_bitmap(len));
+        self.base = Some(Arc::new(FlatBase { bytes, held }));
     }
 
     /// Whether the flat region is in copy-on-write mode (see
     /// [`Memory::freeze_flat`]).
     pub fn is_frozen(&self) -> bool {
-        self.cow_base.is_some()
+        self.base.is_some()
     }
 
-    /// Number of flat pages copied out of the CoW base by writes since
-    /// the freeze (0 in owned mode).
+    /// Number of flat pages held in the local buffer rather than the
+    /// copy-on-write base: in copy-on-write mode, those written since
+    /// the freeze; in owned mode, every flat page held.
     pub fn dirty_page_count(&self) -> usize {
-        self.cow_dirty.iter().map(|w| w.count_ones() as usize).sum()
+        self.held.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// Word `i` of the page set this memory holds: its own pages plus
+    /// those of its copy-on-write base.
     #[inline]
-    fn page_is_dirty(&self, page: usize) -> bool {
-        (self.cow_dirty[page / 64] >> (page % 64)) & 1 != 0
+    fn held_word(&self, i: usize) -> u64 {
+        self.held[i] | self.base.as_ref().map_or(0, |b| b.held[i])
     }
 
     /// Ensures every flat page overlapping `[off, off + len)` (flat
-    /// offsets) is materialized in the local overlay; only called in CoW
-    /// mode. The already-dirty case (the steady state) stays inline; the
-    /// once-per-page copy is out of line.
+    /// offsets, `len > 0`) is held locally, ahead of a write. The steady
+    /// state — one page, already held — is a single bit test inline;
+    /// taking pages is out of line.
     #[inline]
-    fn materialize(&mut self, off: u64, len: u64) {
-        let first = (off / PAGE_SIZE) as usize;
-        let last = ((off + len - 1) / PAGE_SIZE) as usize;
-        for page in first..=last {
-            if !self.page_is_dirty(page) {
-                self.copy_page_from_base(page);
-            }
+    fn hold(&mut self, off: u64, len: u64) {
+        let page = (off / PAGE_SIZE) as usize;
+        if (off & PAGE_MASK) + len > PAGE_SIZE || !bit_is_set(&self.held, page) {
+            self.take_pages(off, len);
         }
     }
 
+    /// Marks every page of `[off, off + len)` held, first copying each
+    /// newly held one out of the copy-on-write base if the base holds it
+    /// (otherwise the local page is already zero).
     #[cold]
-    fn copy_page_from_base(&mut self, page: usize) {
-        let Some(base) = &self.cow_base else { return };
-        let b = page * PAGE_SIZE as usize;
-        let e = (b + PAGE_SIZE as usize).min(base.len());
-        self.flat[b..e].copy_from_slice(&base[b..e]);
-        self.cow_dirty[page / 64] |= 1 << (page % 64);
+    #[inline(never)]
+    fn take_pages(&mut self, off: u64, len: u64) {
+        let first = (off / PAGE_SIZE) as usize;
+        let last = ((off + len - 1) / PAGE_SIZE) as usize;
+        for page in first..=last {
+            if bit_is_set(&self.held, page) {
+                continue;
+            }
+            if let Some(base) = &self.base {
+                if bit_is_set(&base.held, page) {
+                    let b = page * PAGE_SIZE as usize;
+                    self.flat[b..b + PAGE_SIZE as usize]
+                        .copy_from_slice(&base.bytes[b..b + PAGE_SIZE as usize]);
+                }
+            }
+            self.held[page / 64] |= 1 << (page % 64);
+        }
     }
 
     /// The buffer holding the authoritative copy of the flat page that
-    /// contains flat offset `off` (local overlay if dirty or owned, the
+    /// contains flat offset `off` (the local buffer if held or owned, the
     /// shared base otherwise).
     #[inline]
     fn flat_src(&self, off: u64) -> &[u8] {
-        match &self.cow_base {
+        match &self.base {
             None => &self.flat,
             Some(base) => {
-                if self.page_is_dirty((off / PAGE_SIZE) as usize) {
+                if bit_is_set(&self.held, (off / PAGE_SIZE) as usize) {
                     &self.flat
                 } else {
-                    base
+                    &base.bytes
                 }
             }
         }
@@ -300,21 +321,26 @@ impl Memory {
         self.page_index.len()
     }
 
-    /// Total bytes of backing storage (flat region + overflow pages).
+    /// Bytes of backing storage held: the held flat pages (local or in
+    /// the copy-on-write base) plus the overflow pages. Unwritten pages
+    /// of the flat reservation are not counted.
     pub fn footprint_bytes(&self) -> usize {
-        self.flat.len() + self.page_index.len() * PAGE_SIZE as usize
+        let flat_pages: usize =
+            (0..self.held.len()).map(|i| self.held_word(i).count_ones() as usize).sum();
+        (flat_pages + self.page_index.len()) * PAGE_SIZE as usize
     }
 
-    /// Iterates over `(page_base_address, page_bytes)` for all backed
-    /// pages: the flat region in page-sized chunks, then overflow pages.
+    /// Iterates over `(page_base_address, page_bytes)` for all held
+    /// pages: the held flat pages in ascending order, then the overflow
+    /// pages. Pages not listed read as zero.
     pub fn pages(&self) -> impl Iterator<Item = (u64, &[u8])> {
         // In CoW mode each flat page reads from whichever buffer is
         // authoritative for it (reserve_flat page-aligns the region, so
-        // chunks are always full pages).
-        let flat = (0..self.flat.len() / PAGE_SIZE as usize).map(move |i| {
-            let off = i as u64 * PAGE_SIZE;
-            let src = self.flat_src(off);
-            (self.flat_base + off, &src[off as usize..off as usize + PAGE_SIZE as usize])
+        // pages are always full).
+        let flat = set_bits((0..self.held.len()).map(|i| self.held_word(i))).map(move |page| {
+            let off = page * PAGE_SIZE as usize;
+            let src = self.flat_src(off as u64);
+            (self.flat_base + off as u64, &src[off..off + PAGE_SIZE as usize])
         });
         let overflow = self
             .page_index
@@ -340,7 +366,7 @@ impl Memory {
                 Some(&idx) => idx,
                 None => {
                     let idx = self.page_store.len() as u32;
-                    self.page_store.push(Box::new([0; PAGE_SIZE as usize]));
+                    self.page_store.push(Box::new(ZERO_PAGE));
                     self.page_index.insert(pn, idx);
                     idx
                 }
@@ -368,9 +394,7 @@ impl Memory {
     pub fn write_u8(&mut self, addr: u64, value: u8) {
         let off = addr.wrapping_sub(self.flat_base);
         if off < self.flat.len() as u64 {
-            if self.cow_base.is_some() {
-                self.materialize(off, 1);
-            }
+            self.hold(off, 1);
             self.flat[off as usize] = value;
             return;
         }
@@ -386,7 +410,7 @@ impl Memory {
         if off < flen && size <= flen - off {
             // In CoW mode a page-straddling access may span a dirty and a
             // clean page; fall back to the byte-wise path for those.
-            if self.cow_base.is_some() && (off & PAGE_MASK) + size > PAGE_SIZE {
+            if self.base.is_some() && (off & PAGE_MASK) + size > PAGE_SIZE {
                 let mut v = 0u64;
                 for i in 0..size {
                     v |= (self.read_u8(addr.wrapping_add(i)) as u64) << (8 * i);
@@ -436,9 +460,7 @@ impl Memory {
         let off = addr.wrapping_sub(self.flat_base);
         let flen = self.flat.len() as u64;
         if off < flen && size <= flen - off {
-            if self.cow_base.is_some() {
-                self.materialize(off, size);
-            }
+            self.hold(off, size);
             let off = off as usize;
             // Fixed-width stores per size, as in [`Memory::read`].
             match size {
@@ -482,9 +504,7 @@ impl Memory {
             let flen = self.flat.len() as u64;
             let n = if fo < flen {
                 let n = rest.len().min((flen - fo) as usize);
-                if self.cow_base.is_some() {
-                    self.materialize(fo, n as u64);
-                }
+                self.hold(fo, n as u64);
                 let fo = fo as usize;
                 self.flat[fo..fo + n].copy_from_slice(&rest[..n]);
                 n
@@ -520,9 +540,10 @@ impl Memory {
     }
 
     /// Serializes the full memory state: the flat-region geometry, the
-    /// freeze flag, and every non-zero backed page. Zero pages are
-    /// skipped — reads of unbacked memory return zero anyway, so the
-    /// decoded memory reads identically at every address.
+    /// freeze flag, and every non-zero held page in address order. Zero
+    /// pages are skipped — reads of unbacked memory return zero anyway,
+    /// so the decoded memory reads identically at every address. The
+    /// cost follows the pages held, not the flat reservation.
     pub fn encode(&self, w: &mut ByteWriter) {
         w.put_bool(self.is_frozen());
         match self.flat_range() {
@@ -533,7 +554,6 @@ impl Memory {
                 w.put_u64(end - base);
             }
         }
-        const ZERO_PAGE: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
         let mut pages: Vec<(u64, &[u8])> =
             self.pages().filter(|&(_, p)| p != &ZERO_PAGE[..]).collect();
         pages.sort_by_key(|&(base, _)| base);
@@ -628,7 +648,8 @@ mod tests {
         m.write(0x8000_0008, 8, 0x0123_4567_89AB_CDEF);
         assert_eq!(m.read(0x8000_0008, 8), 0x0123_4567_89AB_CDEF);
         assert_eq!(m.page_count(), 0, "flat writes allocate no overflow pages");
-        assert_eq!(m.footprint_bytes(), 2 * PAGE_SIZE as usize);
+        assert_eq!(m.flat_range(), Some((0x8000_0000, 0x8000_0000 + 2 * PAGE_SIZE)));
+        assert_eq!(m.footprint_bytes(), PAGE_SIZE as usize, "only the written page is held");
     }
 
     #[test]
@@ -663,10 +684,10 @@ mod tests {
     fn reserve_flat_is_idempotent_and_capped() {
         let mut m = Memory::new();
         m.reserve_flat(0, u64::MAX);
-        assert_eq!(m.footprint_bytes() as u64, FLAT_MAX, "reservation capped");
-        let before = m.footprint_bytes();
+        assert_eq!(m.flat_range(), Some((0, FLAT_MAX)), "reservation capped");
+        assert_eq!(m.footprint_bytes(), 0, "a reservation holds no pages until written");
         m.reserve_flat(0x9000_0000, 0xA000_0000);
-        assert_eq!(m.footprint_bytes(), before, "second reservation is a no-op");
+        assert_eq!(m.flat_range(), Some((0, FLAT_MAX)), "second reservation is a no-op");
     }
 
     #[test]
@@ -812,9 +833,9 @@ mod tests {
     fn freeze_is_idempotent() {
         let mut m = seeded();
         m.freeze_flat();
-        let base = m.cow_base.clone().unwrap();
+        let base = m.base.clone().unwrap();
         m.freeze_flat();
-        assert!(Arc::ptr_eq(&base, m.cow_base.as_ref().unwrap()));
+        assert!(Arc::ptr_eq(&base, m.base.as_ref().unwrap()));
     }
 
     /// Reads every backed page of both memories and asserts bit equality.
@@ -892,9 +913,12 @@ mod tests {
         let mut m = Memory::new();
         m.reserve_flat(0x8000_0000, 0x8000_0000 + 2 * PAGE_SIZE);
         m.write(0x1000, 1, 7);
+        m.write(0x8000_0000 + PAGE_SIZE + 8, 1, 9);
+        // Pages held: the written overflow page and the written flat
+        // page, not the untouched rest of the reservation.
         let mut bases: Vec<u64> = m.pages().map(|(b, _)| b).collect();
         bases.sort_unstable();
-        assert_eq!(bases, vec![0x1000, 0x8000_0000, 0x8000_0000 + PAGE_SIZE]);
+        assert_eq!(bases, vec![0x1000, 0x8000_0000 + PAGE_SIZE]);
         assert!(m.pages().all(|(_, p)| p.len() == PAGE_SIZE as usize));
     }
 }

@@ -4,13 +4,15 @@
 use proptest::prelude::*;
 use rv_isa::asm::Assembler;
 use rv_isa::checkpoint::Checkpoint;
+use rv_isa::codec::{ByteReader, ByteWriter};
 use rv_isa::cpu::Cpu;
 use rv_isa::inst::{
     AluOp, BrCond, CvtInt, FmaOp, FpCmp, FpFmt, FpOp, Inst, LoadKind, MulOp, Rm, StoreKind,
 };
-use rv_isa::mem::Memory;
+use rv_isa::mem::{Memory, PAGE_SIZE};
 use rv_isa::reg::{FReg, Reg};
 use rv_isa::{decode, encode};
+use std::collections::{HashMap, HashSet};
 
 fn any_reg() -> impl Strategy<Value = Reg> {
     (0u32..32).prop_map(Reg::from_index)
@@ -26,6 +28,56 @@ fn imm12() -> impl Strategy<Value = i32> {
 
 fn any_fmt() -> impl Strategy<Value = FpFmt> {
     prop_oneof![Just(FpFmt::S), Just(FpFmt::D)]
+}
+
+/// Base of the flat region in the memory model tests: four pages, with
+/// two overflow pages on either side.
+const FLAT: u64 = 0x8000_0000;
+const MODEL_LO: u64 = FLAT - 2 * PAGE_SIZE;
+const MODEL_HI: u64 = FLAT + 6 * PAGE_SIZE;
+
+/// One step of the memory model test: `(kind, address, size selector,
+/// value)`. Kinds 0–5 write one access, 6 writes a byte run, 7 freezes,
+/// 8 clones, 9 round-trips through encode/decode.
+type MemOp = (u32, u64, usize, u64);
+
+fn mem_op() -> impl Strategy<Value = MemOp> {
+    // Offsets cluster at page starts and ends so accesses straddle pages
+    // and both edges of the flat region.
+    let in_page = prop_oneof![0u64..16, (PAGE_SIZE - 12)..PAGE_SIZE, 0..PAGE_SIZE];
+    let addr = (0u64..8, in_page).prop_map(|(page, off)| MODEL_LO + page * PAGE_SIZE + off);
+    let value = prop_oneof![Just(0u64), any::<u64>()];
+    (0u32..10, addr, 0usize..4, value)
+}
+
+fn model_read(model: &HashMap<u64, u8>, addr: u64, size: u64) -> u64 {
+    (0..size).fold(0, |v, i| v | (model.get(&(addr + i)).copied().unwrap_or(0) as u64) << (8 * i))
+}
+
+/// Asserts that `m` reads as `model` at every byte of the tested range and
+/// that its held pages are exactly what it reports: they cover every
+/// non-zero byte, carry the model's contents, and make up its footprint.
+fn assert_matches_model(m: &Memory, model: &HashMap<u64, u8>) {
+    for a in MODEL_LO..MODEL_HI {
+        assert_eq!(m.read_u8(a), model.get(&a).copied().unwrap_or(0), "byte at {a:#x}");
+    }
+    let mut held = HashSet::new();
+    for (base, bytes) in m.pages() {
+        assert!(held.insert(base), "page {base:#x} listed twice");
+        for (i, &b) in bytes.iter().enumerate() {
+            assert_eq!(b, model.get(&(base + i as u64)).copied().unwrap_or(0));
+        }
+    }
+    for (&a, &v) in model {
+        assert!(v == 0 || held.contains(&(a & !(PAGE_SIZE - 1))), "{a:#x} not held");
+    }
+    assert_eq!(m.footprint_bytes(), held.len() * PAGE_SIZE as usize);
+}
+
+fn encoded(m: &Memory) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    m.encode(&mut w);
+    w.into_bytes()
 }
 
 /// A strategy over every valid instruction form.
@@ -246,6 +298,63 @@ proptest! {
         m.write(addr, size, value);
         let mask = if size == 8 { u64::MAX } else { (1u64 << (8 * size)) - 1 };
         prop_assert_eq!(m.read(addr, size), value & mask);
+    }
+
+    /// `Memory` agrees with a byte-map reference model under any mix of
+    /// writes (zero writes over non-zero pages included), freezes, clones
+    /// and encode/decode round trips, in owned and frozen mode, with
+    /// accesses straddling pages and the flat region's edges. Clones stay
+    /// independent of the memory they were taken from.
+    #[test]
+    fn memory_matches_a_byte_map_model(ops in proptest::collection::vec(mem_op(), 1..48)) {
+        let mut m = Memory::new();
+        m.reserve_flat(FLAT, FLAT + 4 * PAGE_SIZE);
+        let mut model: HashMap<u64, u8> = HashMap::new();
+        let mut parked = Vec::new();
+        for (kind, addr, size_sel, value) in ops {
+            let size = [1u64, 2, 4, 8][size_sel];
+            match kind {
+                0..=5 => {
+                    m.write(addr, size, value);
+                    for i in 0..size {
+                        model.insert(addr + i, (value >> (8 * i)) as u8);
+                    }
+                }
+                6 => {
+                    let bytes: Vec<u8> = (0..(value % (PAGE_SIZE + 64)) + 1)
+                        .map(|i| if value & 1 == 0 { 0 } else { (i as u8) ^ (value as u8) })
+                        .collect();
+                    m.write_bytes(addr, &bytes);
+                    for (i, &b) in bytes.iter().enumerate() {
+                        model.insert(addr + i as u64, b);
+                    }
+                }
+                7 => m.freeze_flat(),
+                8 => {
+                    // Keep writing to one of the pair; check the other
+                    // against the model as it stood, at the end.
+                    let c = m.clone();
+                    let old = if value & 1 == 0 { std::mem::replace(&mut m, c) } else { c };
+                    parked.push((old, model.clone()));
+                }
+                _ => {
+                    let bytes = encoded(&m);
+                    let mut r = ByteReader::new(&bytes);
+                    let d = Memory::decode(&mut r).unwrap();
+                    r.finish().unwrap();
+                    prop_assert_eq!(d.is_frozen(), m.is_frozen());
+                    prop_assert_eq!(encoded(&d), bytes);
+                    m = d;
+                }
+            }
+            for width in [1u64, 2, 4, 8] {
+                prop_assert_eq!(m.read(addr, width), model_read(&model, addr, width));
+            }
+        }
+        assert_matches_model(&m, &model);
+        for (old, old_model) in &parked {
+            assert_matches_model(old, old_model);
+        }
     }
 
     /// Checkpoint + restore mid-run reproduces the exact final state of an

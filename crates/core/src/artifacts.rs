@@ -48,7 +48,7 @@ use crate::sync::lock;
 use boom_uarch::BoomConfig;
 use rv_isa::bbv::BbvProfile;
 use rv_isa::checkpoint::{checkpoints_from, Checkpoint, RestartPoints, SharedCheckpoint};
-use rv_isa::codec::{fnv1a, ByteReader, ByteWriter, CodecError};
+use rv_isa::codec::{fnv1a, ByteReader, ByteWriter, Codec, CodecError};
 use rv_workloads::Workload;
 use simpoint::{analyze, SimPointAnalysis};
 use std::collections::HashMap;
@@ -72,9 +72,9 @@ type FullRunKey = (u64, u64);
 /// (program, interval size, profiling budget, SimPoint config, warm-up)
 /// and the [`supervision_fingerprint`].
 pub(crate) type PointScope = (CheckpointKey, u64);
-/// Cache key of one memoized point outcome: (config fingerprint,
-/// [`PointScope`], truncation shift, point index) — every input that
-/// changes an outcome.
+/// Cache key of one memoized point outcome: (config record key, which
+/// covers every field but the display name; [`PointScope`]; truncation
+/// shift; point index) — every input that changes an outcome.
 pub(crate) type PointKey = (u64, PointScope, u32, u32);
 
 /// A compute-exactly-once slot: concurrent callers of the same key block
@@ -623,7 +623,7 @@ impl ArtifactStore {
         workload: &Workload,
     ) -> Result<Arc<FullRunResult>, FlowError> {
         let c = &self.counters;
-        let key = (config_fingerprint(cfg), workload.program.fingerprint());
+        let key = (cfg.content_key(), workload.program.fingerprint());
         memoize(
             &self.full_runs,
             key,
@@ -812,14 +812,6 @@ fn decode_points(r: &mut ByteReader<'_>) -> Result<Vec<PlannedPoint>, CodecError
     Ok(points)
 }
 
-/// Stable fingerprint of a configuration for full-run baseline keying
-/// (also part of the campaign journal's matrix fingerprint).
-/// `BoomConfig`'s `Debug` rendering covers every field, so hashing it
-/// distinguishes ablation variants that share a preset name.
-pub(crate) fn config_fingerprint(cfg: &BoomConfig) -> u64 {
-    fnv1a(format!("{cfg:?}").as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -970,14 +962,14 @@ mod tests {
     #[test]
     fn point_key_covers_every_outcome_input() {
         let w = by_name("bitcount", Scale::Test).unwrap();
-        let fp = config_fingerprint(&BoomConfig::medium());
+        let fp = BoomConfig::medium().content_key();
         let key = |cfg_fp, w: &Workload, shift, p_idx: u32| {
             (cfg_fp, ArtifactStore::point_scope(w, &quick_flow()), shift, p_idx)
         };
         let base = key(fp, &w, 0, 0);
         let longer = Workload { interval_size: w.interval_size + 1, ..w.clone() };
         let sha = by_name("sha", Scale::Test).unwrap();
-        let large = config_fingerprint(&BoomConfig::large());
+        let large = BoomConfig::large().content_key();
         for (what, k) in [
             ("config", key(large, &w, 0, 0)),
             ("program", key(fp, &sha, 0, 0)),

@@ -29,6 +29,7 @@ use boom_uarch::{
 use rtl_power::{estimate_core, PowerReport};
 use rv_isa::bbv::{BbvCollector, BbvProfile};
 use rv_isa::checkpoint::RestartPoints;
+use rv_isa::codec::{fnv1a, ByteWriter, Codec};
 use rv_isa::cpu::{Cpu, SimError, StopReason};
 use rv_workloads::Workload;
 use simpoint::SimPointConfig;
@@ -179,20 +180,22 @@ impl PointFailure {
     }
 }
 
-/// Per-simulation-point measurement.
-#[derive(Clone, Debug)]
-pub struct PointResult {
-    /// Index of the represented interval in the BBV profile.
-    pub interval: usize,
-    /// Cluster weight (fraction of execution; re-normalized if points
-    /// were quarantined).
-    pub weight: f64,
-    /// Measured IPC of the interval.
-    pub ipc: f64,
-    /// Power report of the interval.
-    pub power: PowerReport,
-    /// Detailed-simulation activity (measurement window only).
-    pub stats: Stats,
+rv_isa::record! {
+    /// Per-simulation-point measurement.
+    #[derive(Clone, Debug)]
+    pub struct PointResult {
+        /// Index of the represented interval in the BBV profile.
+        pub interval: usize [key],
+        /// Cluster weight (fraction of execution; re-normalized if points
+        /// were quarantined).
+        pub weight: f64 [key],
+        /// Measured IPC of the interval.
+        pub ipc: f64 [key],
+        /// Power report of the interval.
+        pub power: PowerReport [key],
+        /// Detailed-simulation activity (measurement window only).
+        pub stats: Stats [key],
+    }
 }
 
 /// Everything the paper reports for one (configuration, workload) pair.
@@ -369,24 +372,19 @@ pub(crate) fn run_lane(
 }
 
 /// Stable fingerprint of the supervision knobs that change point
-/// *outcomes*: retry policy (attempt counts, perturbed warm-ups,
-/// budgets), outcome-altering fault injection (hang/panic points), and
-/// idle-skip (skipped-cycle stats ride in the outcome). Part of the
-/// store's point-memo key ([`ArtifactStore::point_scope`]) — campaigns,
-/// sweeps and requests that differ in any of these must not share
-/// outcomes, while `kill_after_points` (which only decides *when the
-/// process dies*, never what a completed point contains) deliberately
-/// stays out.
+/// *outcomes*: the [`RetryPolicy`] key (attempt counts, perturbed
+/// warm-ups, budgets), the [`FaultInjection`] key (hang/panic points;
+/// `kill_after_points` is out of key, since it only decides *when the
+/// process dies*, never what a completed point contains), and idle-skip
+/// (skipped-cycle stats ride in the outcome). Part of the store's
+/// point-memo key ([`ArtifactStore::point_scope`]) — campaigns, sweeps
+/// and requests that differ in any of these must not share outcomes.
 pub(crate) fn supervision_fingerprint(flow: &FlowConfig) -> u64 {
-    let tag = format!(
-        "{:?}|{:?}|{:?}|{:?}|{}",
-        flow.retry,
-        flow.inject.hang_point,
-        flow.inject.hang_every_point,
-        flow.inject.panic_point,
-        flow.idle_skip
-    );
-    rv_isa::codec::fnv1a(tag.as_bytes())
+    let mut w = ByteWriter::new();
+    flow.retry.key(&mut w);
+    flow.inject.key(&mut w);
+    w.put_bool(flow.idle_skip);
+    fnv1a(&w.into_bytes())
 }
 
 /// Quarantines failed points, re-normalizes the survivors' weights, and

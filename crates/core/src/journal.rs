@@ -13,8 +13,22 @@
 //! ```text
 //! header:  magic "BFJL" | version u32 | campaign fingerprint u64
 //! record:  payload len u32 | payload | fnv1a-64(payload)
-//! payload: cell index u64 | point index u64 | encoded PointOutcome
+//! payload: cell index u64 | point index u64 | outcome tag u8
+//!          | Ok:  attempts u32 | PointResult   (tag 0)
+//!          | Err: PointFailure                 (tag 1)
 //! ```
+//!
+//! `PointResult` and `PointFailure` encode through their
+//! [`rv_isa::record!`] declarations (field order is encoding order).
+//!
+//! Format history:
+//! 1. The first format.
+//! 2. Stats records gained the memory-system (L2/DRAM) counters and
+//!    watchdog snapshots the L2 MSHRs.
+//! 3. The header fingerprint keys each configuration by its record key,
+//!    which leaves out the display name, instead of hashing its `Debug`
+//!    text; record payloads are byte-identical to version 2. Any other
+//!    version is refused with [`JournalError::Version`].
 //!
 //! Campaigns and sweeps address records alike: cell `cfg_idx · w + w_idx`
 //! over the admitted configurations (co-run cells last), point
@@ -28,29 +42,22 @@
 //! outcome — the worst corruption can do is cost recomputation.
 //!
 //! The header's campaign fingerprint ([`campaign_fingerprint`]) covers
-//! everything that determines point outcomes: the configuration matrix,
-//! the workloads (program fingerprints and interval sizes), and the
-//! [`FlowConfig`] knobs. It deliberately *excludes* scheduling and
-//! fault-injection knobs (`--jobs`, disk I/O faults, kill-after) so a
+//! everything that determines point outcomes: the configuration matrix
+//! (each configuration's record key), the workloads (program
+//! fingerprints and interval sizes), and the [`FlowConfig`] knobs (the
+//! retry and fault-injection records by their keys). It deliberately
+//! *excludes* scheduling and fault-injection knobs (`--jobs`, disk I/O
+//! faults, kill-after) so a
 //! journal written by a killed injection run resumes cleanly into a
 //! clean run. Resuming against a journal whose fingerprint differs is
 //! refused ([`JournalError::FingerprintMismatch`]) rather than silently
 //! replaying stale results.
 
-use crate::artifacts::config_fingerprint;
 use crate::flow::{FlowConfig, PointOutcome, PointResult};
-use crate::supervisor::{FailureKind, PointFailure};
+use crate::supervisor::PointFailure;
 use crate::sync::lock;
-use boom_uarch::rob::UopState;
-use boom_uarch::stats::{
-    CacheStats, IssueQueueStats, MemSysStats, PredictorStats, RenameStats, Stats,
-};
-use boom_uarch::watchdog::{
-    IssueQueueView, LsuView, MshrView, OldestEntryView, RobHeadView, WatchdogSnapshot,
-};
 use boom_uarch::BoomConfig;
-use rtl_power::{Component, PowerBreakdown, PowerReport};
-use rv_isa::codec::{fnv1a, ByteReader, ByteWriter, CodecError};
+use rv_isa::codec::{fnv1a, ByteReader, ByteWriter, Codec, CodecError};
 use rv_workloads::Workload;
 use std::collections::HashMap;
 use std::fmt;
@@ -60,11 +67,11 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 const MAGIC: &[u8; 4] = b"BFJL";
-/// Version 2: stats records carry the memory-system (L2/DRAM) counters
-/// and watchdog snapshots carry L2 MSHRs. Version-1 journals are
-/// rejected on resume (the campaign restarts from scratch) rather than
-/// misdecoded.
-const VERSION: u32 = 2;
+/// Version 3: the config key no longer hashes the display name, so a
+/// version-2 header fingerprint would never match; older journals are
+/// refused with [`JournalError::Version`] rather than misread (format
+/// history in the module docs).
+const VERSION: u32 = 3;
 /// magic + version + campaign fingerprint.
 const HEADER_LEN: usize = 4 + 4 + 8;
 
@@ -73,9 +80,16 @@ const HEADER_LEN: usize = 4 + 4 + 8;
 pub enum JournalError {
     /// The underlying file operation failed.
     Io(std::io::Error),
-    /// The file exists but is not a journal (bad magic, bad version, or
-    /// shorter than a header).
+    /// The file exists but is not a journal (bad magic, or shorter than
+    /// a header).
     BadHeader,
+    /// The file is a journal of another format version.
+    Version {
+        /// Version recorded in the journal header.
+        found: u32,
+        /// Version this build reads and writes.
+        expected: u32,
+    },
     /// The journal was written by a campaign with different
     /// configurations, workloads, or flow parameters.
     FingerprintMismatch {
@@ -91,6 +105,11 @@ impl fmt::Display for JournalError {
         match self {
             JournalError::Io(e) => write!(f, "journal I/O error: {e}"),
             JournalError::BadHeader => write!(f, "not a campaign journal (bad header)"),
+            JournalError::Version { found, expected } => write!(
+                f,
+                "journal format version {found} is not supported (this build reads version \
+                 {expected})"
+            ),
             JournalError::FingerprintMismatch { expected, found } => write!(
                 f,
                 "journal belongs to a different campaign \
@@ -168,7 +187,8 @@ impl CampaignJournal {
     /// # Errors
     ///
     /// Returns [`JournalError::BadHeader`] if the file is not a
-    /// journal, [`JournalError::FingerprintMismatch`] if it belongs to
+    /// journal, [`JournalError::Version`] if it has another format
+    /// version, [`JournalError::FingerprintMismatch`] if it belongs to
     /// a different campaign, and [`JournalError::Io`] on read/reopen
     /// failures.
     pub fn resume(
@@ -181,7 +201,7 @@ impl CampaignJournal {
         }
         let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
         if version != VERSION {
-            return Err(JournalError::BadHeader);
+            return Err(JournalError::Version { found: version, expected: VERSION });
         }
         let mut fp = [0u8; 8];
         fp.copy_from_slice(&bytes[8..16]);
@@ -282,7 +302,7 @@ pub fn campaign_fingerprint_with(
     let mut w = ByteWriter::new();
     w.put_usize(cfgs.len());
     for cfg in cfgs {
-        w.put_u64(config_fingerprint(cfg));
+        w.put_u64(cfg.content_key());
     }
     w.put_usize(workloads.len());
     for wl in workloads {
@@ -293,14 +313,8 @@ pub fn campaign_fingerprint_with(
     w.put_u64(flow.simpoint.cache_fingerprint());
     w.put_u64(flow.warmup_insts);
     w.put_u64(flow.max_profile_insts);
-    w.put_u32(flow.retry.max_attempts);
-    w.put_f64(flow.retry.warmup_perturb);
-    put_opt_u64(&mut w, flow.retry.cycle_budget);
-    w.put_f64(flow.retry.budget_backoff);
-    put_opt_u64(&mut w, flow.retry.wall_clock.map(|d| d.as_millis() as u64));
-    put_opt_u64(&mut w, flow.inject.hang_point.map(|p| p as u64));
-    w.put_bool(flow.inject.hang_every_point);
-    put_opt_u64(&mut w, flow.inject.panic_point.map(|p| p as u64));
+    flow.retry.key(&mut w);
+    flow.inject.key(&mut w);
     // Single-core campaigns hash exactly as before version 2: the co-run
     // block is appended only when present.
     if !co_runs.is_empty() {
@@ -346,28 +360,25 @@ pub fn sweep_fingerprint(
 }
 
 // ---------------------------------------------------------------------
-// Record payload codec.
+// Record payload codec: the address, then an outcome tag, then the
+// record (`attempts` precedes a successful point's result).
 // ---------------------------------------------------------------------
-
-fn put_opt_u64(w: &mut ByteWriter, v: Option<u64>) {
-    match v {
-        None => w.put_bool(false),
-        Some(x) => {
-            w.put_bool(true);
-            w.put_u64(x);
-        }
-    }
-}
-
-fn take_opt_u64(r: &mut ByteReader<'_>) -> Result<Option<u64>, CodecError> {
-    Ok(if r.bool()? { Some(r.u64()?) } else { None })
-}
 
 fn encode_record(c_idx: usize, p_idx: usize, outcome: &PointOutcome) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_usize(c_idx);
     w.put_usize(p_idx);
-    encode_outcome(&mut w, outcome);
+    match outcome {
+        Ok((result, attempts)) => {
+            w.put_u8(0);
+            w.put_u32(*attempts);
+            result.encode(&mut w);
+        }
+        Err(failure) => {
+            w.put_u8(1);
+            failure.encode(&mut w);
+        }
+    }
     w.into_bytes()
 }
 
@@ -375,529 +386,28 @@ fn decode_record(payload: &[u8]) -> Result<(usize, usize, PointOutcome), CodecEr
     let mut r = ByteReader::new(payload);
     let c_idx = r.usize()?;
     let p_idx = r.usize()?;
-    let outcome = decode_outcome(&mut r)?;
-    r.finish()?;
-    Ok((c_idx, p_idx, outcome))
-}
-
-fn encode_outcome(w: &mut ByteWriter, outcome: &PointOutcome) {
-    match outcome {
-        Ok((result, attempts)) => {
-            w.put_u8(0);
-            w.put_u32(*attempts);
-            encode_point_result(w, result);
-        }
-        Err(failure) => {
-            w.put_u8(1);
-            encode_point_failure(w, failure);
-        }
-    }
-}
-
-fn decode_outcome(r: &mut ByteReader<'_>) -> Result<PointOutcome, CodecError> {
-    match r.u8()? {
+    let outcome = match r.u8()? {
         0 => {
             let attempts = r.u32()?;
-            Ok(Ok((decode_point_result(r)?, attempts)))
+            Ok((PointResult::decode(&mut r)?, attempts))
         }
-        1 => Ok(Err(decode_point_failure(r)?)),
-        _ => Err(CodecError::Invalid("outcome tag")),
-    }
-}
-
-fn encode_point_result(w: &mut ByteWriter, p: &PointResult) {
-    w.put_usize(p.interval);
-    w.put_f64(p.weight);
-    w.put_f64(p.ipc);
-    encode_power(w, &p.power);
-    encode_stats(w, &p.stats);
-}
-
-fn decode_point_result(r: &mut ByteReader<'_>) -> Result<PointResult, CodecError> {
-    Ok(PointResult {
-        interval: r.usize()?,
-        weight: r.f64()?,
-        ipc: r.f64()?,
-        power: decode_power(r)?,
-        stats: decode_stats(r)?,
-    })
-}
-
-fn encode_power(w: &mut ByteWriter, p: &PowerReport) {
-    let entries: Vec<&(Component, PowerBreakdown)> = p.iter().collect();
-    w.put_usize(entries.len());
-    for (c, b) in entries {
-        // `u8::MAX` can never match a real slot on decode, so an
-        // unknown component (impossible today) fails validation there
-        // instead of silently aliasing another component.
-        let tag = Component::ALL.iter().position(|x| x == c).map_or(u8::MAX, |i| i as u8);
-        w.put_u8(tag);
-        w.put_f64(b.leakage_mw);
-        w.put_f64(b.internal_mw);
-        w.put_f64(b.switching_mw);
-    }
-    w.put_usize(p.int_issue_slot_mw.len());
-    for &mw in &p.int_issue_slot_mw {
-        w.put_f64(mw);
-    }
-}
-
-fn decode_power(r: &mut ByteReader<'_>) -> Result<PowerReport, CodecError> {
-    let n = r.seq_len(25)?;
-    let mut entries = Vec::with_capacity(n);
-    let mut seen = [false; Component::ALL.len()];
-    for _ in 0..n {
-        let tag = r.u8()? as usize;
-        let c = *Component::ALL.get(tag).ok_or(CodecError::Invalid("component tag"))?;
-        // `PowerReport::new` panics on duplicates; corrupt input must
-        // surface as a decode error instead.
-        if std::mem::replace(&mut seen[tag], true) {
-            return Err(CodecError::Invalid("duplicate component"));
-        }
-        let b =
-            PowerBreakdown { leakage_mw: r.f64()?, internal_mw: r.f64()?, switching_mw: r.f64()? };
-        entries.push((c, b));
-    }
-    let slots = r.seq_len(8)?;
-    let mut int_issue_slot_mw = Vec::with_capacity(slots);
-    for _ in 0..slots {
-        int_issue_slot_mw.push(r.f64()?);
-    }
-    Ok(PowerReport::new(entries, int_issue_slot_mw))
-}
-
-fn encode_cache_stats(w: &mut ByteWriter, s: &CacheStats) {
-    w.put_u64(s.reads);
-    w.put_u64(s.writes);
-    w.put_u64(s.misses);
-    w.put_u64(s.mshr_allocs);
-    w.put_u64(s.mshr_occupancy_sum);
-    w.put_u64(s.writebacks);
-}
-
-fn decode_cache_stats(r: &mut ByteReader<'_>) -> Result<CacheStats, CodecError> {
-    Ok(CacheStats {
-        reads: r.u64()?,
-        writes: r.u64()?,
-        misses: r.u64()?,
-        mshr_allocs: r.u64()?,
-        mshr_occupancy_sum: r.u64()?,
-        writebacks: r.u64()?,
-    })
-}
-
-fn encode_predictor_stats(w: &mut ByteWriter, s: &PredictorStats) {
-    w.put_u64(s.lookups);
-    w.put_u64(s.table_reads);
-    w.put_u64(s.updates);
-    w.put_u64(s.allocations);
-    w.put_u64(s.btb_lookups);
-    w.put_u64(s.btb_updates);
-    w.put_u64(s.ras_pushes);
-    w.put_u64(s.ras_pops);
-}
-
-fn decode_predictor_stats(r: &mut ByteReader<'_>) -> Result<PredictorStats, CodecError> {
-    Ok(PredictorStats {
-        lookups: r.u64()?,
-        table_reads: r.u64()?,
-        updates: r.u64()?,
-        allocations: r.u64()?,
-        btb_lookups: r.u64()?,
-        btb_updates: r.u64()?,
-        ras_pushes: r.u64()?,
-        ras_pops: r.u64()?,
-    })
-}
-
-fn encode_rename_stats(w: &mut ByteWriter, s: &RenameStats) {
-    w.put_u64(s.map_writes);
-    w.put_u64(s.map_reads);
-    w.put_u64(s.freelist_pops);
-    w.put_u64(s.freelist_pushes);
-    w.put_u64(s.snapshot_writes);
-}
-
-fn decode_rename_stats(r: &mut ByteReader<'_>) -> Result<RenameStats, CodecError> {
-    Ok(RenameStats {
-        map_writes: r.u64()?,
-        map_reads: r.u64()?,
-        freelist_pops: r.u64()?,
-        freelist_pushes: r.u64()?,
-        snapshot_writes: r.u64()?,
-    })
-}
-
-fn encode_iq_stats(w: &mut ByteWriter, s: &IssueQueueStats) {
-    w.put_u64(s.writes);
-    w.put_u64(s.collapse_writes);
-    w.put_u64(s.issued);
-    w.put_u64(s.wakeup_cam_matches);
-    w.put_u64(s.occupancy_sum);
-    w.put_usize(s.slot_occupancy.len());
-    for &v in &s.slot_occupancy {
-        w.put_u64(v);
-    }
-    w.put_usize(s.slot_writes.len());
-    for &v in &s.slot_writes {
-        w.put_u64(v);
-    }
-}
-
-fn decode_iq_stats(r: &mut ByteReader<'_>) -> Result<IssueQueueStats, CodecError> {
-    let mut s = IssueQueueStats {
-        writes: r.u64()?,
-        collapse_writes: r.u64()?,
-        issued: r.u64()?,
-        wakeup_cam_matches: r.u64()?,
-        occupancy_sum: r.u64()?,
-        slot_occupancy: Vec::new(),
-        slot_writes: Vec::new(),
+        1 => Err(PointFailure::decode(&mut r)?),
+        _ => return Err(CodecError::Invalid("outcome tag")),
     };
-    for _ in 0..r.seq_len(8)? {
-        s.slot_occupancy.push(r.u64()?);
-    }
-    for _ in 0..r.seq_len(8)? {
-        s.slot_writes.push(r.u64()?);
-    }
-    Ok(s)
-}
-
-fn encode_stats(w: &mut ByteWriter, s: &Stats) {
-    w.put_u64(s.cycles);
-    w.put_u64(s.retired);
-    w.put_u64(s.branches);
-    w.put_u64(s.mispredicts);
-    w.put_u64(s.squashed);
-    encode_cache_stats(w, &s.icache);
-    encode_cache_stats(w, &s.dcache);
-    encode_predictor_stats(w, &s.bp);
-    w.put_u64(s.fetch_buffer_writes);
-    w.put_u64(s.fetch_buffer_reads);
-    w.put_u64(s.fetch_buffer_occupancy_sum);
-    w.put_u64(s.decoded);
-    encode_rename_stats(w, &s.int_rename);
-    encode_rename_stats(w, &s.fp_rename);
-    w.put_u64(s.irf_reads);
-    w.put_u64(s.irf_writes);
-    w.put_u64(s.frf_reads);
-    w.put_u64(s.frf_writes);
-    encode_iq_stats(w, &s.int_iq);
-    encode_iq_stats(w, &s.mem_iq);
-    encode_iq_stats(w, &s.fp_iq);
-    w.put_u64(s.rob_writes);
-    w.put_u64(s.rob_reads);
-    w.put_u64(s.rob_occupancy_sum);
-    w.put_u64(s.ldq_writes);
-    w.put_u64(s.stq_writes);
-    w.put_u64(s.stq_searches);
-    w.put_u64(s.forwards);
-    w.put_u64(s.lsu_occupancy_sum);
-    w.put_u64(s.alu_ops);
-    w.put_u64(s.mul_ops);
-    w.put_u64(s.div_ops);
-    w.put_u64(s.fpu_ops);
-    w.put_u64(s.fdiv_ops);
-    w.put_u64(s.agu_ops);
-    encode_cache_stats(w, &s.mem.l2);
-    w.put_u64(s.mem.dram_reads);
-    w.put_u64(s.mem.dram_writes);
-    w.put_u64(s.mem.dram_row_hits);
-    w.put_u64(s.mem.dram_bw_wait_cycles);
-    w.put_u64(s.mem.l2_contention_stalls);
-}
-
-fn decode_stats(r: &mut ByteReader<'_>) -> Result<Stats, CodecError> {
-    Ok(Stats {
-        cycles: r.u64()?,
-        retired: r.u64()?,
-        branches: r.u64()?,
-        mispredicts: r.u64()?,
-        squashed: r.u64()?,
-        icache: decode_cache_stats(r)?,
-        dcache: decode_cache_stats(r)?,
-        bp: decode_predictor_stats(r)?,
-        fetch_buffer_writes: r.u64()?,
-        fetch_buffer_reads: r.u64()?,
-        fetch_buffer_occupancy_sum: r.u64()?,
-        decoded: r.u64()?,
-        int_rename: decode_rename_stats(r)?,
-        fp_rename: decode_rename_stats(r)?,
-        irf_reads: r.u64()?,
-        irf_writes: r.u64()?,
-        frf_reads: r.u64()?,
-        frf_writes: r.u64()?,
-        int_iq: decode_iq_stats(r)?,
-        mem_iq: decode_iq_stats(r)?,
-        fp_iq: decode_iq_stats(r)?,
-        rob_writes: r.u64()?,
-        rob_reads: r.u64()?,
-        rob_occupancy_sum: r.u64()?,
-        ldq_writes: r.u64()?,
-        stq_writes: r.u64()?,
-        stq_searches: r.u64()?,
-        forwards: r.u64()?,
-        lsu_occupancy_sum: r.u64()?,
-        alu_ops: r.u64()?,
-        mul_ops: r.u64()?,
-        div_ops: r.u64()?,
-        fpu_ops: r.u64()?,
-        fdiv_ops: r.u64()?,
-        agu_ops: r.u64()?,
-        // Deliberately not journaled: a replayed point skipped nothing in
-        // this process, and the counter is excluded from fingerprints.
-        idle_cycles_skipped: 0,
-        mem: MemSysStats {
-            l2: decode_cache_stats(r)?,
-            dram_reads: r.u64()?,
-            dram_writes: r.u64()?,
-            dram_row_hits: r.u64()?,
-            dram_bw_wait_cycles: r.u64()?,
-            l2_contention_stalls: r.u64()?,
-        },
-    })
-}
-
-fn encode_point_failure(w: &mut ByteWriter, f: &PointFailure) {
-    w.put_usize(f.simpoint);
-    w.put_usize(f.interval);
-    w.put_f64(f.weight);
-    w.put_u32(f.attempts);
-    encode_failure_kind(w, &f.kind);
-}
-
-fn decode_point_failure(r: &mut ByteReader<'_>) -> Result<PointFailure, CodecError> {
-    Ok(PointFailure {
-        simpoint: r.usize()?,
-        interval: r.usize()?,
-        weight: r.f64()?,
-        attempts: r.u32()?,
-        kind: decode_failure_kind(r)?,
-    })
-}
-
-fn encode_failure_kind(w: &mut ByteWriter, k: &FailureKind) {
-    match k {
-        FailureKind::Hung { snapshot } => {
-            w.put_u8(0);
-            encode_snapshot(w, snapshot);
-        }
-        FailureKind::Panicked { message } => {
-            w.put_u8(1);
-            w.put_str(message);
-        }
-        FailureKind::CycleBudgetExceeded { cycles, budget } => {
-            w.put_u8(2);
-            w.put_u64(*cycles);
-            w.put_u64(*budget);
-        }
-        FailureKind::WallClockExceeded { elapsed_ms, budget_ms } => {
-            w.put_u8(3);
-            w.put_u64(*elapsed_ms);
-            w.put_u64(*budget_ms);
-        }
-    }
-}
-
-fn decode_failure_kind(r: &mut ByteReader<'_>) -> Result<FailureKind, CodecError> {
-    Ok(match r.u8()? {
-        0 => FailureKind::Hung { snapshot: Box::new(decode_snapshot(r)?) },
-        1 => FailureKind::Panicked { message: r.str()?.to_string() },
-        2 => FailureKind::CycleBudgetExceeded { cycles: r.u64()?, budget: r.u64()? },
-        3 => FailureKind::WallClockExceeded { elapsed_ms: r.u64()?, budget_ms: r.u64()? },
-        _ => return Err(CodecError::Invalid("failure kind tag")),
-    })
-}
-
-fn encode_uop_state(w: &mut ByteWriter, s: UopState) {
-    match s {
-        UopState::Waiting => w.put_u8(0),
-        UopState::Executing { done_at } => {
-            w.put_u8(1);
-            w.put_u64(done_at);
-        }
-        UopState::WaitMem => w.put_u8(2),
-        UopState::Done => w.put_u8(3),
-    }
-}
-
-fn decode_uop_state(r: &mut ByteReader<'_>) -> Result<UopState, CodecError> {
-    Ok(match r.u8()? {
-        0 => UopState::Waiting,
-        1 => UopState::Executing { done_at: r.u64()? },
-        2 => UopState::WaitMem,
-        3 => UopState::Done,
-        _ => return Err(CodecError::Invalid("uop state tag")),
-    })
-}
-
-fn encode_snapshot(w: &mut ByteWriter, s: &WatchdogSnapshot) {
-    w.put_u64(s.cycle);
-    w.put_u64(s.cycles_since_commit);
-    w.put_u64(s.retired);
-    w.put_u64(s.fetch_pc);
-    w.put_bool(s.fetch_wedged);
-    w.put_usize(s.fetch_buffer_len);
-    match s.redirect {
-        None => w.put_bool(false),
-        Some((from, to)) => {
-            w.put_bool(true);
-            w.put_u64(from);
-            w.put_u64(to);
-        }
-    }
-    w.put_usize(s.rob_len);
-    w.put_usize(s.rob_capacity);
-    match &s.rob_head {
-        None => w.put_bool(false),
-        Some(h) => {
-            w.put_bool(true);
-            w.put_u64(h.seq);
-            w.put_u64(h.pc);
-            w.put_str(&h.inst);
-            encode_uop_state(w, h.state);
-            w.put_u64(h.age_cycles);
-            w.put_bool(h.srcs_ready);
-        }
-    }
-    w.put_usize(s.issue_queues.len());
-    for q in &s.issue_queues {
-        w.put_u8(iq_name_tag(q.name));
-        w.put_usize(q.occupancy);
-        w.put_usize(q.capacity);
-        match &q.oldest {
-            None => w.put_bool(false),
-            Some(o) => {
-                w.put_bool(true);
-                w.put_u64(o.seq);
-                w.put_bool(o.srcs_ready);
-                encode_uop_state(w, o.state);
-            }
-        }
-    }
-    w.put_usize(s.lsu.ldq_len);
-    put_opt_u64(w, s.lsu.ldq_head_seq);
-    w.put_usize(s.lsu.stq_len);
-    match s.lsu.stq_head {
-        None => w.put_bool(false),
-        Some((seq, addr)) => {
-            w.put_bool(true);
-            w.put_u64(seq);
-            put_opt_u64(w, addr);
-        }
-    }
-    encode_mshrs(w, &s.icache_mshrs);
-    encode_mshrs(w, &s.dcache_mshrs);
-    encode_mshrs(w, &s.l2_mshrs);
-}
-
-fn decode_snapshot(r: &mut ByteReader<'_>) -> Result<WatchdogSnapshot, CodecError> {
-    let cycle = r.u64()?;
-    let cycles_since_commit = r.u64()?;
-    let retired = r.u64()?;
-    let fetch_pc = r.u64()?;
-    let fetch_wedged = r.bool()?;
-    let fetch_buffer_len = r.usize()?;
-    let redirect = if r.bool()? { Some((r.u64()?, r.u64()?)) } else { None };
-    let rob_len = r.usize()?;
-    let rob_capacity = r.usize()?;
-    let rob_head = if r.bool()? {
-        Some(RobHeadView {
-            seq: r.u64()?,
-            pc: r.u64()?,
-            inst: r.str()?.to_string(),
-            state: decode_uop_state(r)?,
-            age_cycles: r.u64()?,
-            srcs_ready: r.bool()?,
-        })
-    } else {
-        None
-    };
-    let n_queues = r.seq_len(18)?;
-    let mut issue_queues = Vec::with_capacity(n_queues);
-    for _ in 0..n_queues {
-        let name = iq_name_from_tag(r.u8()?)?;
-        let occupancy = r.usize()?;
-        let capacity = r.usize()?;
-        let oldest = if r.bool()? {
-            Some(OldestEntryView {
-                seq: r.u64()?,
-                srcs_ready: r.bool()?,
-                state: decode_uop_state(r)?,
-            })
-        } else {
-            None
-        };
-        issue_queues.push(IssueQueueView { name, occupancy, capacity, oldest });
-    }
-    let lsu = LsuView {
-        ldq_len: r.usize()?,
-        ldq_head_seq: take_opt_u64(r)?,
-        stq_len: r.usize()?,
-        stq_head: if r.bool()? { Some((r.u64()?, take_opt_u64(r)?)) } else { None },
-    };
-    let icache_mshrs = decode_mshrs(r)?;
-    let dcache_mshrs = decode_mshrs(r)?;
-    let l2_mshrs = decode_mshrs(r)?;
-    Ok(WatchdogSnapshot {
-        cycle,
-        cycles_since_commit,
-        retired,
-        fetch_pc,
-        fetch_wedged,
-        fetch_buffer_len,
-        redirect,
-        rob_len,
-        rob_capacity,
-        rob_head,
-        issue_queues,
-        lsu,
-        icache_mshrs,
-        dcache_mshrs,
-        l2_mshrs,
-    })
-}
-
-fn encode_mshrs(w: &mut ByteWriter, mshrs: &[MshrView]) {
-    w.put_usize(mshrs.len());
-    for m in mshrs {
-        w.put_u64(m.line_addr);
-        w.put_u64(m.done_at);
-    }
-}
-
-fn decode_mshrs(r: &mut ByteReader<'_>) -> Result<Vec<MshrView>, CodecError> {
-    let n = r.seq_len(16)?;
-    let mut mshrs = Vec::with_capacity(n);
-    for _ in 0..n {
-        mshrs.push(MshrView { line_addr: r.u64()?, done_at: r.u64()? });
-    }
-    Ok(mshrs)
-}
-
-/// [`IssueQueueView::name`] is a `&'static str` drawn from the core's
-/// fixed queue set, so it round-trips as a tag.
-fn iq_name_tag(name: &str) -> u8 {
-    match name {
-        "int" => 0,
-        "mem" => 1,
-        "fp" => 2,
-        _ => u8::MAX,
-    }
-}
-
-fn iq_name_from_tag(tag: u8) -> Result<&'static str, CodecError> {
-    match tag {
-        0 => Ok("int"),
-        1 => Ok("mem"),
-        2 => Ok("fp"),
-        _ => Err(CodecError::Invalid("issue queue name tag")),
-    }
+    r.finish()?;
+    Ok((c_idx, p_idx, outcome))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::supervisor::FailureKind;
+    use boom_uarch::rob::UopState;
+    use boom_uarch::stats::{CacheStats, IssueQueueStats, MemSysStats, Stats};
+    use boom_uarch::watchdog::{
+        IqName, IssueQueueView, LsuView, MshrView, OldestEntryView, RobHeadView, WatchdogSnapshot,
+    };
+    use rtl_power::{Component, PowerBreakdown, PowerReport};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn scratch(tag: &str) -> PathBuf {
@@ -973,7 +483,7 @@ mod tests {
                         srcs_ready: true,
                     }),
                     issue_queues: vec![IssueQueueView {
-                        name: "mem",
+                        name: IqName::Mem,
                         occupancy: 2,
                         capacity: 16,
                         oldest: Some(OldestEntryView {
@@ -996,6 +506,75 @@ mod tests {
         })
     }
 
+    /// The other failure kinds, and a hang whose snapshot takes the
+    /// other branch of every optional field.
+    fn sample_other_failures() -> Vec<PointOutcome> {
+        let fail =
+            |kind| Err(PointFailure { simpoint: 2, interval: 5, weight: 0.125, attempts: 1, kind });
+        let bare = WatchdogSnapshot {
+            cycle: 9,
+            cycles_since_commit: 8,
+            retired: 0,
+            fetch_pc: 0x8000_0000,
+            fetch_wedged: false,
+            fetch_buffer_len: 0,
+            redirect: None,
+            rob_len: 0,
+            rob_capacity: 64,
+            rob_head: None,
+            issue_queues: vec![
+                IssueQueueView { name: IqName::Int, occupancy: 0, capacity: 20, oldest: None },
+                IssueQueueView {
+                    name: IqName::Fp,
+                    occupancy: 1,
+                    capacity: 16,
+                    oldest: Some(OldestEntryView {
+                        seq: 4,
+                        srcs_ready: true,
+                        state: UopState::Done,
+                    }),
+                },
+            ],
+            lsu: LsuView {
+                ldq_len: 0,
+                ldq_head_seq: None,
+                stq_len: 1,
+                stq_head: Some((3, Some(0x2000))),
+            },
+            icache_mshrs: vec![MshrView { line_addr: 0x10, done_at: 12 }],
+            dcache_mshrs: vec![],
+            l2_mshrs: vec![],
+        };
+        vec![
+            fail(FailureKind::Hung { snapshot: Box::new(bare) }),
+            fail(FailureKind::Panicked { message: "boom".to_string() }),
+            fail(FailureKind::CycleBudgetExceeded { cycles: 1000, budget: 999 }),
+            fail(FailureKind::WallClockExceeded { elapsed_ms: 50, budget_ms: 40 }),
+        ]
+    }
+
+    /// FNV-1a of encoded record payloads, captured from the hand-written
+    /// codec that preceded the declarative records: an `Ok` point with
+    /// active memory-system stats, a `Hung` point with a full snapshot,
+    /// then [`sample_other_failures`]. Record payloads must never move
+    /// without a journal version bump.
+    const GOLDEN_PAYLOADS: [u64; 6] = [
+        0x0262_66c9_36ab_e9e5,
+        0xbf62_99db_a253_2d0a,
+        0x1871_6314_2769_ac37,
+        0x0078_15b3_6665_6e1d,
+        0xcd03_f283_689d_9454,
+        0xfda5_431d_42c3_f0c6,
+    ];
+
+    #[test]
+    fn encoded_payloads_match_golden_digests() {
+        let mut outcomes = vec![sample_ok(), sample_hang()];
+        outcomes.extend(sample_other_failures());
+        let digests: Vec<u64> = outcomes.iter().map(|o| fnv1a(&encode_record(3, 7, o))).collect();
+        assert_eq!(digests, GOLDEN_PAYLOADS.to_vec());
+    }
+
     fn assert_outcomes_identical(a: &PointOutcome, b: &PointOutcome) {
         // The payload codec is canonical (no maps, fixed field order),
         // so byte equality of re-encodings is outcome equality.
@@ -1004,7 +583,9 @@ mod tests {
 
     #[test]
     fn outcome_codec_round_trips_success_and_hang() {
-        for outcome in [sample_ok(), sample_hang()] {
+        let mut outcomes = vec![sample_ok(), sample_hang()];
+        outcomes.extend(sample_other_failures());
+        for outcome in outcomes {
             let payload = encode_record(3, 7, &outcome);
             let (c, p, decoded) = decode_record(&payload).expect("decode");
             assert_eq!((c, p), (3, 7));
@@ -1110,6 +691,19 @@ mod tests {
         assert!(matches!(CampaignJournal::resume(&path, 7), Err(JournalError::BadHeader)));
         std::fs::write(&path, b"BF").expect("write");
         assert!(matches!(CampaignJournal::resume(&path, 7), Err(JournalError::BadHeader)));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn version_2_header_is_a_typed_version_error() {
+        let path = scratch("version");
+        let mut header = b"BFJL".to_vec();
+        header.extend_from_slice(&2u32.to_le_bytes());
+        header.extend_from_slice(&7u64.to_le_bytes());
+        std::fs::write(&path, &header).expect("write");
+        let err = CampaignJournal::resume(&path, 7).expect_err("version 2 must not resume");
+        assert!(matches!(err, JournalError::Version { found: 2, expected: 3 }), "{err:?}");
+        assert!(err.to_string().contains("version 2"), "{err}");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -41,7 +41,7 @@
 //! clients submitting byte-identical requests are coalesced onto one
 //! run.
 
-use rv_isa::codec::{fnv1a, ByteReader, ByteWriter, CodecError};
+use rv_isa::codec::{ByteReader, ByteWriter, Codec, CodecError};
 use rv_workloads::Scale;
 use std::io::{Read, Write};
 
@@ -62,7 +62,7 @@ pub enum ProtocolError {
     Version(u32),
     /// The length prefix exceeds [`MAX_FRAME`].
     FrameTooLarge(usize),
-    /// Unknown message tag (or request kind) in an otherwise valid frame.
+    /// Unknown message tag in an otherwise valid frame.
     UnknownTag(u8),
 }
 
@@ -126,57 +126,61 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, ProtocolError> {
     Ok(payload)
 }
 
-/// A campaign specification as submitted over the wire — the server
-/// realizes it with exactly the CLI's selection rules, so a submitted
-/// campaign and a solo `boomflow` run of the same flags produce
-/// byte-identical deterministic reports.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CampaignRequest {
-    /// Workload selection: `all` or a comma-separated name list.
-    pub workloads: String,
-    /// Configuration selection: `medium`, `large`, `mega`, or `all`.
-    pub config: String,
-    /// Workload scale (`Scale`).
-    pub scale: Scale,
-    /// Warm-up instructions per point.
-    pub warmup: u64,
-    /// Per-point retry attempts.
-    pub retries: u32,
-    /// Configurations per batched work item.
-    pub batch_lanes: usize,
-    /// Event-driven idle-cycle skipping.
-    pub idle_skip: bool,
+rv_isa::record! {
+    /// A campaign specification as submitted over the wire — the server
+    /// realizes it with exactly the CLI's selection rules, so a submitted
+    /// campaign and a solo `boomflow` run of the same flags produce
+    /// byte-identical deterministic reports.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct CampaignRequest {
+        /// Workload selection: `all` or a comma-separated name list.
+        pub workloads: String [key],
+        /// Configuration selection: `medium`, `large`, `mega`, or `all`.
+        pub config: String [key],
+        /// Workload scale (`Scale`).
+        pub scale: Scale [key],
+        /// Warm-up instructions per point.
+        pub warmup: u64 [key],
+        /// Per-point retry attempts.
+        pub retries: u32 [key],
+        /// Configurations per batched work item.
+        pub batch_lanes: usize [key],
+        /// Event-driven idle-cycle skipping.
+        pub idle_skip: bool [key],
+    }
 }
 
-/// A sweep specification as submitted over the wire (preset-based; the
-/// full `--grid` axis grammar stays CLI-local).
-#[derive(Clone, Debug, PartialEq)]
-pub struct SweepRequest {
-    /// Grid preset name (`ref64`, `smoke16`).
-    pub preset: String,
-    /// Base configuration override (`medium`, `large`, `mega`; empty
-    /// keeps the preset's base).
-    pub base: String,
-    /// Workload selection: `all` or a comma-separated name list.
-    pub workloads: String,
-    /// Workload scale.
-    pub scale: Scale,
-    /// Warm-up instructions per point.
-    pub warmup: u64,
-    /// Rung-count cap; `0` keeps the natural doubling schedule.
-    pub max_rungs: usize,
-    /// Point budget of the truncated prefilter rung.
-    pub rung0_points: usize,
-    /// Interval truncation shift of the prefilter rung.
-    pub rung0_shift: u32,
-    /// ε-band of the elimination rule.
-    pub epsilon: f64,
-    /// Per-rung multiplicative ε decay.
-    pub epsilon_decay: f64,
-    /// Single full-budget rung, no elimination.
-    pub exhaustive: bool,
-    /// Configurations per batched point lane group.
-    pub batch_lanes: usize,
+rv_isa::record! {
+    /// A sweep specification as submitted over the wire (preset-based; the
+    /// full `--grid` axis grammar stays CLI-local).
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct SweepRequest {
+        /// Grid preset name (`ref64`, `smoke16`).
+        pub preset: String [key],
+        /// Base configuration override (`medium`, `large`, `mega`; empty
+        /// keeps the preset's base).
+        pub base: String [key],
+        /// Workload selection: `all` or a comma-separated name list.
+        pub workloads: String [key],
+        /// Workload scale.
+        pub scale: Scale [key],
+        /// Warm-up instructions per point.
+        pub warmup: u64 [key],
+        /// Rung-count cap; `0` keeps the natural doubling schedule.
+        pub max_rungs: usize [key],
+        /// Point budget of the truncated prefilter rung.
+        pub rung0_points: usize [key],
+        /// Interval truncation shift of the prefilter rung.
+        pub rung0_shift: u32 [key],
+        /// ε-band of the elimination rule.
+        pub epsilon: f64 [key],
+        /// Per-rung multiplicative ε decay.
+        pub epsilon_decay: f64 [key],
+        /// Single full-budget rung, no elimination.
+        pub exhaustive: bool [key],
+        /// Configurations per batched point lane group.
+        pub batch_lanes: usize [key],
+    }
 }
 
 /// One unit of service work: a campaign or a sweep.
@@ -251,79 +255,28 @@ pub enum ServerMsg {
     },
 }
 
-fn put_scale(w: &mut ByteWriter, s: Scale) {
-    w.put_u8(match s {
-        Scale::Test => 0,
-        Scale::Small => 1,
-        Scale::Full => 2,
-    });
-}
-
-fn get_scale(r: &mut ByteReader<'_>) -> Result<Scale, ProtocolError> {
-    match r.u8()? {
-        0 => Ok(Scale::Test),
-        1 => Ok(Scale::Small),
-        2 => Ok(Scale::Full),
-        t => Err(ProtocolError::UnknownTag(t)),
-    }
-}
-
-fn encode_request(w: &mut ByteWriter, req: &Request) {
-    match req {
-        Request::Campaign(c) => {
-            w.put_u8(0);
-            w.put_str(&c.workloads);
-            w.put_str(&c.config);
-            put_scale(w, c.scale);
-            w.put_u64(c.warmup);
-            w.put_u32(c.retries);
-            w.put_usize(c.batch_lanes);
-            w.put_bool(c.idle_skip);
-        }
-        Request::Sweep(s) => {
-            w.put_u8(1);
-            w.put_str(&s.preset);
-            w.put_str(&s.base);
-            w.put_str(&s.workloads);
-            put_scale(w, s.scale);
-            w.put_u64(s.warmup);
-            w.put_usize(s.max_rungs);
-            w.put_usize(s.rung0_points);
-            w.put_u32(s.rung0_shift);
-            w.put_f64(s.epsilon);
-            w.put_f64(s.epsilon_decay);
-            w.put_bool(s.exhaustive);
-            w.put_usize(s.batch_lanes);
+/// A one-byte kind tag (0 campaign, 1 sweep), then the specification.
+impl Codec for Request {
+    const MIN_BYTES: usize = 1;
+    fn encode(&self, w: &mut ByteWriter) {
+        match self {
+            Request::Campaign(c) => {
+                w.put_u8(0);
+                c.encode(w);
+            }
+            Request::Sweep(s) => {
+                w.put_u8(1);
+                s.encode(w);
+            }
         }
     }
-}
 
-fn decode_request(r: &mut ByteReader<'_>) -> Result<Request, ProtocolError> {
-    match r.u8()? {
-        0 => Ok(Request::Campaign(CampaignRequest {
-            workloads: r.str()?.to_string(),
-            config: r.str()?.to_string(),
-            scale: get_scale(r)?,
-            warmup: r.u64()?,
-            retries: r.u32()?,
-            batch_lanes: r.usize()?,
-            idle_skip: r.bool()?,
-        })),
-        1 => Ok(Request::Sweep(SweepRequest {
-            preset: r.str()?.to_string(),
-            base: r.str()?.to_string(),
-            workloads: r.str()?.to_string(),
-            scale: get_scale(r)?,
-            warmup: r.u64()?,
-            max_rungs: r.usize()?,
-            rung0_points: r.usize()?,
-            rung0_shift: r.u32()?,
-            epsilon: r.f64()?,
-            epsilon_decay: r.f64()?,
-            exhaustive: r.bool()?,
-            batch_lanes: r.usize()?,
-        })),
-        t => Err(ProtocolError::UnknownTag(t)),
+    fn decode(r: &mut ByteReader<'_>) -> Result<Request, CodecError> {
+        match r.u8()? {
+            0 => Ok(Request::Campaign(CampaignRequest::decode(r)?)),
+            1 => Ok(Request::Sweep(SweepRequest::decode(r)?)),
+            _ => Err(CodecError::Invalid("request kind tag")),
+        }
     }
 }
 
@@ -333,9 +286,7 @@ fn decode_request(r: &mut ByteReader<'_>) -> Result<Request, ProtocolError> {
 /// duplicate submissions and a crashed client re-[`ClientMsg::Attach`]
 /// deterministically.
 pub fn request_id(req: &Request) -> u64 {
-    let mut w = ByteWriter::new();
-    encode_request(&mut w, req);
-    fnv1a(&w.into_bytes())
+    req.content_key()
 }
 
 /// Encodes a client message into a frame payload (version-prefixed).
@@ -345,7 +296,7 @@ pub fn encode_client(msg: &ClientMsg) -> Vec<u8> {
     match msg {
         ClientMsg::Submit(req) => {
             w.put_u8(0x01);
-            encode_request(&mut w, req);
+            req.encode(&mut w);
         }
         ClientMsg::Attach(id) => {
             w.put_u8(0x02);
@@ -369,7 +320,7 @@ pub fn decode_client(payload: &[u8]) -> Result<ClientMsg, ProtocolError> {
         return Err(ProtocolError::Version(version));
     }
     let msg = match r.u8()? {
-        0x01 => ClientMsg::Submit(decode_request(&mut r)?),
+        0x01 => ClientMsg::Submit(Request::decode(&mut r)?),
         0x02 => ClientMsg::Attach(r.u64()?),
         0x03 => ClientMsg::Shutdown,
         t => return Err(ProtocolError::UnknownTag(t)),
@@ -532,6 +483,15 @@ mod tests {
         let mut payload = encode_client(&ClientMsg::Shutdown);
         payload[0] = 0xfe; // clobber the version word
         assert!(matches!(decode_client(&payload), Err(ProtocolError::Version(_))));
+    }
+
+    #[test]
+    fn request_ids_keep_their_values() {
+        // Captured from the hand-written request codec the records
+        // replaced: a request persisted or coalesced under an earlier
+        // build keeps its id.
+        assert_eq!(request_id(&sample_campaign()), 0x420c_387a_3dc2_643b);
+        assert_eq!(request_id(&sample_sweep()), 0x5377_4c03_e1a3_4b0c);
     }
 
     #[test]

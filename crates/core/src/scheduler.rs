@@ -30,7 +30,7 @@
 //! order — a `--jobs 1` and a `--jobs N` campaign produce
 //! [`CampaignReport`]s with identical cells.
 
-use crate::artifacts::{config_fingerprint, ArtifactStore, CheckpointSet, PointKey, PointScope};
+use crate::artifacts::{ArtifactStore, CheckpointSet, PointKey, PointScope};
 use crate::flow::{
     assemble_workload_result, escaped_panic, run_co_cell, run_lane, FlowConfig, FlowError,
     PointOutcome,
@@ -43,6 +43,7 @@ use crate::supervisor::{
 };
 use crate::sweep::{truncated, RungSpec};
 use boom_uarch::{BoomConfig, Core};
+use rv_isa::codec::Codec;
 use rv_workloads::Workload;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -188,7 +189,7 @@ impl<'a> PointRun<'a> {
         });
         let died = || Err(CellFailure::Panicked("artifact worker died".to_string()));
         let prep = prep.into_iter().map(|slot| slot.into_inner().unwrap_or_else(died)).collect();
-        let fps = cfgs.iter().map(config_fingerprint).collect();
+        let fps = cfgs.iter().map(Codec::content_key).collect();
         PointRun { pool, store, flow, workloads, prep, cfgs, fps, scopes, batch_lanes }
     }
 

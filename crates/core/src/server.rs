@@ -31,7 +31,7 @@
 
 use crate::artifacts::ArtifactStore;
 use crate::flow::FlowConfig;
-use crate::journal::{campaign_fingerprint_with, CampaignJournal, JournalReplay};
+use crate::journal::{campaign_fingerprint_with, CampaignJournal, JournalError, JournalReplay};
 use crate::pool::WorkPool;
 use crate::protocol::{
     decode_client, encode_client, encode_server, read_frame, request_id, write_frame,
@@ -511,18 +511,25 @@ fn execute(state: &Arc<ServerState>, rs: &Arc<RequestState>, req: &Request) -> S
             // still describes the same matrix.
             let path = state.opts.state_dir.join(format!("{:016x}.bfj", rs.id));
             let fp = campaign_fingerprint_with(&cfgs, &ws, &flow, &[]);
-            let (journal, replay): (Arc<CampaignJournal>, Option<Arc<JournalReplay>>) =
-                if path.exists() {
-                    match CampaignJournal::resume(&path, fp) {
-                        Ok((j, r)) => (Arc::new(j), Some(Arc::new(r))),
-                        Err(e) => return reject(format!("cannot resume journal: {e}")),
+            let opened = if path.exists() {
+                match CampaignJournal::resume(&path, fp) {
+                    Ok((j, r)) => Ok((j, Some(Arc::new(r)))),
+                    // An older format is this server's own journal, written
+                    // by an older build for the same persisted spec: start
+                    // it afresh rather than reject the id for good.
+                    Err(JournalError::Version { .. }) => {
+                        CampaignJournal::create(&path, fp).map(|j| (j, None))
                     }
-                } else {
-                    match CampaignJournal::create(&path, fp) {
-                        Ok(j) => (Arc::new(j), None),
-                        Err(e) => return reject(format!("cannot create journal: {e}")),
-                    }
-                };
+                    Err(e) => return reject(format!("cannot resume journal: {e}")),
+                }
+            } else {
+                CampaignJournal::create(&path, fp).map(|j| (j, None))
+            };
+            let (journal, replay): (Arc<CampaignJournal>, Option<Arc<JournalReplay>>) = match opened
+            {
+                Ok((j, r)) => (Arc::new(j), r),
+                Err(e) => return reject(format!("cannot create journal: {e}")),
+            };
             rs.replayed.store(replay.as_ref().map_or(0, |r| r.len() as u64), Ordering::SeqCst);
             let progress_rs = Arc::clone(rs);
             let opts = CampaignOptions {
@@ -601,6 +608,17 @@ fn execute(state: &Arc<ServerState>, rs: &Arc<RequestState>, req: &Request) -> S
                 pool: Some(Arc::clone(&state.pool)),
             };
             let report = match run_sweep(&cfgs, &ws, &flow, &state.store, &opts) {
+                // An older-format journal: start it afresh, as for campaigns.
+                Err(JournalError::Version { .. }) => run_sweep(
+                    &cfgs,
+                    &ws,
+                    &flow,
+                    &state.store,
+                    &SweepOptions { resume: false, ..opts },
+                ),
+                r => r,
+            };
+            let report = match report {
                 Ok(report) => report,
                 Err(e) => return reject(format!("sweep failed: {e}")),
             };

@@ -34,30 +34,33 @@ use crate::report::render_table;
 use crate::scheduler::{run_campaign, CampaignOptions};
 use boom_uarch::{BoomConfig, Stats, WatchdogSnapshot};
 use rtl_power::PowerReport;
+use rv_isa::codec::{ByteReader, ByteWriter, Codec, CodecError};
 use rv_workloads::Workload;
 use std::fmt;
 use std::time::Duration;
 
-/// Retry and budget policy for one simulation point's detailed simulation.
-#[derive(Clone, Debug)]
-pub struct RetryPolicy {
-    /// Total attempts per point (first try included). At least 1.
-    pub max_attempts: u32,
-    /// Multiplicative warm-up perturbation applied before each retry.
-    ///
-    /// Must be ≤ 1: the checkpoint is captured *before* the warm-up
-    /// region, so a retry can shorten the warm-up (shifting the measured
-    /// window slightly earlier past a suspected pathological state) but
-    /// cannot lengthen it.
-    pub warmup_perturb: f64,
-    /// Cycle budget for one attempt (`None` = unlimited; the core's own
-    /// no-commit watchdog still applies).
-    pub cycle_budget: Option<u64>,
-    /// Multiplier applied to the cycle budget on each retry, so a point
-    /// that merely ran out of budget gets more room the next time.
-    pub budget_backoff: f64,
-    /// Wall-clock budget for one attempt (`None` = unlimited).
-    pub wall_clock: Option<Duration>,
+rv_isa::record! {
+    /// Retry and budget policy for one simulation point's detailed simulation.
+    #[derive(Clone, Debug)]
+    pub struct RetryPolicy {
+        /// Total attempts per point (first try included). At least 1.
+        pub max_attempts: u32 [key],
+        /// Multiplicative warm-up perturbation applied before each retry.
+        ///
+        /// Must be ≤ 1: the checkpoint is captured *before* the warm-up
+        /// region, so a retry can shorten the warm-up (shifting the measured
+        /// window slightly earlier past a suspected pathological state) but
+        /// cannot lengthen it.
+        pub warmup_perturb: f64 [key],
+        /// Cycle budget for one attempt (`None` = unlimited; the core's own
+        /// no-commit watchdog still applies).
+        pub cycle_budget: Option<u64> [key],
+        /// Multiplier applied to the cycle budget on each retry, so a point
+        /// that merely ran out of budget gets more room the next time.
+        pub budget_backoff: f64 [key],
+        /// Wall-clock budget for one attempt (`None` = unlimited).
+        pub wall_clock: Option<Duration> [key],
+    }
 }
 
 impl Default for RetryPolicy {
@@ -72,27 +75,30 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Test-only fault injection, threaded through [`FlowConfig`].
-///
-/// Used by the supervisor's own tests and by `boomflow --inject-hang` to
-/// exercise hang detection, retry, and quarantine on demand. All fields
-/// default to "inject nothing".
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FaultInjection {
-    /// Freeze the commit stage in this simulation point's detailed core,
-    /// so the pipeline watchdog fires deterministically.
-    pub hang_point: Option<usize>,
-    /// Freeze the commit stage in *every* point's detailed core (forces
-    /// total failure of the workload, not just a quarantine).
-    pub hang_every_point: bool,
-    /// Panic inside this point's worker thread (exercises the
-    /// `catch_unwind` isolation path).
-    pub panic_point: Option<usize>,
-    /// Abort the whole process after this many freshly simulated points
-    /// have been journaled — a deterministic stand-in for an OOM kill or
-    /// power cut, used by the campaign-resume tests and the CI smoke
-    /// job. Replayed points do not count.
-    pub kill_after_points: Option<u64>,
+rv_isa::record! {
+    /// Test-only fault injection, threaded through [`FlowConfig`].
+    ///
+    /// Used by the supervisor's own tests and by `boomflow --inject-hang` to
+    /// exercise hang detection, retry, and quarantine on demand. All fields
+    /// default to "inject nothing".
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct FaultInjection {
+        /// Freeze the commit stage in this simulation point's detailed core,
+        /// so the pipeline watchdog fires deterministically.
+        pub hang_point: Option<usize> [key],
+        /// Freeze the commit stage in *every* point's detailed core (forces
+        /// total failure of the workload, not just a quarantine).
+        pub hang_every_point: bool [key],
+        /// Panic inside this point's worker thread (exercises the
+        /// `catch_unwind` isolation path).
+        pub panic_point: Option<usize> [key],
+        /// Abort the whole process after this many freshly simulated points
+        /// have been journaled — a deterministic stand-in for an OOM kill or
+        /// power cut, used by the campaign-resume tests and the CI smoke
+        /// job. Replayed points do not count. Out of key: it decides when
+        /// the process dies, never what a completed point contains.
+        pub kill_after_points: Option<u64> [nokey],
+    }
 }
 
 impl FaultInjection {
@@ -137,6 +143,43 @@ pub enum FailureKind {
     },
 }
 
+/// A one-byte tag, then the variant's fields in declaration order.
+impl Codec for FailureKind {
+    const MIN_BYTES: usize = 1;
+    fn encode(&self, w: &mut ByteWriter) {
+        match self {
+            FailureKind::Hung { snapshot } => {
+                w.put_u8(0);
+                snapshot.encode(w);
+            }
+            FailureKind::Panicked { message } => {
+                w.put_u8(1);
+                w.put_str(message);
+            }
+            FailureKind::CycleBudgetExceeded { cycles, budget } => {
+                w.put_u8(2);
+                w.put_u64(*cycles);
+                w.put_u64(*budget);
+            }
+            FailureKind::WallClockExceeded { elapsed_ms, budget_ms } => {
+                w.put_u8(3);
+                w.put_u64(*elapsed_ms);
+                w.put_u64(*budget_ms);
+            }
+        }
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<FailureKind, CodecError> {
+        Ok(match r.u8()? {
+            0 => FailureKind::Hung { snapshot: Box::new(WatchdogSnapshot::decode(r)?) },
+            1 => FailureKind::Panicked { message: String::decode(r)? },
+            2 => FailureKind::CycleBudgetExceeded { cycles: r.u64()?, budget: r.u64()? },
+            3 => FailureKind::WallClockExceeded { elapsed_ms: r.u64()?, budget_ms: r.u64()? },
+            _ => return Err(CodecError::Invalid("failure kind tag")),
+        })
+    }
+}
+
 impl fmt::Display for FailureKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -154,19 +197,21 @@ impl fmt::Display for FailureKind {
     }
 }
 
-/// A simulation point that failed every attempt and was quarantined.
-#[derive(Clone, Debug)]
-pub struct PointFailure {
-    /// Index of the point among the selected simulation points.
-    pub simpoint: usize,
-    /// Index of the represented interval in the BBV profile.
-    pub interval: usize,
-    /// The cluster weight lost by quarantining this point.
-    pub weight: f64,
-    /// Attempts made (first try included).
-    pub attempts: u32,
-    /// The failure of the last attempt.
-    pub kind: FailureKind,
+rv_isa::record! {
+    /// A simulation point that failed every attempt and was quarantined.
+    #[derive(Clone, Debug)]
+    pub struct PointFailure {
+        /// Index of the point among the selected simulation points.
+        pub simpoint: usize [key],
+        /// Index of the represented interval in the BBV profile.
+        pub interval: usize [key],
+        /// The cluster weight lost by quarantining this point.
+        pub weight: f64 [key],
+        /// Attempts made (first try included).
+        pub attempts: u32 [key],
+        /// The failure of the last attempt.
+        pub kind: FailureKind [key],
+    }
 }
 
 impl fmt::Display for PointFailure {
@@ -679,6 +724,38 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn supervision_keys_cover_every_field_but_kill_after() {
+        let retry = RetryPolicy::default();
+        type PerturbRetry = fn(&mut RetryPolicy);
+        let perturbations: [(&str, PerturbRetry); 5] = [
+            ("max_attempts", |r| r.max_attempts += 1),
+            ("warmup_perturb", |r| r.warmup_perturb /= 2.0),
+            ("cycle_budget", |r| r.cycle_budget = Some(1)),
+            ("budget_backoff", |r| r.budget_backoff += 1.0),
+            ("wall_clock", |r| r.wall_clock = Some(Duration::from_nanos(1))),
+        ];
+        for (what, perturb) in perturbations {
+            let mut r = retry.clone();
+            perturb(&mut r);
+            assert_ne!(r.content_key(), retry.content_key(), "retry.{what} is in key");
+        }
+        let inject = FaultInjection::default();
+        type PerturbInject = fn(&mut FaultInjection);
+        let perturbations: [(&str, PerturbInject); 3] = [
+            ("hang_point", |f| f.hang_point = Some(0)),
+            ("hang_every_point", |f| f.hang_every_point = true),
+            ("panic_point", |f| f.panic_point = Some(0)),
+        ];
+        for (what, perturb) in perturbations {
+            let mut f = inject;
+            perturb(&mut f);
+            assert_ne!(f.content_key(), inject.content_key(), "inject.{what} is in key");
+        }
+        let killed = FaultInjection { kill_after_points: Some(3), ..inject };
+        assert_eq!(killed.content_key(), inject.content_key(), "kill-after is out of key");
+    }
 
     #[test]
     fn renormalized_weights_sum_to_one() {

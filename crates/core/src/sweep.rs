@@ -34,13 +34,14 @@
 //! outcomes. Resume-variant accounting (fresh/reused splits, wall
 //! clock) lives only in [`SweepReport::stage_summary`].
 
-use crate::artifacts::{config_fingerprint, ArtifactStore, CacheStats, PlannedPoint};
+use crate::artifacts::{ArtifactStore, CacheStats, PlannedPoint};
 use crate::flow::{weighted_estimate, FlowConfig, PointOutcome};
 use crate::journal::{sweep_fingerprint, CampaignJournal, JournalError};
 use crate::report::render_table;
 use crate::scheduler::{kill_switch, run_pool, PointRun};
 use crate::supervisor::{fb, render_cell_body, CellResult};
 use boom_uarch::{BoomConfig, ConfigError, MemBackendKind};
+use rv_isa::codec::Codec;
 use rv_workloads::Workload;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -411,7 +412,7 @@ pub fn admit(cfgs: Vec<BoomConfig>) -> (Vec<BoomConfig>, usize) {
     let mut out = Vec::with_capacity(cfgs.len());
     let mut folded = 0usize;
     for cfg in cfgs {
-        if seen.insert(config_fingerprint(&cfg)) {
+        if seen.insert(cfg.content_key()) {
             out.push(cfg);
         } else {
             folded += 1;
@@ -1042,6 +1043,16 @@ mod tests {
         assert_eq!(cfgs[0].name, cfgs[1].name);
         let (admitted, folded) = admit(cfgs);
         assert_eq!(admitted.len(), 1);
+        assert_eq!(folded, 1);
+    }
+
+    #[test]
+    fn admit_folds_configurations_that_differ_only_in_name() {
+        let mut copy = BoomConfig::medium();
+        copy.name = "MediumCopy".to_string();
+        let (admitted, folded) = admit(vec![BoomConfig::medium(), copy, BoomConfig::large()]);
+        let names: Vec<&str> = admitted.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["MediumBOOM", "LargeBOOM"], "the first name is kept");
         assert_eq!(folded, 1);
     }
 

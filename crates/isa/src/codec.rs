@@ -1,14 +1,39 @@
-//! Minimal byte-level codec for crash-safe artifact persistence.
+//! Byte-level codec and declarative records for crash-safe persistence
+//! and content keys.
 //!
-//! The disk-backed artifact cache and the campaign journal (see the
-//! `boomflow` crate) serialize profiles, analyses, and checkpoints with
-//! this codec instead of a general serialization framework: every value
-//! is written little-endian in a fixed field order, floats are stored by
+//! The disk-backed artifact cache, the campaign journal and the service
+//! protocol (see the `boomflow` crate) serialize their values with this
+//! codec instead of a general serialization framework: every value is
+//! written little-endian in a fixed field order, floats are stored by
 //! bit pattern (so a round trip is bit-identical, which the resume tests
 //! diff on), and every length read from an untrusted buffer is validated
 //! against the bytes actually present before anything is allocated — a
 //! bit-flipped length field must yield [`CodecError`], never an
 //! allocation bomb or a panic.
+//!
+//! ## Records
+//!
+//! A persisted or keyed type is declared once with [`record!`]: the one
+//! field list gives the struct, its [`Codec`] (encode, decode and a
+//! minimum encoded size that bounds every length read), its canonical
+//! content key, and — for counter records — its field-wise [`Counters`]
+//! merge. Every field names its mode, so a field added without choosing
+//! how it is encoded and keyed does not compile:
+//!
+//! | mode            | encoded | in the key                                  |
+//! |-----------------|---------|---------------------------------------------|
+//! | `key`           | yes     | yes                                         |
+//! | `nokey`         | yes     | no (a label such as a display name)         |
+//! | `skip`          | no      | no (decodes as `Default`; counters merge it)|
+//! | `key_elems`     | yes     | elements only, without the length prefix    |
+//! | `key_if_active` | yes     | only when [`Counters::is_active`]           |
+//!
+//! The key is FNV-1a ([`fnv1a`]) over the canonical key stream
+//! ([`Codec::key`]): the encoding with out-of-key fields left out, so two
+//! values that differ only in out-of-key fields share a key. The last two
+//! modes exist so the detailed core's statistics fingerprint keeps the
+//! exact values its golden tests pin. Tagged enums implement [`Codec`] by
+//! hand ([`tags!`] covers the fieldless ones).
 
 use std::fmt;
 
@@ -269,6 +294,300 @@ impl<'a> ByteReader<'a> {
     }
 }
 
+/// A value with one canonical byte encoding and a content key derived
+/// from it. Implemented by [`record!`] for records and by hand for
+/// tagged enums.
+pub trait Codec: Sized {
+    /// The fewest bytes any encoding of a value occupies: a sequence
+    /// length read from a buffer is checked against `len × MIN_BYTES` ≤
+    /// the bytes present before anything is allocated
+    /// ([`ByteReader::seq_len`]).
+    const MIN_BYTES: usize;
+
+    /// Appends the encoding.
+    fn encode(&self, w: &mut ByteWriter);
+
+    /// Reads one value.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError`] on truncated or invalid input.
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError>;
+
+    /// Appends the canonical key stream: the encoding minus out-of-key
+    /// fields.
+    fn key(&self, w: &mut ByteWriter) {
+        self.encode(w);
+    }
+
+    /// The content key: FNV-1a over [`Codec::key`].
+    fn content_key(&self) -> u64 {
+        let mut w = ByteWriter::new();
+        self.key(&mut w);
+        fnv1a(&w.into_bytes())
+    }
+}
+
+/// Activity counters that accumulate field by field ([`record!`]'s
+/// `counters:` form).
+pub trait Counters {
+    /// Adds `other`'s counts into `self` (per-slot vectors add
+    /// element-wise over their common prefix).
+    fn merge(&mut self, other: &Self);
+
+    /// Whether any count is nonzero.
+    fn is_active(&self) -> bool;
+}
+
+impl Counters for u64 {
+    fn merge(&mut self, other: &u64) {
+        *self += other;
+    }
+
+    fn is_active(&self) -> bool {
+        *self != 0
+    }
+}
+
+impl Counters for Vec<u64> {
+    fn merge(&mut self, other: &Vec<u64>) {
+        for (s, o) in self.iter_mut().zip(other) {
+            *s += o;
+        }
+    }
+
+    fn is_active(&self) -> bool {
+        self.iter().any(|&v| v != 0)
+    }
+}
+
+macro_rules! primitive_codec {
+    ($($ty:ty, $bytes:expr, $put:ident, $get:ident;)*) => {$(
+        impl Codec for $ty {
+            const MIN_BYTES: usize = $bytes;
+            fn encode(&self, w: &mut ByteWriter) {
+                w.$put(*self);
+            }
+            fn decode(r: &mut ByteReader<'_>) -> Result<$ty, CodecError> {
+                r.$get()
+            }
+        }
+    )*};
+}
+
+primitive_codec! {
+    u8, 1, put_u8, u8;
+    u32, 4, put_u32, u32;
+    u64, 8, put_u64, u64;
+    usize, 8, put_usize, usize;
+    f64, 8, put_f64, f64;
+    bool, 1, put_bool, bool;
+}
+
+impl Codec for String {
+    const MIN_BYTES: usize = 8;
+    fn encode(&self, w: &mut ByteWriter) {
+        w.put_str(self);
+    }
+    fn decode(r: &mut ByteReader<'_>) -> Result<String, CodecError> {
+        Ok(r.str()?.to_string())
+    }
+}
+
+/// Seconds then sub-second nanoseconds.
+impl Codec for std::time::Duration {
+    const MIN_BYTES: usize = 12;
+    fn encode(&self, w: &mut ByteWriter) {
+        w.put_u64(self.as_secs());
+        w.put_u32(self.subsec_nanos());
+    }
+    fn decode(r: &mut ByteReader<'_>) -> Result<std::time::Duration, CodecError> {
+        let secs = r.u64()?;
+        match r.u32()? {
+            nanos @ 0..=999_999_999 => Ok(std::time::Duration::new(secs, nanos)),
+            _ => Err(CodecError::Invalid("sub-second nanoseconds")),
+        }
+    }
+}
+
+/// A presence flag, then the value.
+impl<T: Codec> Codec for Option<T> {
+    const MIN_BYTES: usize = 1;
+    fn encode(&self, w: &mut ByteWriter) {
+        w.put_bool(self.is_some());
+        if let Some(v) = self {
+            v.encode(w);
+        }
+    }
+    fn decode(r: &mut ByteReader<'_>) -> Result<Option<T>, CodecError> {
+        Ok(if r.bool()? { Some(T::decode(r)?) } else { None })
+    }
+    fn key(&self, w: &mut ByteWriter) {
+        w.put_bool(self.is_some());
+        if let Some(v) = self {
+            v.key(w);
+        }
+    }
+}
+
+/// A `u64` element count, then the elements.
+impl<T: Codec> Codec for Vec<T> {
+    const MIN_BYTES: usize = 8;
+    fn encode(&self, w: &mut ByteWriter) {
+        w.put_usize(self.len());
+        self.iter().for_each(|v| v.encode(w));
+    }
+    fn decode(r: &mut ByteReader<'_>) -> Result<Vec<T>, CodecError> {
+        let n = r.seq_len(T::MIN_BYTES)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(T::decode(r)?);
+        }
+        Ok(out)
+    }
+    fn key(&self, w: &mut ByteWriter) {
+        w.put_usize(self.len());
+        self.iter().for_each(|v| v.key(w));
+    }
+}
+
+impl<A: Codec, B: Codec> Codec for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+    fn encode(&self, w: &mut ByteWriter) {
+        self.0.encode(w);
+        self.1.encode(w);
+    }
+    fn decode(r: &mut ByteReader<'_>) -> Result<(A, B), CodecError> {
+        Ok((A::decode(r)?, B::decode(r)?))
+    }
+    fn key(&self, w: &mut ByteWriter) {
+        self.0.key(w);
+        self.1.key(w);
+    }
+}
+
+/// Declares a struct from one field list and derives its [`Codec`]
+/// (field order is encoding order) and, in the `counters:` form, its
+/// [`Counters`]. Each field ends in its mode in brackets — see the
+/// module docs for the modes.
+///
+/// ```
+/// rv_isa::record! {
+///     /// A labelled pair of counts.
+///     #[derive(Clone, Debug, Default)]
+///     pub struct Tally {
+///         /// Display label; not part of the content key.
+///         pub label: String [nokey],
+///         /// Hits.
+///         pub hits: u64 [key],
+///     }
+/// }
+/// use rv_isa::codec::Codec;
+/// let a = Tally { label: "a".into(), hits: 3 };
+/// let b = Tally { label: "b".into(), hits: 3 };
+/// assert_eq!(a.content_key(), b.content_key());
+/// ```
+///
+/// A field without a mode does not compile:
+///
+/// ```compile_fail
+/// rv_isa::record! {
+///     pub struct Unkeyed {
+///         pub hits: u64,
+///     }
+/// }
+/// ```
+#[macro_export]
+macro_rules! record {
+    (counters: $($item:tt)*) => {
+        $crate::record!($($item)*);
+        $crate::record!(@counters $($item)*);
+    };
+    (@counters
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$fmeta:meta])* $fvis:vis $field:ident : $ty:ty [$mode:ident]),* $(,)?
+        }
+    ) => {
+        impl $crate::codec::Counters for $name {
+            fn merge(&mut self, other: &$name) {
+                $($crate::codec::Counters::merge(&mut self.$field, &other.$field);)*
+            }
+            fn is_active(&self) -> bool {
+                false $(|| $crate::codec::Counters::is_active(&self.$field))*
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$fmeta:meta])* $fvis:vis $field:ident : $ty:ty [$mode:ident]),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$fmeta])* $fvis $field: $ty,)*
+        }
+
+        impl $crate::codec::Codec for $name {
+            const MIN_BYTES: usize = 0 $(+ $crate::record!(@min $mode $ty))*;
+            fn encode(&self, w: &mut $crate::codec::ByteWriter) {
+                $($crate::record!(@encode $mode self.$field, w);)*
+            }
+            fn decode(
+                r: &mut $crate::codec::ByteReader<'_>,
+            ) -> Result<$name, $crate::codec::CodecError> {
+                Ok($name { $($field: $crate::record!(@decode $mode $ty, r),)* })
+            }
+            fn key(&self, w: &mut $crate::codec::ByteWriter) {
+                $($crate::record!(@key $mode self.$field, w);)*
+            }
+        }
+    };
+    (@min skip $ty:ty) => { 0 };
+    (@min $mode:ident $ty:ty) => { <$ty as $crate::codec::Codec>::MIN_BYTES };
+    (@encode skip $v:expr, $w:ident) => {};
+    (@encode $mode:ident $v:expr, $w:ident) => { $crate::codec::Codec::encode(&$v, $w) };
+    (@decode skip $ty:ty, $r:ident) => { <$ty as Default>::default() };
+    (@decode $mode:ident $ty:ty, $r:ident) => { <$ty as $crate::codec::Codec>::decode($r)? };
+    (@key key $v:expr, $w:ident) => { $crate::codec::Codec::key(&$v, $w) };
+    (@key nokey $v:expr, $w:ident) => {};
+    (@key skip $v:expr, $w:ident) => {};
+    (@key key_elems $v:expr, $w:ident) => {
+        $v.iter().for_each(|e| $crate::codec::Codec::key(e, $w))
+    };
+    (@key key_if_active $v:expr, $w:ident) => {
+        if $crate::codec::Counters::is_active(&$v) {
+            $crate::codec::Codec::key(&$v, $w)
+        }
+    };
+}
+
+/// Implements [`Codec`] for a fieldless enum as a one-byte tag per
+/// variant. The encoding `match` is exhaustive, so a variant added
+/// without a tag does not compile.
+#[macro_export]
+macro_rules! tags {
+    ($name:ty { $($variant:ident = $tag:literal),+ $(,)? }) => {
+        impl $crate::codec::Codec for $name {
+            const MIN_BYTES: usize = 1;
+            fn encode(&self, w: &mut $crate::codec::ByteWriter) {
+                w.put_u8(match self {
+                    $(Self::$variant => $tag,)+
+                });
+            }
+            fn decode(
+                r: &mut $crate::codec::ByteReader<'_>,
+            ) -> Result<Self, $crate::codec::CodecError> {
+                match r.u8()? {
+                    $($tag => Ok(Self::$variant),)+
+                    _ => Err($crate::codec::CodecError::Invalid(concat!(stringify!($name), " tag"))),
+                }
+            }
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,6 +649,26 @@ mod tests {
         assert!(matches!(r.bool(), Err(CodecError::Invalid(_))));
         let r = ByteReader::new(&[0]);
         assert!(matches!(r.finish(), Err(CodecError::Invalid(_))));
+    }
+
+    crate::record! {
+        #[derive(Clone, Debug, Default)]
+        struct Labelled {
+            label: String [nokey],
+            hits: u64 [key],
+        }
+    }
+
+    #[test]
+    fn containers_key_their_elements_by_key_not_by_encoding() {
+        let a = Labelled { label: "a".into(), hits: 3 };
+        let b = Labelled { label: "b".into(), hits: 3 };
+        assert_eq!(Some(a.clone()).content_key(), Some(b.clone()).content_key());
+        assert_eq!(vec![a.clone()].content_key(), vec![b.clone()].content_key());
+        assert_eq!((a.clone(), 1u8).content_key(), (b.clone(), 1u8).content_key());
+        assert_ne!(vec![a.clone()].content_key(), vec![a.clone(), b].content_key());
+        let more = Labelled { hits: 4, ..a.clone() };
+        assert_ne!(Some(a).content_key(), Some(more).content_key());
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Power report types: per-component leakage/internal/switching breakdowns.
 
+use rv_isa::codec::{ByteReader, ByteWriter, Codec, CodecError};
 use std::fmt;
 
 /// The thirteen microarchitectural components the paper analyzes, plus
@@ -154,6 +155,49 @@ pub struct PowerReport {
     entries: Vec<(Component, PowerBreakdown)>,
     /// Per-slot power of the integer issue queue (paper Fig. 8), mW.
     pub int_issue_slot_mw: Vec<f64>,
+}
+
+/// The component map as (tag, leakage, internal, switching) entries in
+/// presentation order, then the per-slot integer-issue powers. A tag is
+/// the component's index in [`Component::ALL`].
+impl Codec for PowerReport {
+    const MIN_BYTES: usize = 16;
+    fn encode(&self, w: &mut ByteWriter) {
+        w.put_usize(self.entries.len());
+        for (c, b) in &self.entries {
+            // `u8::MAX` can never match a real slot on decode, so an
+            // unknown component (impossible today) fails validation there
+            // instead of silently aliasing another component.
+            let tag = Component::ALL.iter().position(|x| x == c).map_or(u8::MAX, |i| i as u8);
+            w.put_u8(tag);
+            w.put_f64(b.leakage_mw);
+            w.put_f64(b.internal_mw);
+            w.put_f64(b.switching_mw);
+        }
+        self.int_issue_slot_mw.encode(w);
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<PowerReport, CodecError> {
+        let n = r.seq_len(25)?;
+        let mut entries = Vec::with_capacity(n);
+        let mut seen = [false; Component::ALL.len()];
+        for _ in 0..n {
+            let tag = r.u8()? as usize;
+            let c = *Component::ALL.get(tag).ok_or(CodecError::Invalid("component tag"))?;
+            // `PowerReport::new` panics on duplicates; corrupt input must
+            // surface as a decode error instead.
+            if std::mem::replace(&mut seen[tag], true) {
+                return Err(CodecError::Invalid("duplicate component"));
+            }
+            let b = PowerBreakdown {
+                leakage_mw: r.f64()?,
+                internal_mw: r.f64()?,
+                switching_mw: r.f64()?,
+            };
+            entries.push((c, b));
+        }
+        Ok(PowerReport::new(entries, Vec::decode(r)?))
+    }
 }
 
 impl PowerReport {

@@ -5,26 +5,28 @@ use crate::bic::{bic, choose_k};
 use crate::kmeans::kmeans_best_of;
 use crate::projection::project;
 use rv_isa::bbv::BbvProfile;
-use rv_isa::codec::{ByteReader, ByteWriter, CodecError};
+use rv_isa::codec::Codec;
 
-/// Tunable parameters of the SimPoint analysis.
-#[derive(Clone, Debug)]
-pub struct SimPointConfig {
-    /// Maximum number of clusters to consider (`maxK`). Paper-scale runs use
-    /// up to 30; our scaled workloads default to 10.
-    pub max_k: usize,
-    /// Dimension after random projection (SimPoint 3.0 default: 15).
-    pub projected_dim: usize,
-    /// Fraction of the best BIC a smaller `k` must reach to be chosen.
-    pub bic_threshold: f64,
-    /// Independent k-means restarts per `k`.
-    pub restarts: usize,
-    /// Lloyd iteration cap per restart.
-    pub max_iters: usize,
-    /// RNG seed for projection and clustering.
-    pub seed: u64,
-    /// Execution-coverage target for the selected subset (paper: ≥ 0.9).
-    pub coverage: f64,
+rv_isa::record! {
+    /// Tunable parameters of the SimPoint analysis.
+    #[derive(Clone, Debug)]
+    pub struct SimPointConfig {
+        /// Maximum number of clusters to consider (`maxK`). Paper-scale runs use
+        /// up to 30; our scaled workloads default to 10.
+        pub max_k: usize [key],
+        /// Dimension after random projection (SimPoint 3.0 default: 15).
+        pub projected_dim: usize [key],
+        /// Fraction of the best BIC a smaller `k` must reach to be chosen.
+        pub bic_threshold: f64 [key],
+        /// Independent k-means restarts per `k`.
+        pub restarts: usize [key],
+        /// Lloyd iteration cap per restart.
+        pub max_iters: usize [key],
+        /// RNG seed for projection and clustering.
+        pub seed: u64 [key],
+        /// Execution-coverage target for the selected subset (paper: ≥ 0.9).
+        pub coverage: f64 [key],
+    }
 }
 
 impl Default for SimPointConfig {
@@ -42,58 +44,48 @@ impl Default for SimPointConfig {
 }
 
 impl SimPointConfig {
-    /// Stable fingerprint over every field that influences the analysis
-    /// result (FNV-1a; floats hashed by bit pattern). Two configs with the
-    /// same fingerprint produce identical [`SimPointAnalysis`] artifacts
-    /// for the same profile, so memoizing stores use this as a cache key.
+    /// The record's content key ([`Codec::content_key`]) over every
+    /// field that influences the analysis result (floats by bit pattern).
+    /// Two configs with the same fingerprint produce identical
+    /// [`SimPointAnalysis`] artifacts for the same profile, so memoizing
+    /// stores and the disk cache use this as a cache key.
     pub fn cache_fingerprint(&self) -> u64 {
-        let words = [
-            self.max_k as u64,
-            self.projected_dim as u64,
-            self.bic_threshold.to_bits(),
-            self.restarts as u64,
-            self.max_iters as u64,
-            self.seed,
-            self.coverage.to_bits(),
-        ];
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for w in words {
-            for b in w.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
+        self.content_key()
     }
 }
 
-/// One chosen simulation point.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SimPoint {
-    /// Index of the representative interval in the profile.
-    pub interval: usize,
-    /// Fraction of total execution represented by this point's cluster.
-    pub weight: f64,
-    /// Cluster this point represents.
-    pub cluster: usize,
+rv_isa::record! {
+    /// One chosen simulation point.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct SimPoint {
+        /// Index of the representative interval in the profile.
+        pub interval: usize [key],
+        /// Fraction of total execution represented by this point's cluster.
+        pub weight: f64 [key],
+        /// Cluster this point represents.
+        pub cluster: usize [key],
+    }
 }
 
-/// Complete result of a SimPoint analysis.
-#[derive(Clone, Debug)]
-pub struct SimPointAnalysis {
-    /// One point per cluster, sorted by descending weight.
-    pub points: Vec<SimPoint>,
-    /// The prefix of [`SimPointAnalysis::points`] kept to reach the
-    /// coverage target, with weights renormalized to sum to 1.
-    pub selected: Vec<SimPoint>,
-    /// Chosen number of clusters.
-    pub k: usize,
-    /// Interval size (dynamic instructions) of the underlying profile.
-    pub interval_size: u64,
-    /// Total dynamic instructions in the profiled execution.
-    pub total_insts: u64,
-    /// Raw coverage of `selected` before renormalization.
-    raw_coverage: f64,
+rv_isa::record! {
+    /// Complete result of a SimPoint analysis; its encoding (weights by
+    /// exact bit pattern) is the disk artifact cache's payload.
+    #[derive(Clone, Debug)]
+    pub struct SimPointAnalysis {
+        /// One point per cluster, sorted by descending weight.
+        pub points: Vec<SimPoint> [key],
+        /// The prefix of [`SimPointAnalysis::points`] kept to reach the
+        /// coverage target, with weights renormalized to sum to 1.
+        pub selected: Vec<SimPoint> [key],
+        /// Chosen number of clusters.
+        pub k: usize [key],
+        /// Interval size (dynamic instructions) of the underlying profile.
+        pub interval_size: u64 [key],
+        /// Total dynamic instructions in the profiled execution.
+        pub total_insts: u64 [key],
+        /// Raw coverage of `selected` before renormalization.
+        raw_coverage: f64 [key],
+    }
 }
 
 impl SimPointAnalysis {
@@ -116,52 +108,6 @@ impl SimPointAnalysis {
     pub fn speedup(&self) -> f64 {
         let detailed = self.selected.len() as u64 * self.interval_size;
         self.total_insts as f64 / detailed.max(1) as f64
-    }
-
-    /// Serializes the analysis for the disk artifact cache (weights by
-    /// exact bit pattern, so a round trip is bit-identical).
-    pub fn encode(&self, w: &mut ByteWriter) {
-        fn put_points(w: &mut ByteWriter, points: &[SimPoint]) {
-            w.put_usize(points.len());
-            for p in points {
-                w.put_usize(p.interval);
-                w.put_f64(p.weight);
-                w.put_usize(p.cluster);
-            }
-        }
-        put_points(w, &self.points);
-        put_points(w, &self.selected);
-        w.put_usize(self.k);
-        w.put_u64(self.interval_size);
-        w.put_u64(self.total_insts);
-        w.put_f64(self.raw_coverage);
-    }
-
-    /// Decodes an analysis produced by [`SimPointAnalysis::encode`].
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] on truncation or a length field the buffer cannot
-    /// hold — the cache layer quarantines such files and recomputes.
-    pub fn decode(r: &mut ByteReader<'_>) -> Result<SimPointAnalysis, CodecError> {
-        fn take_points(r: &mut ByteReader<'_>) -> Result<Vec<SimPoint>, CodecError> {
-            let n = r.seq_len(24)?;
-            let mut points = Vec::with_capacity(n);
-            for _ in 0..n {
-                let interval = r.usize()?;
-                let weight = r.f64()?;
-                let cluster = r.usize()?;
-                points.push(SimPoint { interval, weight, cluster });
-            }
-            Ok(points)
-        }
-        let points = take_points(r)?;
-        let selected = take_points(r)?;
-        let k = r.usize()?;
-        let interval_size = r.u64()?;
-        let total_insts = r.u64()?;
-        let raw_coverage = r.f64()?;
-        Ok(SimPointAnalysis { points, selected, k, interval_size, total_insts, raw_coverage })
     }
 }
 
@@ -248,6 +194,30 @@ pub fn analyze(profile: &BbvProfile, config: &SimPointConfig) -> SimPointAnalysi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rv_isa::codec::{ByteReader, ByteWriter};
+
+    #[test]
+    fn cache_fingerprint_keeps_its_value_and_covers_every_field() {
+        // Captured from the hand-rolled FNV this key replaced: disk-cache
+        // entries of phase analyses stay addressable.
+        let base = SimPointConfig::default();
+        assert_eq!(base.cache_fingerprint(), 0x1110_5bf1_6f0f_daaa);
+        type Perturb = fn(&mut SimPointConfig);
+        let perturbations: [(&str, Perturb); 7] = [
+            ("max_k", |c| c.max_k += 1),
+            ("projected_dim", |c| c.projected_dim += 1),
+            ("bic_threshold", |c| c.bic_threshold += 0.01),
+            ("restarts", |c| c.restarts += 1),
+            ("max_iters", |c| c.max_iters += 1),
+            ("seed", |c| c.seed += 1),
+            ("coverage", |c| c.coverage -= 0.01),
+        ];
+        for (what, perturb) in perturbations {
+            let mut c = base.clone();
+            perturb(&mut c);
+            assert_ne!(c.cache_fingerprint(), base.cache_fingerprint(), "{what} is in key");
+        }
+    }
     use rv_isa::bbv::Interval;
 
     fn phased_profile(phase_sizes: &[usize]) -> BbvProfile {

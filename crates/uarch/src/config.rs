@@ -6,6 +6,7 @@
 //! capacities, load/store queues, MSHRs, and cache geometry.
 
 use crate::issue::IssueQueueKind;
+use rv_isa::codec::{ByteReader, ByteWriter, Codec, CodecError};
 use std::fmt;
 
 /// A configuration parameter that cannot describe buildable hardware.
@@ -80,19 +81,21 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Geometry and timing of one L1 cache.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CacheParams {
-    /// Number of sets.
-    pub sets: usize,
-    /// Associativity.
-    pub ways: usize,
-    /// Line size in bytes.
-    pub line_bytes: usize,
-    /// Miss Status Handling Registers (outstanding misses).
-    pub mshrs: usize,
-    /// Hit latency in cycles.
-    pub hit_latency: u64,
+rv_isa::record! {
+    /// Geometry and timing of one L1 cache.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct CacheParams {
+        /// Number of sets.
+        pub sets: usize [key],
+        /// Associativity.
+        pub ways: usize [key],
+        /// Line size in bytes.
+        pub line_bytes: usize [key],
+        /// Miss Status Handling Registers (outstanding misses).
+        pub mshrs: usize [key],
+        /// Hit latency in cycles.
+        pub hit_latency: u64 [key],
+    }
 }
 
 impl CacheParams {
@@ -127,22 +130,24 @@ impl CacheParams {
     }
 }
 
-/// Uncore knobs of the [`MemBackendKind::Hierarchy`] backend: a shared
-/// MSHR-tracked L2 backed by a bandwidth-bounded DRAM channel.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HierarchyParams {
-    /// Shared L2 geometry and timing.
-    pub l2: CacheParams,
-    /// Closed-row DRAM access latency in cycles (core clock).
-    pub dram_latency: u64,
-    /// Cycles the DRAM channel is busy per line transfer — the bandwidth
-    /// bound: a second request issued while the channel is busy waits.
-    pub dram_burst_cycles: u64,
-    /// Open-row hit latency in cycles; set equal to `dram_latency` to
-    /// disable the open-row bonus.
-    pub dram_row_hit_latency: u64,
-    /// DRAM row-buffer size in bytes (power of two, ≥ the L2 line).
-    pub dram_row_bytes: u64,
+rv_isa::record! {
+    /// Uncore knobs of the [`MemBackendKind::Hierarchy`] backend: a shared
+    /// MSHR-tracked L2 backed by a bandwidth-bounded DRAM channel.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct HierarchyParams {
+        /// Shared L2 geometry and timing.
+        pub l2: CacheParams [key],
+        /// Closed-row DRAM access latency in cycles (core clock).
+        pub dram_latency: u64 [key],
+        /// Cycles the DRAM channel is busy per line transfer — the bandwidth
+        /// bound: a second request issued while the channel is busy waits.
+        pub dram_burst_cycles: u64 [key],
+        /// Open-row hit latency in cycles; set equal to `dram_latency` to
+        /// disable the open-row bonus.
+        pub dram_row_hit_latency: u64 [key],
+        /// DRAM row-buffer size in bytes (power of two, ≥ the L2 line).
+        pub dram_row_bytes: u64 [key],
+    }
 }
 
 impl HierarchyParams {
@@ -203,6 +208,27 @@ pub enum MemBackendKind {
     Hierarchy(HierarchyParams),
 }
 
+/// A one-byte tag, then the uncore knobs for `Hierarchy`.
+impl Codec for MemBackendKind {
+    const MIN_BYTES: usize = 1;
+    fn encode(&self, w: &mut ByteWriter) {
+        match self {
+            MemBackendKind::FixedLatency => w.put_u8(0),
+            MemBackendKind::Hierarchy(h) => {
+                w.put_u8(1);
+                h.encode(w);
+            }
+        }
+    }
+    fn decode(r: &mut ByteReader<'_>) -> Result<MemBackendKind, CodecError> {
+        match r.u8()? {
+            0 => Ok(MemBackendKind::FixedLatency),
+            1 => Ok(MemBackendKind::Hierarchy(HierarchyParams::decode(r)?)),
+            _ => Err(CodecError::Invalid("memory backend tag")),
+        }
+    }
+}
+
 /// Which conditional branch predictor the front end uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PredictorKind {
@@ -215,86 +241,91 @@ pub enum PredictorKind {
     Bimodal,
 }
 
-/// A complete BOOM core configuration.
-///
-/// Construct with [`BoomConfig::medium`], [`BoomConfig::large`], or
-/// [`BoomConfig::mega`], then adjust fields for ablation studies.
-#[derive(Clone, Debug)]
-pub struct BoomConfig {
-    /// Human-readable configuration name.
-    pub name: String,
-    /// Instructions fetched per cycle (within one cache line).
-    pub fetch_width: usize,
-    /// Decode/rename/dispatch width; also the commit width.
-    pub decode_width: usize,
-    /// Reorder buffer entries.
-    pub rob_entries: usize,
-    /// Integer physical registers.
-    pub int_phys_regs: usize,
-    /// Floating-point physical registers.
-    pub fp_phys_regs: usize,
-    /// Integer register file read ports.
-    pub irf_read_ports: usize,
-    /// Integer register file write ports.
-    pub irf_write_ports: usize,
-    /// FP register file read ports.
-    pub frf_read_ports: usize,
-    /// FP register file write ports.
-    pub frf_write_ports: usize,
-    /// Integer issue queue slots.
-    pub int_issue_slots: usize,
-    /// Memory issue queue slots.
-    pub mem_issue_slots: usize,
-    /// FP issue queue slots.
-    pub fp_issue_slots: usize,
-    /// Integer instructions issued per cycle (= integer ALUs).
-    pub int_issue_width: usize,
-    /// Memory operations issued per cycle (= memory execution units).
-    pub mem_issue_width: usize,
-    /// FP operations issued per cycle (= FPUs).
-    pub fp_issue_width: usize,
-    /// Load queue entries.
-    pub ldq_entries: usize,
-    /// Store queue entries.
-    pub stq_entries: usize,
-    /// Fetch buffer entries (instructions).
-    pub fetch_buffer_entries: usize,
-    /// Maximum in-flight branches (rename snapshots / allocation lists).
-    pub max_br_count: usize,
-    /// BTB sets.
-    pub btb_sets: usize,
-    /// BTB ways.
-    pub btb_ways: usize,
-    /// Return-address stack entries.
-    pub ras_entries: usize,
-    /// Conditional predictor flavour.
-    pub predictor: PredictorKind,
-    /// Scale factor for predictor table sizes (Medium uses half-size BTB).
-    pub bp_table_shift: u32,
-    /// L1 instruction cache.
-    pub icache: CacheParams,
-    /// L1 data cache.
-    pub dcache: CacheParams,
-    /// Backing-memory latency in cycles (L1 miss penalty under the
-    /// [`MemBackendKind::FixedLatency`] backend).
-    pub mem_latency: u64,
-    /// Memory-system backend serving L1 misses.
-    pub mem_backend: MemBackendKind,
-    /// Additional front-end redirect penalty on a mispredict, beyond the
-    /// natural pipeline refill (models BOOM's deeper fetch pipeline).
-    pub redirect_penalty: u64,
-    /// Pipelined integer multiply latency.
-    pub mul_latency: u64,
-    /// Unpipelined integer divide latency.
-    pub div_latency: u64,
-    /// Pipelined FPU (add/mul/fma/cvt) latency.
-    pub fpu_latency: u64,
-    /// Unpipelined FP divide/sqrt latency.
-    pub fdiv_latency: u64,
-    /// Core clock in Hz (the paper runs everything at 500 MHz).
-    pub clock_hz: f64,
-    /// Issue-queue implementation (Key Takeaway #5 ablation).
-    pub iq_kind: IssueQueueKind,
+rv_isa::tags!(PredictorKind { Tage = 0, Gshare = 1, Bimodal = 2 });
+
+rv_isa::record! {
+    /// A complete BOOM core configuration.
+    ///
+    /// Construct with [`BoomConfig::medium`], [`BoomConfig::large`], or
+    /// [`BoomConfig::mega`], then adjust fields for ablation studies.
+    #[derive(Clone, Debug)]
+    pub struct BoomConfig {
+        /// Human-readable configuration name. Out of key: configurations
+        /// that differ only in name share every simulated point.
+        pub name: String [nokey],
+        /// Instructions fetched per cycle (within one cache line).
+        pub fetch_width: usize [key],
+        /// Decode/rename/dispatch width; also the commit width.
+        pub decode_width: usize [key],
+        /// Reorder buffer entries.
+        pub rob_entries: usize [key],
+        /// Integer physical registers.
+        pub int_phys_regs: usize [key],
+        /// Floating-point physical registers.
+        pub fp_phys_regs: usize [key],
+        /// Integer register file read ports.
+        pub irf_read_ports: usize [key],
+        /// Integer register file write ports.
+        pub irf_write_ports: usize [key],
+        /// FP register file read ports.
+        pub frf_read_ports: usize [key],
+        /// FP register file write ports.
+        pub frf_write_ports: usize [key],
+        /// Integer issue queue slots.
+        pub int_issue_slots: usize [key],
+        /// Memory issue queue slots.
+        pub mem_issue_slots: usize [key],
+        /// FP issue queue slots.
+        pub fp_issue_slots: usize [key],
+        /// Integer instructions issued per cycle (= integer ALUs).
+        pub int_issue_width: usize [key],
+        /// Memory operations issued per cycle (= memory execution units).
+        pub mem_issue_width: usize [key],
+        /// FP operations issued per cycle (= FPUs).
+        pub fp_issue_width: usize [key],
+        /// Load queue entries.
+        pub ldq_entries: usize [key],
+        /// Store queue entries.
+        pub stq_entries: usize [key],
+        /// Fetch buffer entries (instructions).
+        pub fetch_buffer_entries: usize [key],
+        /// Maximum in-flight branches (rename snapshots / allocation lists).
+        pub max_br_count: usize [key],
+        /// BTB sets.
+        pub btb_sets: usize [key],
+        /// BTB ways.
+        pub btb_ways: usize [key],
+        /// Return-address stack entries.
+        pub ras_entries: usize [key],
+        /// Conditional predictor flavour.
+        pub predictor: PredictorKind [key],
+        /// Scale factor for predictor table sizes (Medium uses half-size BTB).
+        pub bp_table_shift: u32 [key],
+        /// L1 instruction cache.
+        pub icache: CacheParams [key],
+        /// L1 data cache.
+        pub dcache: CacheParams [key],
+        /// Backing-memory latency in cycles (L1 miss penalty under the
+        /// [`MemBackendKind::FixedLatency`] backend).
+        pub mem_latency: u64 [key],
+        /// Memory-system backend serving L1 misses.
+        pub mem_backend: MemBackendKind [key],
+        /// Additional front-end redirect penalty on a mispredict, beyond the
+        /// natural pipeline refill (models BOOM's deeper fetch pipeline).
+        pub redirect_penalty: u64 [key],
+        /// Pipelined integer multiply latency.
+        pub mul_latency: u64 [key],
+        /// Unpipelined integer divide latency.
+        pub div_latency: u64 [key],
+        /// Pipelined FPU (add/mul/fma/cvt) latency.
+        pub fpu_latency: u64 [key],
+        /// Unpipelined FP divide/sqrt latency.
+        pub fdiv_latency: u64 [key],
+        /// Core clock in Hz (the paper runs everything at 500 MHz).
+        pub clock_hz: f64 [key],
+        /// Issue-queue implementation (Key Takeaway #5 ablation).
+        pub iq_kind: IssueQueueKind [key],
+    }
 }
 
 impl BoomConfig {
@@ -444,8 +475,9 @@ impl BoomConfig {
     }
 
     /// Returns a copy served by the L2 + DRAM [`MemBackendKind::Hierarchy`]
-    /// backend, with `+L2` appended to the name so campaign cells and
-    /// fingerprints distinguish it from the flat-memory configuration.
+    /// backend, with `+L2` appended to the name so campaign cells
+    /// distinguish it from the flat-memory configuration (its key differs
+    /// through `mem_backend`).
     pub fn with_hierarchy(mut self, uncore: HierarchyParams) -> BoomConfig {
         self.name.push_str("+L2");
         self.mem_backend = MemBackendKind::Hierarchy(uncore);
@@ -536,6 +568,89 @@ mod tests {
             let l2 = cfg.with_hierarchy(HierarchyParams::default_uncore());
             assert!(l2.name.ends_with("+L2"));
             l2.validate().expect("hierarchy preset must validate");
+        }
+    }
+
+    #[test]
+    fn config_key_covers_every_field_but_the_name() {
+        let base = BoomConfig::medium();
+        let key = base.content_key();
+        let mut renamed = base.clone();
+        renamed.name = "MediumCopy".to_string();
+        assert_eq!(renamed.content_key(), key, "the display name is out of key");
+        type Perturb = fn(&mut BoomConfig);
+        let perturbations: [(&str, Perturb); 47] = [
+            ("fetch_width", |c| c.fetch_width += 1),
+            ("decode_width", |c| c.decode_width += 1),
+            ("rob_entries", |c| c.rob_entries += 1),
+            ("int_phys_regs", |c| c.int_phys_regs += 1),
+            ("fp_phys_regs", |c| c.fp_phys_regs += 1),
+            ("irf_read_ports", |c| c.irf_read_ports += 1),
+            ("irf_write_ports", |c| c.irf_write_ports += 1),
+            ("frf_read_ports", |c| c.frf_read_ports += 1),
+            ("frf_write_ports", |c| c.frf_write_ports += 1),
+            ("int_issue_slots", |c| c.int_issue_slots += 1),
+            ("mem_issue_slots", |c| c.mem_issue_slots += 1),
+            ("fp_issue_slots", |c| c.fp_issue_slots += 1),
+            ("int_issue_width", |c| c.int_issue_width += 1),
+            ("mem_issue_width", |c| c.mem_issue_width += 1),
+            ("fp_issue_width", |c| c.fp_issue_width += 1),
+            ("ldq_entries", |c| c.ldq_entries += 1),
+            ("stq_entries", |c| c.stq_entries += 1),
+            ("fetch_buffer_entries", |c| c.fetch_buffer_entries += 1),
+            ("max_br_count", |c| c.max_br_count += 1),
+            ("btb_sets", |c| c.btb_sets += 1),
+            ("btb_ways", |c| c.btb_ways += 1),
+            ("ras_entries", |c| c.ras_entries += 1),
+            ("predictor", |c| c.predictor = PredictorKind::Gshare),
+            ("bp_table_shift", |c| c.bp_table_shift += 1),
+            ("icache.sets", |c| c.icache.sets += 1),
+            ("icache.ways", |c| c.icache.ways += 1),
+            ("icache.line_bytes", |c| c.icache.line_bytes += 1),
+            ("icache.mshrs", |c| c.icache.mshrs += 1),
+            ("icache.hit_latency", |c| c.icache.hit_latency += 1),
+            ("dcache.sets", |c| c.dcache.sets += 1),
+            ("dcache.ways", |c| c.dcache.ways += 1),
+            ("dcache.line_bytes", |c| c.dcache.line_bytes += 1),
+            ("dcache.mshrs", |c| c.dcache.mshrs += 1),
+            ("dcache.hit_latency", |c| c.dcache.hit_latency += 1),
+            ("mem_latency", |c| c.mem_latency += 1),
+            ("mem_backend", |c| {
+                c.mem_backend = MemBackendKind::Hierarchy(HierarchyParams::default_uncore())
+            }),
+            ("redirect_penalty", |c| c.redirect_penalty += 1),
+            ("mul_latency", |c| c.mul_latency += 1),
+            ("div_latency", |c| c.div_latency += 1),
+            ("fpu_latency", |c| c.fpu_latency += 1),
+            ("fdiv_latency", |c| c.fdiv_latency += 1),
+            ("clock_hz", |c| c.clock_hz *= 2.0),
+            ("iq_kind", |c| c.iq_kind = IssueQueueKind::NonCollapsing),
+            ("hierarchy.l2", |c| hierarchy(c).l2.ways += 1),
+            ("hierarchy.dram_latency", |c| hierarchy(c).dram_latency += 1),
+            ("hierarchy.dram_burst_cycles", |c| hierarchy(c).dram_burst_cycles += 1),
+            ("hierarchy.dram_row_hit_latency", |c| hierarchy(c).dram_row_hit_latency += 1),
+        ];
+        let uncore = base.clone().with_hierarchy(HierarchyParams::default_uncore());
+        for (what, perturb) in perturbations {
+            let from = if what.starts_with("hierarchy.") { &uncore } else { &base };
+            let mut c = from.clone();
+            perturb(&mut c);
+            assert_ne!(
+                c.content_key(),
+                from.content_key(),
+                "perturbing {what} must change the key"
+            );
+        }
+        let mut rows = uncore.clone();
+        hierarchy(&mut rows).dram_row_bytes *= 2;
+        assert_ne!(rows.content_key(), uncore.content_key(), "dram_row_bytes is in key");
+    }
+
+    /// The uncore knobs of a hierarchy configuration.
+    fn hierarchy(c: &mut BoomConfig) -> &mut HierarchyParams {
+        match &mut c.mem_backend {
+            MemBackendKind::Hierarchy(h) => h,
+            MemBackendKind::FixedLatency => panic!("not a hierarchy configuration"),
         }
     }
 

@@ -16,7 +16,7 @@ use crate::stats::Stats;
 use crate::trace::PipeTracer;
 use crate::uop::{classify, classify_image, DestReg, ExecUnit, IqKind, SrcReg, UopInfo, UopTable};
 use crate::watchdog::{
-    IssueQueueView, LsuView, MshrView, OldestEntryView, RobHeadView, WatchdogSnapshot,
+    IqName, IssueQueueView, LsuView, MshrView, OldestEntryView, RobHeadView, WatchdogSnapshot,
 };
 use rv_isa::checkpoint::Checkpoint;
 use rv_isa::cpu::Cpu;
@@ -670,15 +670,19 @@ impl Core {
                 age_cycles: self.cycle.saturating_sub(h.dispatched_at),
                 srcs_ready: self.srcs_ready(h),
             }),
-            issue_queues: [("int", &self.iq_int), ("mem", &self.iq_mem), ("fp", &self.iq_fp)]
-                .into_iter()
-                .map(|(name, iq)| IssueQueueView {
-                    name,
-                    occupancy: iq.len(),
-                    capacity: iq.capacity(),
-                    oldest: oldest_view(iq),
-                })
-                .collect(),
+            issue_queues: [
+                (IqName::Int, &self.iq_int),
+                (IqName::Mem, &self.iq_mem),
+                (IqName::Fp, &self.iq_fp),
+            ]
+            .into_iter()
+            .map(|(name, iq)| IssueQueueView {
+                name,
+                occupancy: iq.len(),
+                capacity: iq.capacity(),
+                oldest: oldest_view(iq),
+            })
+            .collect(),
             lsu: LsuView {
                 ldq_len: self.lsu.ldq_len(),
                 ldq_head_seq: self.lsu.ldq_head().map(|e| e.seq),

@@ -101,6 +101,8 @@ pub enum IssueQueueKind {
     NonCollapsing,
 }
 
+rv_isa::tags!(IssueQueueKind { Collapsing = 0, NonCollapsing = 1 });
+
 /// A select pass over one queue: where [`IssueQueue::next_ready`]
 /// resumes, and how many ready entries lie at or beyond it. Valid until
 /// the queue is next mutated.

@@ -264,6 +264,7 @@ impl Dram {
 mod tests {
     use super::*;
     use crate::config::CacheParams;
+    use crate::stats::Counters;
 
     fn small_uncore() -> HierarchyParams {
         HierarchyParams {

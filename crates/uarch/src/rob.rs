@@ -7,6 +7,7 @@
 use crate::predictor::{BranchKind, PredMeta};
 use crate::regfile::PReg;
 use crate::uop::UopInfo;
+use rv_isa::codec::{ByteReader, ByteWriter, Codec, CodecError};
 use rv_isa::exec::{Loaded, Outcome};
 use rv_isa::inst::Inst;
 use std::collections::VecDeque;
@@ -60,6 +61,31 @@ pub enum UopState {
     WaitMem,
     /// Complete; eligible for commit when it reaches the ROB head.
     Done,
+}
+
+/// A one-byte tag, then `done_at` for `Executing`.
+impl Codec for UopState {
+    const MIN_BYTES: usize = 1;
+    fn encode(&self, w: &mut ByteWriter) {
+        match *self {
+            UopState::Waiting => w.put_u8(0),
+            UopState::Executing { done_at } => {
+                w.put_u8(1);
+                w.put_u64(done_at);
+            }
+            UopState::WaitMem => w.put_u8(2),
+            UopState::Done => w.put_u8(3),
+        }
+    }
+    fn decode(r: &mut ByteReader<'_>) -> Result<UopState, CodecError> {
+        Ok(match r.u8()? {
+            0 => UopState::Waiting,
+            1 => UopState::Executing { done_at: r.u64()? },
+            2 => UopState::WaitMem,
+            3 => UopState::Done,
+            _ => return Err(CodecError::Invalid("uop state tag")),
+        })
+    }
 }
 
 /// Branch-prediction bookkeeping carried by control-flow uops.

@@ -14,112 +14,147 @@
 use crate::rob::UopState;
 use std::fmt;
 
-/// The ROB head at the moment the watchdog fired: the uop commit is stuck
-/// behind.
-#[derive(Clone, Debug)]
-pub struct RobHeadView {
-    /// Sequence number of the head uop.
-    pub seq: u64,
-    /// Its instruction address.
-    pub pc: u64,
-    /// Disassembly of the instruction.
-    pub inst: String,
-    /// Pipeline state of the head uop.
-    pub state: UopState,
-    /// Cycles since the head uop was dispatched.
-    pub age_cycles: u64,
-    /// Whether every renamed source operand is ready.
-    pub srcs_ready: bool,
+rv_isa::record! {
+    /// The ROB head at the moment the watchdog fired: the uop commit is stuck
+    /// behind.
+    #[derive(Clone, Debug)]
+    pub struct RobHeadView {
+        /// Sequence number of the head uop.
+        pub seq: u64 [key],
+        /// Its instruction address.
+        pub pc: u64 [key],
+        /// Disassembly of the instruction.
+        pub inst: String [key],
+        /// Pipeline state of the head uop.
+        pub state: UopState [key],
+        /// Cycles since the head uop was dispatched.
+        pub age_cycles: u64 [key],
+        /// Whether every renamed source operand is ready.
+        pub srcs_ready: bool [key],
+    }
 }
 
-/// One issue queue's stall-relevant state.
-#[derive(Clone, Debug)]
-pub struct IssueQueueView {
-    /// Queue name (`int`, `mem`, `fp`).
-    pub name: &'static str,
-    /// Occupied slots.
-    pub occupancy: usize,
-    /// Total slots.
-    pub capacity: usize,
-    /// The oldest waiting entry, if any: its sequence number, whether its
-    /// sources are ready, and its ROB state.
-    pub oldest: Option<OldestEntryView>,
+/// One of the core's three distributed issue queues.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum IqName {
+    /// The integer queue.
+    Int,
+    /// The memory queue.
+    Mem,
+    /// The floating-point queue.
+    Fp,
 }
 
-/// The oldest entry of one issue queue.
-#[derive(Clone, Debug)]
-pub struct OldestEntryView {
-    /// Sequence number of the entry.
-    pub seq: u64,
-    /// Whether its renamed sources are all ready (an old not-ready entry
-    /// points at a lost wakeup; an old ready one at a select/port bug).
-    pub srcs_ready: bool,
-    /// Its ROB state.
-    pub state: UopState,
+rv_isa::tags!(IqName { Int = 0, Mem = 1, Fp = 2 });
+
+impl fmt::Display for IqName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            IqName::Int => "int",
+            IqName::Mem => "mem",
+            IqName::Fp => "fp",
+        })
+    }
 }
 
-/// Load/store queue heads (program-order oldest entries).
-#[derive(Clone, Debug)]
-pub struct LsuView {
-    /// Load-queue occupancy.
-    pub ldq_len: usize,
-    /// Sequence number of the oldest load, if any.
-    pub ldq_head_seq: Option<u64>,
-    /// Store-queue occupancy.
-    pub stq_len: usize,
-    /// Oldest store: `(seq, resolved address)` — an unresolved address
-    /// (`None`) at the head is the classic memory-ordering stall.
-    pub stq_head: Option<(u64, Option<u64>)>,
+rv_isa::record! {
+    /// One issue queue's stall-relevant state.
+    #[derive(Clone, Debug)]
+    pub struct IssueQueueView {
+        /// Which queue.
+        pub name: IqName [key],
+        /// Occupied slots.
+        pub occupancy: usize [key],
+        /// Total slots.
+        pub capacity: usize [key],
+        /// The oldest waiting entry, if any: its sequence number, whether its
+        /// sources are ready, and its ROB state.
+        pub oldest: Option<OldestEntryView> [key],
+    }
 }
 
-/// One outstanding MSHR refill.
-#[derive(Clone, Copy, Debug)]
-pub struct MshrView {
-    /// Line address being refilled (already shifted by the line size).
-    pub line_addr: u64,
-    /// Cycle at which the refill completes; a `done_at` forever in the
-    /// past would indicate a tick/retain bug.
-    pub done_at: u64,
+rv_isa::record! {
+    /// The oldest entry of one issue queue.
+    #[derive(Clone, Debug)]
+    pub struct OldestEntryView {
+        /// Sequence number of the entry.
+        pub seq: u64 [key],
+        /// Whether its renamed sources are all ready (an old not-ready entry
+        /// points at a lost wakeup; an old ready one at a select/port bug).
+        pub srcs_ready: bool [key],
+        /// Its ROB state.
+        pub state: UopState [key],
+    }
 }
 
-/// A structured diagnostic snapshot of a stalled pipeline.
-///
-/// Captured by [`crate::Core::dump_state`]; the [`fmt::Display`]
-/// implementation renders the multi-line report the `boomflow` CLI prints
-/// when a simulation point hangs.
-#[derive(Clone, Debug)]
-pub struct WatchdogSnapshot {
-    /// Cycle at which the snapshot was taken.
-    pub cycle: u64,
-    /// Cycles since the last commit (what tripped the watchdog).
-    pub cycles_since_commit: u64,
-    /// Instructions retired so far.
-    pub retired: u64,
-    /// Next fetch address.
-    pub fetch_pc: u64,
-    /// Front end frozen on an undecodable word (wrong-path garbage).
-    pub fetch_wedged: bool,
-    /// Fetch-buffer occupancy.
-    pub fetch_buffer_len: usize,
-    /// A pending fetch redirect: `(target, effective_cycle)`.
-    pub redirect: Option<(u64, u64)>,
-    /// ROB occupancy.
-    pub rob_len: usize,
-    /// ROB capacity.
-    pub rob_capacity: usize,
-    /// The ROB head, absent only when the ROB is empty (a front-end stall).
-    pub rob_head: Option<RobHeadView>,
-    /// The three distributed issue queues (int, mem, fp).
-    pub issue_queues: Vec<IssueQueueView>,
-    /// Load/store unit state.
-    pub lsu: LsuView,
-    /// Outstanding L1I refills.
-    pub icache_mshrs: Vec<MshrView>,
-    /// Outstanding L1D refills.
-    pub dcache_mshrs: Vec<MshrView>,
-    /// Outstanding refills in the memory backend (the shared L2's MSHRs
-    /// under the hierarchy backend; always empty under fixed latency).
-    pub l2_mshrs: Vec<MshrView>,
+rv_isa::record! {
+    /// Load/store queue heads (program-order oldest entries).
+    #[derive(Clone, Debug)]
+    pub struct LsuView {
+        /// Load-queue occupancy.
+        pub ldq_len: usize [key],
+        /// Sequence number of the oldest load, if any.
+        pub ldq_head_seq: Option<u64> [key],
+        /// Store-queue occupancy.
+        pub stq_len: usize [key],
+        /// Oldest store: `(seq, resolved address)` — an unresolved address
+        /// (`None`) at the head is the classic memory-ordering stall.
+        pub stq_head: Option<(u64, Option<u64>)> [key],
+    }
+}
+
+rv_isa::record! {
+    /// One outstanding MSHR refill.
+    #[derive(Clone, Copy, Debug)]
+    pub struct MshrView {
+        /// Line address being refilled (already shifted by the line size).
+        pub line_addr: u64 [key],
+        /// Cycle at which the refill completes; a `done_at` forever in the
+        /// past would indicate a tick/retain bug.
+        pub done_at: u64 [key],
+    }
+}
+
+rv_isa::record! {
+    /// A structured diagnostic snapshot of a stalled pipeline.
+    ///
+    /// Captured by [`crate::Core::dump_state`]; the [`fmt::Display`]
+    /// implementation renders the multi-line report the `boomflow` CLI prints
+    /// when a simulation point hangs.
+    #[derive(Clone, Debug)]
+    pub struct WatchdogSnapshot {
+        /// Cycle at which the snapshot was taken.
+        pub cycle: u64 [key],
+        /// Cycles since the last commit (what tripped the watchdog).
+        pub cycles_since_commit: u64 [key],
+        /// Instructions retired so far.
+        pub retired: u64 [key],
+        /// Next fetch address.
+        pub fetch_pc: u64 [key],
+        /// Front end frozen on an undecodable word (wrong-path garbage).
+        pub fetch_wedged: bool [key],
+        /// Fetch-buffer occupancy.
+        pub fetch_buffer_len: usize [key],
+        /// A pending fetch redirect: `(target, effective_cycle)`.
+        pub redirect: Option<(u64, u64)> [key],
+        /// ROB occupancy.
+        pub rob_len: usize [key],
+        /// ROB capacity.
+        pub rob_capacity: usize [key],
+        /// The ROB head, absent only when the ROB is empty (a front-end stall).
+        pub rob_head: Option<RobHeadView> [key],
+        /// The three distributed issue queues (int, mem, fp).
+        pub issue_queues: Vec<IssueQueueView> [key],
+        /// Load/store unit state.
+        pub lsu: LsuView [key],
+        /// Outstanding L1I refills.
+        pub icache_mshrs: Vec<MshrView> [key],
+        /// Outstanding L1D refills.
+        pub dcache_mshrs: Vec<MshrView> [key],
+        /// Outstanding refills in the memory backend (the shared L2's MSHRs
+        /// under the hierarchy backend; always empty under fixed latency).
+        pub l2_mshrs: Vec<MshrView> [key],
+    }
 }
 
 impl WatchdogSnapshot {
@@ -266,7 +301,7 @@ mod tests {
                 srcs_ready,
             }),
             issue_queues: vec![IssueQueueView {
-                name: "int",
+                name: IqName::Int,
                 occupancy: 2,
                 capacity: 20,
                 oldest: Some(OldestEntryView { seq: 17, srcs_ready, state }),

@@ -82,6 +82,8 @@ pub enum Scale {
     Full,
 }
 
+rv_isa::tags!(Scale { Test = 0, Small = 1, Full = 2 });
+
 impl Scale {
     /// A scale-dependent iteration/size factor: `Test` = base,
     /// `Small` ≈ 4×, `Full` ≈ 16×.

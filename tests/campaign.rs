@@ -171,6 +171,36 @@ fn three_config_campaign_computes_front_half_once_per_workload() {
     assert!(!report.stage_summary().is_empty());
 }
 
+/// Configurations that differ only in their display name share one
+/// config key, so a campaign over medium and a renamed copy simulates
+/// every point once, and both cells render the same numbers.
+#[test]
+fn renamed_configuration_shares_every_point() {
+    let mut copy = BoomConfig::medium();
+    copy.name = "MediumCopy".to_string();
+    let cfgs = [BoomConfig::medium(), copy];
+    let workloads = test_workloads();
+    let store = ArtifactStore::new();
+    let report = supervise_campaign(
+        &cfgs,
+        &workloads,
+        &quick_flow(),
+        &store,
+        &CampaignOptions { jobs: 2, ..CampaignOptions::default() },
+    );
+    assert!(report.all_ok(), "{:?}", report.failure_log());
+    let n = workloads.len();
+    let points: u64 =
+        report.cells[..n].iter().map(|c| c.outcome.as_ref().unwrap().points.len() as u64).sum();
+    let s = store.stats();
+    assert_eq!(s.sweep_point_stored, points, "every point is simulated once");
+    assert_eq!(s.inflight_dedup_hits + s.warm_store_hits, points, "the copy reuses every point");
+    let text = report.render_deterministic().replace("cell MediumCopy ", "cell MediumBOOM ");
+    let cells: Vec<&str> = text.trim_end().split("\ncell ").skip(1).collect();
+    assert_eq!(cells.len(), 2 * n);
+    assert_eq!(cells[..n], cells[n..], "both cells render the same numbers");
+}
+
 /// Acceptance: a parallel campaign's report is identical in content and
 /// ordering to the sequential one — for clean runs and for runs that
 /// degrade under fault injection.

@@ -7,7 +7,7 @@
 #![allow(clippy::unwrap_used)]
 
 use boomflow::{
-    all_fixed_latency, realize_campaign, request_events, request_id, run_sweep,
+    all_fixed_latency, encode_client, realize_campaign, request_events, request_id, run_sweep,
     supervise_matrix_with, ArtifactStore, CampaignOptions, CampaignRequest, ClientMsg, FlowConfig,
     Request, ServeAddr, ServeOptions, Server, ServerMsg, SweepOptions, SweepRequest, SweepSpec,
 };
@@ -321,6 +321,68 @@ fn killed_server_resumes_on_restart_and_attach() {
             );
         }
         other => panic!("attach after restart: expected Done, got {other:?}"),
+    }
+    shutdown(&addr, handle);
+}
+
+/// A request whose state-directory journal has an older format (a
+/// version-2 header, written before the config key left out the display
+/// name) restarts from its persisted spec on attach instead of being
+/// rejected for good: a campaign's report is byte-identical to a fresh
+/// solo run, and a sweep completes too.
+#[test]
+fn old_format_journal_restarts_the_request_on_attach() {
+    let state_dir = scratch("state-v2");
+    std::fs::create_dir_all(&state_dir).unwrap();
+    let campaign = campaign_request("bitcount");
+    let sweep = SweepRequest {
+        preset: "smoke16".to_string(),
+        base: String::new(),
+        workloads: "bitcount".to_string(),
+        scale: Scale::Test,
+        warmup: 1_000,
+        max_rungs: 2,
+        rung0_points: 1,
+        rung0_shift: 3,
+        epsilon: 0.05,
+        epsilon_decay: 0.5,
+        exhaustive: false,
+        batch_lanes: 1,
+    };
+    let mut old = b"BFJL".to_vec();
+    old.extend_from_slice(&2u32.to_le_bytes());
+    old.extend_from_slice(&0x0123_4567_89ab_cdef_u64.to_le_bytes());
+    let mut planted = Vec::new();
+    for (req, ext) in [(Request::Campaign(campaign.clone()), "bfj"), (Request::Sweep(sweep), "swj")]
+    {
+        let id = request_id(&req);
+        let spec = encode_client(&ClientMsg::Submit(req));
+        std::fs::write(state_dir.join(format!("{id:016x}.req")), spec).unwrap();
+        let journal = state_dir.join(format!("{id:016x}.{ext}"));
+        std::fs::write(&journal, &old).unwrap();
+        planted.push((id, journal));
+    }
+
+    let opts = ServeOptions {
+        jobs: 1,
+        max_active: 4,
+        cache_dir: None,
+        state_dir,
+        kill_after_points: None,
+    };
+    let (addr, handle) = start_server("sock-v2", opts);
+    for (i, (id, journal)) in planted.iter().enumerate() {
+        match roundtrip(&addr, &ClientMsg::Attach(*id)) {
+            ServerMsg::Done { ok, report, summary, .. } => {
+                assert!(ok, "restarted request failed:\n{summary}");
+                if i == 0 {
+                    assert_eq!(String::from_utf8(report).unwrap(), solo_report(&campaign));
+                }
+            }
+            other => panic!("attach over an old journal: expected Done, got {other:?}"),
+        }
+        let header = std::fs::read(journal).unwrap();
+        assert_eq!(header[4..8], 3u32.to_le_bytes(), "the journal is recreated");
     }
     shutdown(&addr, handle);
 }

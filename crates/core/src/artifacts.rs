@@ -35,8 +35,9 @@
 //! simulation: the baseline is (configuration, workload)-keyed and only
 //! ever simulated once per store.
 //!
-//! Every stage records compute/hit counters and wall-clock totals
-//! ([`CacheStats`]), which the campaign scheduler surfaces through
+//! All five maps are one `Memo` type, and every stage records
+//! compute/hit counters and wall-clock totals ([`CacheStats`]), which the
+//! campaign scheduler surfaces through
 //! [`CampaignReport`](crate::CampaignReport) — the reuse win is
 //! observable, not assumed.
 
@@ -48,38 +49,173 @@ use crate::sync::lock;
 use boom_uarch::BoomConfig;
 use rv_isa::bbv::BbvProfile;
 use rv_isa::checkpoint::{checkpoints_from, Checkpoint, RestartPoints, SharedCheckpoint};
-use rv_isa::codec::{fnv1a, ByteReader, ByteWriter, Codec, CodecError};
+use rv_isa::codec::{ByteReader, ByteWriter, Codec, CodecError};
 use rv_workloads::Workload;
 use simpoint::{analyze, SimPointAnalysis};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::ThreadId;
 use std::time::Instant;
 
-/// Cache key of a profiling artifact.
-type ProfileKey = (u64, u64, u64);
-/// Cache key of a phase-analysis artifact.
-type AnalysisKey = (ProfileKey, u64);
-/// Cache key of a checkpoint-set artifact.
-type CheckpointKey = (AnalysisKey, u64);
-/// Cache key of a full-run baseline.
-type FullRunKey = (u64, u64);
+rv_isa::record! {
+    /// Memo key of a profile: the program fingerprint, the interval size
+    /// and the profiling budget.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    struct ProfileKey {
+        program: u64 [key],
+        interval_size: u64 [key],
+        budget: u64 [key],
+    }
+}
+
+rv_isa::record! {
+    /// Memo key of a phase analysis: the profile and the SimPoint config.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    struct AnalysisKey {
+        profile: ProfileKey [key],
+        simpoint: u64 [key],
+    }
+}
+
+rv_isa::record! {
+    /// Memo key of a checkpoint set: the analysis and the warm-up.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    struct CheckpointKey {
+        analysis: AnalysisKey [key],
+        warmup: u64 [key],
+    }
+}
+
+/// Memo key of a full-run baseline.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct FullRunKey {
+    config: u64,
+    program: u64,
+}
+
+/// A stage's (fills run, lookups served, wall-clock ms) in [`CacheStats`].
+type Meters = fn(&mut CacheStats) -> (&mut u64, &mut u64, &mut f64);
+
+/// A front-half stage's memo key, which is also its disk entry's: the
+/// entry's header key is the key's [`Codec::content_key`] (FNV-1a over
+/// its fields' little-endian bytes).
+trait StageKey: Codec + Eq + Hash {
+    /// The stage the disk entry is filed under.
+    const STAGE: CacheStage;
+    /// The counters the stage's lookups charge.
+    const METERS: Meters;
+    /// The entry's file-name part, readable in a directory listing.
+    fn entry(&self) -> String;
+}
+
+impl StageKey for ProfileKey {
+    const STAGE: CacheStage = CacheStage::Profile;
+    const METERS: Meters = |s| (&mut s.profile_computed, &mut s.profile_hits, &mut s.profile_ms);
+    fn entry(&self) -> String {
+        format!("{:016x}-{}-{}", self.program, self.interval_size, self.budget)
+    }
+}
+
+impl StageKey for AnalysisKey {
+    const STAGE: CacheStage = CacheStage::Analysis;
+    const METERS: Meters = |s| (&mut s.cluster_computed, &mut s.cluster_hits, &mut s.cluster_ms);
+    fn entry(&self) -> String {
+        format!("{}-{:016x}", self.profile.entry(), self.simpoint)
+    }
+}
+
+impl StageKey for CheckpointKey {
+    const STAGE: CacheStage = CacheStage::Checkpoints;
+    const METERS: Meters =
+        |s| (&mut s.checkpoint_computed, &mut s.checkpoint_hits, &mut s.checkpoint_ms);
+    fn entry(&self) -> String {
+        format!("{}-{}", self.analysis.entry(), self.warmup)
+    }
+}
 
 /// The workload-and-flow part of a [`PointKey`]: the checkpoint-set key
 /// (program, interval size, profiling budget, SimPoint config, warm-up)
 /// and the [`supervision_fingerprint`].
-pub(crate) type PointScope = (CheckpointKey, u64);
-/// Cache key of one memoized point outcome: (config record key, which
-/// covers every field but the display name; [`PointScope`]; truncation
-/// shift; point index) — every input that changes an outcome.
-pub(crate) type PointKey = (u64, PointScope, u32, u32);
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct PointScope {
+    checkpoints: CheckpointKey,
+    supervision: u64,
+}
 
-/// A compute-exactly-once slot: concurrent callers of the same key block
-/// on the first computation and then share its result.
-type Slot<T> = Arc<OnceLock<Result<T, FlowError>>>;
+/// Memo key of one point outcome: the config record key, which covers
+/// every field but the display name; the [`PointScope`]; the truncation
+/// shift; and the point index — every input that changes an outcome.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct PointKey {
+    pub(crate) config: u64,
+    pub(crate) scope: PointScope,
+    pub(crate) shift: u32,
+    pub(crate) point: u32,
+}
+
+/// How a [`Memo::get_or_compute`] call found its key.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Found {
+    /// This call ran the computation.
+    Ran,
+    /// The slot was already complete.
+    Complete,
+    /// Another call was computing it; this one waited and shares it.
+    InFlight,
+}
+
+/// A compute-exactly-once map: one slot per key, filled by the first
+/// caller while concurrent callers of the same key wait and share it.
+struct Memo<K, V> {
+    slots: Mutex<HashMap<K, Arc<OnceLock<V>>>>,
+}
+
+impl<K, V> Default for Memo<K, V> {
+    fn default() -> Memo<K, V> {
+        Memo { slots: Mutex::default() }
+    }
+}
+
+impl<K: Eq + Hash, V: Clone> Memo<K, V> {
+    /// The value of `key`, computed by `compute` if no call has. Whether
+    /// the slot was complete is decided under the map lock, atomically
+    /// with the slot lookup, so a wait is observable without timing races.
+    fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> (V, Found) {
+        let (slot, complete) = {
+            let mut slots = lock(&self.slots);
+            let slot = Arc::clone(slots.entry(key).or_default());
+            let complete = slot.get().is_some();
+            (slot, complete)
+        };
+        let mut ran = false;
+        let value = slot.get_or_init(|| {
+            ran = true;
+            compute()
+        });
+        let found = match (ran, complete) {
+            (true, _) => Found::Ran,
+            (false, true) => Found::Complete,
+            (false, false) => Found::InFlight,
+        };
+        (value.clone(), found)
+    }
+
+    /// The value of `key` if it is complete; never waits.
+    fn peek(&self, key: &K) -> Option<V> {
+        lock(&self.slots).get(key).and_then(|slot| slot.get().cloned())
+    }
+
+    /// Fills `key`'s slot with `value` if it is empty; whether it was.
+    fn insert(&self, key: K, value: V) -> bool {
+        let slot = Arc::clone(lock(&self.slots).entry(key).or_default());
+        slot.set(value).is_ok()
+    }
+}
+
+/// A stage memo: errors are memoized and replayed like values.
+type StageMemo<K, T> = Memo<K, Result<T, FlowError>>;
 
 /// One selected simulation point, fully planned for detailed simulation:
 /// its checkpoint (shared, not cloned), warm-up length, and measurement
@@ -183,32 +319,6 @@ pub struct CacheStats {
     pub warm_store_hits: u64,
 }
 
-#[derive(Default)]
-struct Counters {
-    profile_computed: AtomicU64,
-    profile_hits: AtomicU64,
-    cluster_computed: AtomicU64,
-    cluster_hits: AtomicU64,
-    checkpoint_computed: AtomicU64,
-    checkpoint_hits: AtomicU64,
-    full_run_computed: AtomicU64,
-    full_run_hits: AtomicU64,
-    profile_us: AtomicU64,
-    cluster_us: AtomicU64,
-    checkpoint_us: AtomicU64,
-    detailed_us: AtomicU64,
-    full_run_us: AtomicU64,
-    disk_hits: AtomicU64,
-    disk_misses: AtomicU64,
-    disk_writes: AtomicU64,
-    disk_quarantined: AtomicU64,
-    error_replays: AtomicU64,
-    sweep_point_hits: AtomicU64,
-    sweep_point_stored: AtomicU64,
-    inflight_dedup_hits: AtomicU64,
-    warm_store_hits: AtomicU64,
-}
-
 /// Thread-safe memoization of the flow's configuration-independent
 /// stages and of every supervised point outcome, plus the full-run
 /// baseline cache and stage accounting.
@@ -220,78 +330,19 @@ struct Counters {
 /// process) confines both to the run.
 #[derive(Default)]
 pub struct ArtifactStore {
-    profiles: Mutex<HashMap<ProfileKey, Slot<Arc<BbvProfile>>>>,
-    analyses: Mutex<HashMap<AnalysisKey, Slot<Arc<SimPointAnalysis>>>>,
-    checkpoints: Mutex<HashMap<CheckpointKey, Slot<Arc<CheckpointSet>>>>,
-    full_runs: Mutex<HashMap<FullRunKey, Slot<Arc<FullRunResult>>>>,
-    /// The point memo: one single-flight slot per [`PointKey`], shared
-    /// by every campaign, sweep rung and request on the store.
-    points: Mutex<HashMap<PointKey, Arc<OnceLock<PointOutcome>>>>,
-    counters: Counters,
+    profiles: StageMemo<ProfileKey, Arc<BbvProfile>>,
+    analyses: StageMemo<AnalysisKey, Arc<SimPointAnalysis>>,
+    checkpoints: StageMemo<CheckpointKey, Arc<CheckpointSet>>,
+    full_runs: StageMemo<FullRunKey, Arc<FullRunResult>>,
+    /// The point memo, shared by every campaign, sweep rung and request
+    /// on the store.
+    points: Memo<PointKey, PointOutcome>,
+    stats: Mutex<CacheStats>,
     /// Optional crash-safe disk tier behind the in-memory memo maps.
     disk: Option<DiskCache>,
     /// Restart points of the last profile each thread computed, until
     /// that thread's capture of the same profile takes them.
     restarts: Mutex<HashMap<ThreadId, (ProfileKey, RestartPoints)>>,
-}
-
-/// Fetches `key` from `map`, computing it exactly once across threads:
-/// concurrent callers of an in-flight key block until the first
-/// computation finishes and then share its (cloned) result.
-///
-/// `compute` additionally reports whether the fill was served by the
-/// disk tier, so disk loads are counted as disk hits rather than
-/// computations; in-memory replays of a cached *error* are tallied in
-/// `error_replays` — the failure context stays attributed to the
-/// original compute.
-struct MemoMeters<'a> {
-    /// Fresh (non-disk) computations of this stage.
-    computed: &'a AtomicU64,
-    /// Completed-slot cache hits.
-    hits: &'a AtomicU64,
-    /// Hits that replayed a cached *error*.
-    error_replays: &'a AtomicU64,
-    /// Hits that blocked on another caller's in-flight computation.
-    inflight: &'a AtomicU64,
-}
-
-fn memoize<K, T>(
-    map: &Mutex<HashMap<K, Slot<T>>>,
-    key: K,
-    meters: MemoMeters<'_>,
-    compute: impl FnOnce() -> (Result<T, FlowError>, bool),
-) -> Result<T, FlowError>
-where
-    K: Eq + Hash,
-    T: Clone,
-{
-    let slot = lock(map).entry(key).or_default().clone();
-    // Whether the slot was already complete *before* this lookup: a hit
-    // on an incomplete slot means we blocked on another caller's
-    // in-flight computation — single-flight dedup, not a plain cache hit.
-    let pre_done = slot.get().is_some();
-    let mut ran = false;
-    let mut from_disk = false;
-    let result = slot.get_or_init(|| {
-        ran = true;
-        let (r, disk) = compute();
-        from_disk = disk;
-        r
-    });
-    if ran {
-        if !from_disk {
-            meters.computed.fetch_add(1, Ordering::Relaxed);
-        }
-    } else {
-        meters.hits.fetch_add(1, Ordering::Relaxed);
-        if !pre_done {
-            meters.inflight.fetch_add(1, Ordering::Relaxed);
-        }
-        if result.is_err() {
-            meters.error_replays.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    result.clone()
 }
 
 impl ArtifactStore {
@@ -326,74 +377,103 @@ impl ArtifactStore {
         Ok(ArtifactStore { disk: Some(DiskCache::open(dir, faults)?), ..ArtifactStore::default() })
     }
 
-    fn profile_key(workload: &Workload, flow: &FlowConfig) -> ProfileKey {
-        (workload.program.fingerprint(), workload.interval_size, flow.max_profile_insts)
+    /// The checkpoint-set key of `workload` under `flow`, which holds its
+    /// analysis key, which holds its profile key.
+    fn key(workload: &Workload, flow: &FlowConfig) -> CheckpointKey {
+        let (program, interval_size) = (workload.program.fingerprint(), workload.interval_size);
+        let profile = ProfileKey { program, interval_size, budget: flow.max_profile_insts };
+        let analysis = AnalysisKey { profile, simpoint: flow.simpoint.cache_fingerprint() };
+        CheckpointKey { analysis, warmup: flow.warmup_insts }
     }
 
-    fn analysis_key(workload: &Workload, flow: &FlowConfig) -> AnalysisKey {
-        (Self::profile_key(workload, flow), flow.simpoint.cache_fingerprint())
+    /// Charges `f` to the counters.
+    fn count(&self, f: impl FnOnce(&mut CacheStats)) {
+        f(&mut lock(&self.stats));
     }
 
-    fn checkpoint_key(workload: &Workload, flow: &FlowConfig) -> CheckpointKey {
-        (Self::analysis_key(workload, flow), flow.warmup_insts)
+    /// Charges a fill that started at `t0` to `meters`: its wall-clock,
+    /// and a computation unless it was a disk load.
+    fn charge_fill(&self, meters: Meters, t0: Instant, computed: bool) {
+        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        self.count(|s| {
+            let (fills, _, spent) = meters(s);
+            *fills += u64::from(computed);
+            *spent += ms;
+        });
     }
 
-    /// Runs a stage fill through the disk tier: validated disk entries
-    /// short-circuit the compute, anything else (miss, quarantine, or an
-    /// undecodable payload) recomputes and persists the result. The bool
-    /// reports whether the value came from disk. Stage *errors* are never
-    /// persisted — only successful artifacts are worth replaying across
-    /// processes. The fill's wall-clock is charged to `stage`.
-    fn with_disk<T>(
+    /// Charges a lookup that did not run its fill to `meters`: a hit,
+    /// plus `inflight_dedup_hits` if it waited and `error_replays` if the
+    /// value is an error.
+    fn charge_hit(&self, meters: Meters, waited: bool, error: bool) {
+        self.count(|s| {
+            *meters(s).1 += 1;
+            s.inflight_dedup_hits += u64::from(waited);
+            s.error_replays += u64::from(error);
+        });
+    }
+
+    /// Looks `key` up in `memo`, running `fill` at most once across
+    /// threads; the error of a failed fill is replayed to later callers.
+    fn lookup<K: Eq + Hash, T: Clone>(
         &self,
-        stage: CacheStage,
-        key: u64,
-        name: &str,
-        decode: impl FnOnce(&[u8]) -> Result<T, CodecError>,
-        encode: impl FnOnce(&T) -> Vec<u8>,
-        compute: impl FnOnce() -> Result<T, FlowError>,
-    ) -> (Result<T, FlowError>, bool) {
-        let c = &self.counters;
-        let spent_us = match stage {
-            CacheStage::Profile => &c.profile_us,
-            CacheStage::Analysis => &c.cluster_us,
-            CacheStage::Checkpoints => &c.checkpoint_us,
-        };
+        memo: &StageMemo<K, T>,
+        meters: Meters,
+        key: K,
+        fill: impl FnOnce() -> Result<T, FlowError>,
+    ) -> Result<T, FlowError> {
+        let (value, found) = memo.get_or_compute(key, fill);
+        if found != Found::Ran {
+            self.charge_hit(meters, found == Found::InFlight, value.is_err());
+        }
+        value
+    }
+
+    /// Fills `key`'s stage through the disk tier: a validated entry
+    /// short-circuits `compute`, anything else (miss, quarantine, or an
+    /// undecodable payload) computes and persists the result. Stage
+    /// *errors* are never persisted — only successful artifacts are worth
+    /// replaying across processes.
+    fn fill<K: StageKey, P>(
+        &self,
+        key: &K,
+        decode: fn(&mut ByteReader<'_>) -> Result<P, CodecError>,
+        encode: fn(&P, &mut ByteWriter),
+        compute: impl FnOnce() -> Result<P, FlowError>,
+    ) -> Result<P, FlowError> {
         let t0 = Instant::now();
-        let fill = 'fill: {
-            let Some(disk) = &self.disk else {
-                break 'fill (compute(), false);
-            };
-            match disk.load(stage, key, name) {
-                DiskLookup::Hit(bytes) => match decode(&bytes) {
-                    Ok(t) => {
-                        c.disk_hits.fetch_add(1, Ordering::Relaxed);
-                        break 'fill (Ok(t), true);
-                    }
-                    Err(_) => {
+        let (stage, hash, name) = (K::STAGE, key.content_key(), key.entry());
+        let mut loaded = None;
+        if let Some(disk) = &self.disk {
+            match disk.load(stage, hash, &name) {
+                DiskLookup::Hit(bytes) => {
+                    let mut r = ByteReader::new(&bytes);
+                    match decode(&mut r).and_then(|p| r.finish().map(|()| p)) {
+                        Ok(p) => loaded = Some(p),
                         // Checksum passed but the payload does not decode
                         // (format drift): quarantine like any corruption.
-                        disk.quarantine_entry(stage, name);
-                        c.disk_quarantined.fetch_add(1, Ordering::Relaxed);
+                        Err(_) => disk.quarantine_entry(stage, &name),
                     }
-                },
-                DiskLookup::Miss => {
-                    c.disk_misses.fetch_add(1, Ordering::Relaxed);
+                    let hit = loaded.is_some();
+                    self.count(|s| {
+                        *if hit { &mut s.disk_hits } else { &mut s.disk_quarantined } += 1
+                    });
                 }
-                DiskLookup::Quarantined => {
-                    c.disk_quarantined.fetch_add(1, Ordering::Relaxed);
-                }
+                DiskLookup::Miss => self.count(|s| s.disk_misses += 1),
+                DiskLookup::Quarantined => self.count(|s| s.disk_quarantined += 1),
             }
-            let result = compute();
-            if let Ok(t) = &result {
-                if disk.store(stage, key, name, &encode(t)).is_ok() {
-                    c.disk_writes.fetch_add(1, Ordering::Relaxed);
-                }
+        }
+        let from_disk = loaded.is_some();
+        let result = loaded.map_or_else(compute, Ok);
+        if let (Some(disk), Ok(p), false) = (&self.disk, &result, from_disk) {
+            let mut w = ByteWriter::new();
+            encode(p, &mut w);
+            if disk.store(stage, hash, &name, &w.into_bytes()).is_ok() {
+                self.count(|s| s.disk_writes += 1);
             }
-            (result, false)
-        };
-        spent_us.fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
-        fill
+        }
+        self.charge_fill(K::METERS, t0, !from_disk);
+        result
     }
 
     /// Stage 1 — the workload's BBV profile, computed at most once per
@@ -409,42 +489,15 @@ impl ArtifactStore {
         workload: &Workload,
         flow: &FlowConfig,
     ) -> Result<Arc<BbvProfile>, FlowError> {
-        let c = &self.counters;
-        let key = Self::profile_key(workload, flow);
-        memoize(
-            &self.profiles,
-            key,
-            MemoMeters {
-                computed: &c.profile_computed,
-                hits: &c.profile_hits,
-                error_replays: &c.error_replays,
-                inflight: &c.inflight_dedup_hits,
-            },
-            || {
-                self.with_disk(
-                    CacheStage::Profile,
-                    hash_words(&[key.0, key.1, key.2]),
-                    &format!("{:016x}-{}-{}", key.0, key.1, key.2),
-                    |bytes| {
-                        let mut r = ByteReader::new(bytes);
-                        let p = BbvProfile::decode(&mut r)?;
-                        r.finish()?;
-                        Ok(Arc::new(p))
-                    },
-                    |p| {
-                        let mut w = ByteWriter::new();
-                        p.encode(&mut w);
-                        w.into_bytes()
-                    },
-                    || {
-                        let (p, restarts) = crate::flow::profile(workload, flow.max_profile_insts)?;
-                        let parked = (key, restarts);
-                        lock(&self.restarts).insert(std::thread::current().id(), parked);
-                        Ok(Arc::new(p))
-                    },
-                )
-            },
-        )
+        let key = Self::key(workload, flow).analysis.profile;
+        self.lookup(&self.profiles, ProfileKey::METERS, key, || {
+            self.fill(&key, BbvProfile::decode, BbvProfile::encode, || {
+                let (p, restarts) = crate::flow::profile(workload, flow.max_profile_insts)?;
+                lock(&self.restarts).insert(std::thread::current().id(), (key, restarts));
+                Ok(p)
+            })
+            .map(Arc::new)
+        })
     }
 
     /// Stage 2 — the SimPoint phase analysis over the workload's profile,
@@ -458,40 +511,14 @@ impl ArtifactStore {
         workload: &Workload,
         flow: &FlowConfig,
     ) -> Result<Arc<SimPointAnalysis>, FlowError> {
-        let c = &self.counters;
-        let key = Self::analysis_key(workload, flow);
-        memoize(
-            &self.analyses,
-            key,
-            MemoMeters {
-                computed: &c.cluster_computed,
-                hits: &c.cluster_hits,
-                error_replays: &c.error_replays,
-                inflight: &c.inflight_dedup_hits,
-            },
-            || {
-                self.with_disk(
-                    CacheStage::Analysis,
-                    hash_words(&[key.0 .0, key.0 .1, key.0 .2, key.1]),
-                    &format!("{:016x}-{}-{}-{:016x}", key.0 .0, key.0 .1, key.0 .2, key.1),
-                    |bytes| {
-                        let mut r = ByteReader::new(bytes);
-                        let a = SimPointAnalysis::decode(&mut r)?;
-                        r.finish()?;
-                        Ok(Arc::new(a))
-                    },
-                    |a| {
-                        let mut w = ByteWriter::new();
-                        a.encode(&mut w);
-                        w.into_bytes()
-                    },
-                    || {
-                        let bbv = self.profile(workload, flow)?;
-                        Ok(Arc::new(analyze(&bbv, &flow.simpoint)))
-                    },
-                )
-            },
-        )
+        let key = Self::key(workload, flow).analysis;
+        self.lookup(&self.analyses, AnalysisKey::METERS, key, || {
+            self.fill(&key, SimPointAnalysis::decode, SimPointAnalysis::encode, || {
+                let bbv = self.profile(workload, flow)?;
+                Ok(analyze(&bbv, &flow.simpoint))
+            })
+            .map(Arc::new)
+        })
     }
 
     /// Takes the restart points this thread's last computed profile
@@ -520,93 +547,53 @@ impl ArtifactStore {
         workload: &Workload,
         flow: &FlowConfig,
     ) -> Result<Arc<CheckpointSet>, FlowError> {
-        let c = &self.counters;
-        let key = Self::checkpoint_key(workload, flow);
-        let set = memoize(
-            &self.checkpoints,
-            key,
-            MemoMeters {
-                computed: &c.checkpoint_computed,
-                hits: &c.checkpoint_hits,
-                error_replays: &c.error_replays,
-                inflight: &c.inflight_dedup_hits,
-            },
-            || {
-                // Both the disk-decode and the compute path need the
-                // (cached) front stages: the set embeds them, and the
-                // disk entry stores only the planned points.
-                let profile = match self.profile(workload, flow) {
-                    Ok(p) => p,
-                    Err(e) => return (Err(e), false),
-                };
-                let analysis = match self.analysis(workload, flow) {
-                    Ok(a) => a,
-                    Err(e) => return (Err(e), false),
-                };
-                let restarts = self.take_restarts(&key.0 .0);
-                let (dec_profile, dec_analysis) = (profile.clone(), analysis.clone());
-                let ((pk, ik, bk), sk) = key.0;
-                self.with_disk(
-                    CacheStage::Checkpoints,
-                    hash_words(&[pk, ik, bk, sk, key.1]),
-                    &format!("{pk:016x}-{ik}-{bk}-{sk:016x}-{}", key.1),
-                    move |bytes| {
-                        let mut r = ByteReader::new(bytes);
-                        let points = decode_points(&mut r)?;
-                        r.finish()?;
-                        Ok(Arc::new(CheckpointSet {
-                            profile: dec_profile,
-                            analysis: dec_analysis,
-                            points,
-                        }))
-                    },
-                    |set| {
-                        let mut w = ByteWriter::new();
-                        encode_points(&mut w, &set.points);
-                        w.into_bytes()
-                    },
-                    move || {
-                        let starts = analysis.selected_starts(&profile);
-                        // Capture at (interval start − warm-up), batched
-                        // in one pass; the capture cursor only moves
-                        // forward, so sort by position. This order is
-                        // also the flow's point order.
-                        let mut targets: Vec<(usize, u64, u64)> = starts
-                            .iter()
-                            .enumerate()
-                            .map(|(i, &s)| {
-                                let warm = flow.warmup_insts.min(s);
-                                (i, s - warm, warm)
-                            })
-                            .collect();
-                        targets.sort_by_key(|&(_, at, _)| at);
-                        let sorted: Vec<u64> = targets.iter().map(|&(_, at, _)| at).collect();
-                        let restarts =
-                            restarts.unwrap_or_else(|| RestartPoints::entry(&workload.program));
-                        let checkpoints = checkpoints_from(restarts, &sorted)?;
-                        let points = targets
-                            .into_iter()
-                            .zip(checkpoints)
-                            .map(|((sel_idx, _, warmup), checkpoint)| {
-                                let sp = analysis.selected[sel_idx];
-                                PlannedPoint {
-                                    sel_idx,
-                                    interval: sp.interval,
-                                    weight: sp.weight,
-                                    interval_len: profile.intervals[sp.interval].len,
-                                    warmup,
-                                    checkpoint: Arc::new(checkpoint),
-                                }
-                            })
-                            .collect();
-                        Ok(Arc::new(CheckpointSet { profile, analysis, points }))
-                    },
-                )
-            },
-        );
+        let key = Self::key(workload, flow);
+        let set = self.lookup(&self.checkpoints, CheckpointKey::METERS, key, || {
+            // Both the disk-decode and the compute path need the (cached)
+            // front stages: the set embeds them, and the disk entry
+            // stores only the planned points.
+            let profile = self.profile(workload, flow)?;
+            let analysis = self.analysis(workload, flow)?;
+            let restarts = self.take_restarts(&key.analysis.profile);
+            let points = self.fill(&key, decode_points, encode_points, || {
+                let starts = analysis.selected_starts(&profile);
+                // Capture at (interval start − warm-up), batched in one
+                // pass; the capture cursor only moves forward, so sort by
+                // position. This order is also the flow's point order.
+                let mut targets: Vec<(usize, u64, u64)> = starts
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &s)| {
+                        let warm = flow.warmup_insts.min(s);
+                        (i, s - warm, warm)
+                    })
+                    .collect();
+                targets.sort_by_key(|&(_, at, _)| at);
+                let sorted: Vec<u64> = targets.iter().map(|&(_, at, _)| at).collect();
+                let restarts = restarts.unwrap_or_else(|| RestartPoints::entry(&workload.program));
+                let checkpoints = checkpoints_from(restarts, &sorted)?;
+                let points = targets
+                    .into_iter()
+                    .zip(checkpoints)
+                    .map(|((sel_idx, _, warmup), checkpoint)| {
+                        let sp = analysis.selected[sel_idx];
+                        PlannedPoint {
+                            sel_idx,
+                            interval: sp.interval,
+                            weight: sp.weight,
+                            interval_len: profile.intervals[sp.interval].len,
+                            warmup,
+                            checkpoint: Arc::new(checkpoint),
+                        }
+                    })
+                    .collect();
+                Ok(points)
+            })?;
+            Ok(Arc::new(CheckpointSet { profile, analysis, points }))
+        });
         // A set found complete leaves any restarts this thread parked for
         // it unused; they are dropped here, never kept for later.
-        self.take_restarts(&key.0 .0);
+        self.take_restarts(&key.analysis.profile);
         set
     }
 
@@ -622,87 +609,63 @@ impl ArtifactStore {
         cfg: &BoomConfig,
         workload: &Workload,
     ) -> Result<Arc<FullRunResult>, FlowError> {
-        let c = &self.counters;
-        let key = (cfg.content_key(), workload.program.fingerprint());
-        memoize(
-            &self.full_runs,
-            key,
-            MemoMeters {
-                computed: &c.full_run_computed,
-                hits: &c.full_run_hits,
-                error_replays: &c.error_replays,
-                inflight: &c.inflight_dedup_hits,
-            },
-            || {
-                let t0 = Instant::now();
-                let r = run_full(cfg, workload).map(Arc::new);
-                c.full_run_us.fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
-                (r, false)
-            },
-        )
+        let key = FullRunKey { config: cfg.content_key(), program: workload.program.fingerprint() };
+        let meters: Meters =
+            |s| (&mut s.full_run_computed, &mut s.full_run_hits, &mut s.full_run_ms);
+        self.lookup(&self.full_runs, meters, key, || {
+            let t0 = Instant::now();
+            let r = run_full(cfg, workload).map(Arc::new);
+            self.charge_fill(meters, t0, true);
+            r
+        })
     }
 
     /// Adds detailed-simulation wall-clock (one point's attempt span) to
     /// the stage accounting.
     pub(crate) fn charge_detailed_us(&self, us: u64) {
-        self.counters.detailed_us.fetch_add(us, Ordering::Relaxed);
+        self.count(|s| s.detailed_ms += us as f64 / 1e3);
     }
 
     /// The [`PointScope`] of `workload` under `flow`. The program
     /// fingerprint hashes the whole image, so runs compute this once per
     /// workload, not per point.
     pub(crate) fn point_scope(workload: &Workload, flow: &FlowConfig) -> PointScope {
-        (Self::checkpoint_key(workload, flow), supervision_fingerprint(flow))
+        let supervision = supervision_fingerprint(flow);
+        PointScope { checkpoints: Self::key(workload, flow), supervision }
     }
 
     /// The checkpoint set of `scope`'s workload when it is already
     /// complete in the store, counted as [`ArtifactStore::checkpoints`]
-    /// counts a completed-slot hit (plus `error_replays` for a cached
-    /// error). Never waits on a set in flight: `None` means the caller
-    /// must go through [`ArtifactStore::checkpoints`].
+    /// counts a completed-slot hit. Never waits on a set in flight:
+    /// `None` means the caller must go through
+    /// [`ArtifactStore::checkpoints`].
     pub(crate) fn cached_checkpoints(
         &self,
         scope: &PointScope,
     ) -> Option<Result<Arc<CheckpointSet>, FlowError>> {
-        let hit = lock(&self.checkpoints).get(&scope.0).and_then(|slot| slot.get().cloned())?;
-        let c = &self.counters;
-        c.checkpoint_hits.fetch_add(1, Ordering::Relaxed);
-        if hit.is_err() {
-            c.error_replays.fetch_add(1, Ordering::Relaxed);
-        }
-        Some(hit)
-    }
-
-    /// Looks up a completed point outcome without waiting on one in
-    /// flight, charging a hit to `hits`.
-    fn completed_point(&self, key: &PointKey, hits: &AtomicU64) -> Option<PointOutcome> {
-        let hit = lock(&self.points).get(key).and_then(|slot| slot.get().cloned());
-        if hit.is_some() {
-            hits.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
+        let hit = self.checkpoints.peek(&scope.checkpoints);
+        hit.inspect(|set| self.charge_hit(CheckpointKey::METERS, false, set.is_err()))
     }
 
     /// A completed point outcome read at plan time by a sweep rung: a
     /// hit means a promoted (or resumed) configuration re-reads an
     /// earlier measurement instead of resimulating it.
     pub(crate) fn cached_point(&self, key: &PointKey) -> Option<PointOutcome> {
-        self.completed_point(key, &self.counters.sweep_point_hits)
+        self.points.peek(key).inspect(|_| self.count(|s| s.sweep_point_hits += 1))
     }
 
     /// A completed point outcome read at plan time by a campaign — the
     /// warm reuse [`ArtifactStore::singleflight_point`] would find, taken
     /// without a pool task and counted the same (`warm_store_hits`).
     pub(crate) fn warm_point(&self, key: &PointKey) -> Option<PointOutcome> {
-        self.completed_point(key, &self.counters.warm_store_hits)
+        self.points.peek(key).inspect(|_| self.count(|s| s.warm_store_hits += 1))
     }
 
     /// Records an outcome computed outside the single-flight call (a
     /// batch lane or a replayed sweep record) into the point memo.
     pub(crate) fn record_point(&self, key: PointKey, outcome: &PointOutcome) {
-        let slot = lock(&self.points).entry(key).or_default().clone();
-        if slot.set(outcome.clone()).is_ok() {
-            self.counters.sweep_point_stored.fetch_add(1, Ordering::Relaxed);
+        if self.points.insert(key, outcome.clone()) {
+            self.count(|s| s.sweep_point_stored += 1);
         }
     }
 
@@ -716,74 +679,26 @@ impl ArtifactStore {
         key: PointKey,
         compute: impl FnOnce() -> PointOutcome,
     ) -> PointOutcome {
-        // The completion check happens under the map lock so "found it in
-        // flight" is decided atomically with the slot lookup (observable
-        // and testable without timing races).
-        let (slot, pre_done) = {
-            let mut g = lock(&self.points);
-            let slot = g.entry(key).or_default().clone();
-            let pre_done = slot.get().is_some();
-            (slot, pre_done)
-        };
-        let mut ran = false;
-        let result = slot.get_or_init(|| {
-            ran = true;
-            compute()
+        let (outcome, found) = self.points.get_or_compute(key, compute);
+        self.count(|s| {
+            *match found {
+                Found::Ran => &mut s.sweep_point_stored,
+                Found::Complete => &mut s.warm_store_hits,
+                Found::InFlight => &mut s.inflight_dedup_hits,
+            } += 1;
         });
-        let c = &self.counters;
-        let counter = match (ran, pre_done) {
-            (true, _) => &c.sweep_point_stored,
-            (false, true) => &c.warm_store_hits,
-            (false, false) => &c.inflight_dedup_hits,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        result.clone()
+        outcome
     }
 
     /// Snapshot of the per-stage counters and wall-clock totals.
     pub fn stats(&self) -> CacheStats {
-        let c = &self.counters;
-        let ms = |a: &AtomicU64| a.load(Ordering::Relaxed) as f64 / 1000.0;
-        CacheStats {
-            profile_computed: c.profile_computed.load(Ordering::Relaxed),
-            profile_hits: c.profile_hits.load(Ordering::Relaxed),
-            cluster_computed: c.cluster_computed.load(Ordering::Relaxed),
-            cluster_hits: c.cluster_hits.load(Ordering::Relaxed),
-            checkpoint_computed: c.checkpoint_computed.load(Ordering::Relaxed),
-            checkpoint_hits: c.checkpoint_hits.load(Ordering::Relaxed),
-            full_run_computed: c.full_run_computed.load(Ordering::Relaxed),
-            full_run_hits: c.full_run_hits.load(Ordering::Relaxed),
-            profile_ms: ms(&c.profile_us),
-            cluster_ms: ms(&c.cluster_us),
-            checkpoint_ms: ms(&c.checkpoint_us),
-            detailed_ms: ms(&c.detailed_us),
-            full_run_ms: ms(&c.full_run_us),
-            disk_hits: c.disk_hits.load(Ordering::Relaxed),
-            disk_misses: c.disk_misses.load(Ordering::Relaxed),
-            disk_writes: c.disk_writes.load(Ordering::Relaxed),
-            disk_quarantined: c.disk_quarantined.load(Ordering::Relaxed),
-            error_replays: c.error_replays.load(Ordering::Relaxed),
-            sweep_point_hits: c.sweep_point_hits.load(Ordering::Relaxed),
-            sweep_point_stored: c.sweep_point_stored.load(Ordering::Relaxed),
-            inflight_dedup_hits: c.inflight_dedup_hits.load(Ordering::Relaxed),
-            warm_store_hits: c.warm_store_hits.load(Ordering::Relaxed),
-        }
+        *lock(&self.stats)
     }
-}
-
-/// FNV-1a over a word sequence — the disk-cache key hash of a composite
-/// in-memory key.
-fn hash_words(words: &[u64]) -> u64 {
-    let mut bytes = Vec::with_capacity(words.len() * 8);
-    for w in words {
-        bytes.extend_from_slice(&w.to_le_bytes());
-    }
-    fnv1a(&bytes)
 }
 
 /// Serializes the planned points of a [`CheckpointSet`] (the profile and
 /// analysis have their own disk entries and are re-attached on load).
-fn encode_points(w: &mut ByteWriter, points: &[PlannedPoint]) {
+fn encode_points(points: &Vec<PlannedPoint>, w: &mut ByteWriter) {
     w.put_usize(points.len());
     for p in points {
         w.put_usize(p.sel_idx);
@@ -815,6 +730,7 @@ fn decode_points(r: &mut ByteReader<'_>) -> Result<Vec<PlannedPoint>, CodecError
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rv_isa::codec::fnv1a;
     use rv_workloads::{by_name, Scale};
     use simpoint::SimPointConfig;
 
@@ -889,7 +805,8 @@ mod tests {
         use crate::supervisor::{FailureKind, PointFailure};
         let store = Arc::new(ArtifactStore::new());
         let w = by_name("bitcount", Scale::Test).unwrap();
-        let key = (7, ArtifactStore::point_scope(&w, &quick_flow()), 0, 0);
+        let scope = ArtifactStore::point_scope(&w, &quick_flow());
+        let key = PointKey { config: 7, scope, shift: 0, point: 0 };
         let outcome = |tag: &str| {
             Err(PointFailure {
                 simpoint: 0,
@@ -924,8 +841,9 @@ mod tests {
         // slot's refcount reaches 3: map + first caller + second caller.
         // Only then is the first computation released.
         loop {
-            let entered =
-                lock(&store.points).get(&key).is_some_and(|slot| Arc::strong_count(slot) >= 3);
+            let entered = lock(&store.points.slots)
+                .get(&key)
+                .is_some_and(|slot| Arc::strong_count(slot) >= 3);
             if entered {
                 break;
             }
@@ -963,8 +881,11 @@ mod tests {
     fn point_key_covers_every_outcome_input() {
         let w = by_name("bitcount", Scale::Test).unwrap();
         let fp = BoomConfig::medium().content_key();
-        let key = |cfg_fp, w: &Workload, shift, p_idx: u32| {
-            (cfg_fp, ArtifactStore::point_scope(w, &quick_flow()), shift, p_idx)
+        let key = |config, w: &Workload, shift, point| PointKey {
+            config,
+            scope: ArtifactStore::point_scope(w, &quick_flow()),
+            shift,
+            point,
         };
         let base = key(fp, &w, 0, 0);
         let longer = Workload { interval_size: w.interval_size + 1, ..w.clone() };
@@ -983,7 +904,12 @@ mod tests {
         let flow_key = |perturb: Perturb| {
             let mut flow = quick_flow();
             perturb(&mut flow);
-            (fp, ArtifactStore::point_scope(&w, &flow), 0, 0)
+            PointKey {
+                config: fp,
+                scope: ArtifactStore::point_scope(&w, &flow),
+                shift: 0,
+                point: 0,
+            }
         };
         let perturbations: [(&str, Perturb); 18] = [
             ("max_profile_insts", |f| f.max_profile_insts += 1),
@@ -1041,7 +967,7 @@ mod tests {
         for w in &workloads {
             let set = store.checkpoints(w, &flow).unwrap();
             let mut wr = ByteWriter::new();
-            encode_points(&mut wr, &set.points);
+            encode_points(&set.points, &mut wr);
             digests.push((w.name, fnv1a(&wr.into_bytes())));
         }
         assert_eq!(digests, GOLDEN_SETS.to_vec());
@@ -1054,7 +980,7 @@ mod tests {
         let parked = |s: &ArtifactStore| lock(&s.restarts).len();
         let encoded = |set: &CheckpointSet| {
             let mut wr = ByteWriter::new();
-            encode_points(&mut wr, &set.points);
+            encode_points(&set.points, &mut wr);
             wr.into_bytes()
         };
         // This thread profiles, then captures: the capture takes the
@@ -1089,6 +1015,44 @@ mod tests {
         assert_eq!(parked(&mixed), 1);
         assert_eq!(encoded(&mixed.checkpoints(&w, &flow).unwrap()), encoded(&resumed));
         assert_eq!(parked(&mixed), 1, "the other program's restarts stay parked");
+    }
+
+    /// Each stage's disk entry for Bitcount at `Scale::Test` under the
+    /// default flow: (file name, the 64-bit key in the entry header). A
+    /// key or name that moved would make every existing cache directory
+    /// miss without any error.
+    const DISK_IDENTITIES: [(&str, u64); 3] = [
+        ("analysis-bbb7e712ee4ca2d4-2000-2000000000-11105bf16f0fdaaa.bfa", 0xc12c_a266_05ba_3efc),
+        (
+            "checkpoints-bbb7e712ee4ca2d4-2000-2000000000-11105bf16f0fdaaa-5000.bfa",
+            0xf15b_242d_4199_dfd5,
+        ),
+        ("profile-bbb7e712ee4ca2d4-2000-2000000000.bfa", 0x23a2_202f_c1a2_0e45),
+    ];
+
+    #[test]
+    fn disk_identities_of_every_stage_are_pinned() {
+        let dir = std::env::temp_dir()
+            .join(format!("boomflow-artifacts-identity-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ArtifactStore::with_disk_cache(&dir).unwrap();
+        let w = by_name("bitcount", Scale::Test).unwrap();
+        store.checkpoints(&w, &FlowConfig::default()).unwrap();
+        let mut entries: Vec<(String, u64)> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                let bytes = std::fs::read(e.path()).unwrap();
+                // Header: magic (4), version (4), stage tag (1), key (8).
+                let key = u64::from_le_bytes(bytes[9..17].try_into().unwrap());
+                (e.file_name().into_string().unwrap(), key)
+            })
+            .collect();
+        entries.sort();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let pinned: Vec<(String, u64)> =
+            DISK_IDENTITIES.iter().map(|&(n, k)| (n.to_string(), k)).collect();
+        assert_eq!(entries, pinned);
     }
 
     #[test]

@@ -70,7 +70,7 @@ impl std::fmt::Display for ProtocolError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ProtocolError::Io(e) => write!(f, "stream error: {e}"),
-            ProtocolError::Codec(e) => write!(f, "malformed payload: {e:?}"),
+            ProtocolError::Codec(e) => write!(f, "malformed payload: {e}"),
             ProtocolError::Version(got) => {
                 write!(f, "protocol version {got} (this side speaks {PROTOCOL_VERSION})")
             }
@@ -483,6 +483,15 @@ mod tests {
         let mut payload = encode_client(&ClientMsg::Shutdown);
         payload[0] = 0xfe; // clobber the version word
         assert!(matches!(decode_client(&payload), Err(ProtocolError::Version(_))));
+    }
+
+    #[test]
+    fn malformed_payload_renders_the_codec_error() {
+        let mut payload = encode_client(&ClientMsg::Submit(sample_campaign()));
+        let at = payload.windows(8).position(|w| w == b"bitcount").expect("workload bytes");
+        payload[at] = 0xff; // no longer UTF-8
+        let err = decode_client(&payload).expect_err("non-UTF-8 workload string");
+        assert_eq!(err.to_string(), "malformed payload: invalid artifact (utf-8)");
     }
 
     #[test]

@@ -196,7 +196,8 @@ impl<'a> PointRun<'a> {
     /// The point-memo key of SimPoint `p_idx` of workload `w_idx` on
     /// configuration `cfg_idx`, truncated by `shift`.
     pub(crate) fn key(&self, cfg_idx: usize, w_idx: usize, shift: u32, p_idx: usize) -> PointKey {
-        (self.fps[cfg_idx], self.scopes[w_idx], shift, p_idx as u32)
+        let (config, scope) = (self.fps[cfg_idx], self.scopes[w_idx]);
+        PointKey { config, scope, shift, point: p_idx as u32 }
     }
 
     /// Each workload's selected-point count, capped at `cap` (0 where

@@ -47,190 +47,104 @@ use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// A sweepable microarchitectural knob — the Table-I axes of the paper's
-/// design space. Each knob knows its CLI spelling, the short code used
-/// in generated configuration names, and how to read/write its
-/// [`BoomConfig`] field.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum SweepKnob {
+/// Declares [`SweepKnob`] from one entry per knob: its variant and doc,
+/// CLI spelling, name code and [`BoomConfig`] field.
+macro_rules! sweep_knobs {
+    ($($(#[doc = $doc:literal])* $knob:ident = $key:literal, $code:literal, $($field:ident).+;)*) => {
+        /// A sweepable microarchitectural knob — the Table-I axes of the
+        /// paper's design space. Each knob knows its CLI spelling, the short
+        /// code used in generated configuration names, and how to read/write
+        /// its [`BoomConfig`] field.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        pub enum SweepKnob {
+            $($(#[doc = $doc])* $knob,)*
+        }
+
+        impl SweepKnob {
+            /// Every sweepable knob, in canonical (name-generation) order.
+            pub const ALL: [SweepKnob; 20] = [$(SweepKnob::$knob),*];
+
+            /// The CLI spelling (`--grid <key>=v1,v2,...`).
+            pub fn key(self) -> &'static str {
+                match self {
+                    $(SweepKnob::$knob => $key,)*
+                }
+            }
+
+            /// The short code used in generated configuration names
+            /// (`sw-f4-d2-rob64-dcw8`).
+            pub fn code(self) -> &'static str {
+                match self {
+                    $(SweepKnob::$knob => $code,)*
+                }
+            }
+
+            /// Writes raw value `v` into the knob's field (clamping and
+            /// consistency repair happen later, in one pass over the whole
+            /// configuration).
+            pub fn apply(self, cfg: &mut BoomConfig, v: u64) {
+                match self {
+                    $(SweepKnob::$knob => cfg.$($field).+ = v as _,)*
+                }
+            }
+
+            /// Reads the knob's current (post-clamp) value.
+            pub fn get(self, cfg: &BoomConfig) -> u64 {
+                match self {
+                    $(SweepKnob::$knob => cfg.$($field).+ as u64,)*
+                }
+            }
+        }
+    };
+}
+
+sweep_knobs! {
     /// Fetch width (instructions per cycle from the i-cache).
-    FetchWidth,
+    FetchWidth = "fetch-width", "f", fetch_width;
     /// Decode/rename/dispatch width.
-    DecodeWidth,
+    DecodeWidth = "decode-width", "d", decode_width;
     /// Integer-ALU issue width.
-    IntIssueWidth,
+    IntIssueWidth = "int-issue-width", "xi", int_issue_width;
     /// Load/store issue width.
-    MemIssueWidth,
+    MemIssueWidth = "mem-issue-width", "xm", mem_issue_width;
     /// Floating-point issue width.
-    FpIssueWidth,
+    FpIssueWidth = "fp-issue-width", "xf", fp_issue_width;
     /// Re-order buffer entries.
-    Rob,
+    Rob = "rob", "rob", rob_entries;
     /// Integer physical register file size.
-    IntRegs,
+    IntRegs = "int-regs", "pi", int_phys_regs;
     /// Floating-point physical register file size.
-    FpRegs,
+    FpRegs = "fp-regs", "pf", fp_phys_regs;
     /// Integer issue-queue slots.
-    IntIq,
+    IntIq = "int-iq", "qi", int_issue_slots;
     /// Load/store issue-queue slots.
-    MemIq,
+    MemIq = "mem-iq", "qm", mem_issue_slots;
     /// Floating-point issue-queue slots.
-    FpIq,
+    FpIq = "fp-iq", "qf", fp_issue_slots;
     /// Load-queue entries.
-    Ldq,
+    Ldq = "ldq", "ldq", ldq_entries;
     /// Store-queue entries.
-    Stq,
+    Stq = "stq", "stq", stq_entries;
     /// I-cache associativity.
-    IcacheWays,
+    IcacheWays = "icache-ways", "icw", icache.ways;
     /// D-cache associativity.
-    DcacheWays,
+    DcacheWays = "dcache-ways", "dcw", dcache.ways;
     /// I-cache MSHRs (outstanding misses).
-    IcacheMshrs,
+    IcacheMshrs = "icache-mshrs", "icm", icache.mshrs;
     /// D-cache MSHRs (outstanding misses).
-    DcacheMshrs,
+    DcacheMshrs = "dcache-mshrs", "dcm", dcache.mshrs;
     /// BTB sets (rounded up to a power of two).
-    BtbSets,
+    BtbSets = "btb-sets", "btb", btb_sets;
     /// Return-address-stack entries.
-    RasEntries,
+    RasEntries = "ras", "ras", ras_entries;
     /// Branch-predictor table size shift (log2 scaling of the tables).
-    BpShift,
+    BpShift = "bp-shift", "bp", bp_table_shift;
 }
 
 impl SweepKnob {
-    /// Every sweepable knob, in canonical (name-generation) order.
-    pub const ALL: [SweepKnob; 20] = [
-        SweepKnob::FetchWidth,
-        SweepKnob::DecodeWidth,
-        SweepKnob::IntIssueWidth,
-        SweepKnob::MemIssueWidth,
-        SweepKnob::FpIssueWidth,
-        SweepKnob::Rob,
-        SweepKnob::IntRegs,
-        SweepKnob::FpRegs,
-        SweepKnob::IntIq,
-        SweepKnob::MemIq,
-        SweepKnob::FpIq,
-        SweepKnob::Ldq,
-        SweepKnob::Stq,
-        SweepKnob::IcacheWays,
-        SweepKnob::DcacheWays,
-        SweepKnob::IcacheMshrs,
-        SweepKnob::DcacheMshrs,
-        SweepKnob::BtbSets,
-        SweepKnob::RasEntries,
-        SweepKnob::BpShift,
-    ];
-
-    /// The CLI spelling (`--grid <key>=v1,v2,...`).
-    pub fn key(self) -> &'static str {
-        match self {
-            SweepKnob::FetchWidth => "fetch-width",
-            SweepKnob::DecodeWidth => "decode-width",
-            SweepKnob::IntIssueWidth => "int-issue-width",
-            SweepKnob::MemIssueWidth => "mem-issue-width",
-            SweepKnob::FpIssueWidth => "fp-issue-width",
-            SweepKnob::Rob => "rob",
-            SweepKnob::IntRegs => "int-regs",
-            SweepKnob::FpRegs => "fp-regs",
-            SweepKnob::IntIq => "int-iq",
-            SweepKnob::MemIq => "mem-iq",
-            SweepKnob::FpIq => "fp-iq",
-            SweepKnob::Ldq => "ldq",
-            SweepKnob::Stq => "stq",
-            SweepKnob::IcacheWays => "icache-ways",
-            SweepKnob::DcacheWays => "dcache-ways",
-            SweepKnob::IcacheMshrs => "icache-mshrs",
-            SweepKnob::DcacheMshrs => "dcache-mshrs",
-            SweepKnob::BtbSets => "btb-sets",
-            SweepKnob::RasEntries => "ras",
-            SweepKnob::BpShift => "bp-shift",
-        }
-    }
-
-    /// The short code used in generated configuration names
-    /// (`sw-f4-d2-rob64-dcw8`).
-    pub fn code(self) -> &'static str {
-        match self {
-            SweepKnob::FetchWidth => "f",
-            SweepKnob::DecodeWidth => "d",
-            SweepKnob::IntIssueWidth => "xi",
-            SweepKnob::MemIssueWidth => "xm",
-            SweepKnob::FpIssueWidth => "xf",
-            SweepKnob::Rob => "rob",
-            SweepKnob::IntRegs => "pi",
-            SweepKnob::FpRegs => "pf",
-            SweepKnob::IntIq => "qi",
-            SweepKnob::MemIq => "qm",
-            SweepKnob::FpIq => "qf",
-            SweepKnob::Ldq => "ldq",
-            SweepKnob::Stq => "stq",
-            SweepKnob::IcacheWays => "icw",
-            SweepKnob::DcacheWays => "dcw",
-            SweepKnob::IcacheMshrs => "icm",
-            SweepKnob::DcacheMshrs => "dcm",
-            SweepKnob::BtbSets => "btb",
-            SweepKnob::RasEntries => "ras",
-            SweepKnob::BpShift => "bp",
-        }
-    }
-
     /// Parses a CLI spelling back into the knob.
     pub fn parse(name: &str) -> Option<SweepKnob> {
         SweepKnob::ALL.into_iter().find(|k| k.key() == name)
-    }
-
-    /// Writes raw value `v` into the knob's field (clamping and
-    /// consistency repair happen later, in one pass over the whole
-    /// configuration).
-    pub fn apply(self, cfg: &mut BoomConfig, v: u64) {
-        let u = v as usize;
-        match self {
-            SweepKnob::FetchWidth => cfg.fetch_width = u,
-            SweepKnob::DecodeWidth => cfg.decode_width = u,
-            SweepKnob::IntIssueWidth => cfg.int_issue_width = u,
-            SweepKnob::MemIssueWidth => cfg.mem_issue_width = u,
-            SweepKnob::FpIssueWidth => cfg.fp_issue_width = u,
-            SweepKnob::Rob => cfg.rob_entries = u,
-            SweepKnob::IntRegs => cfg.int_phys_regs = u,
-            SweepKnob::FpRegs => cfg.fp_phys_regs = u,
-            SweepKnob::IntIq => cfg.int_issue_slots = u,
-            SweepKnob::MemIq => cfg.mem_issue_slots = u,
-            SweepKnob::FpIq => cfg.fp_issue_slots = u,
-            SweepKnob::Ldq => cfg.ldq_entries = u,
-            SweepKnob::Stq => cfg.stq_entries = u,
-            SweepKnob::IcacheWays => cfg.icache.ways = u,
-            SweepKnob::DcacheWays => cfg.dcache.ways = u,
-            SweepKnob::IcacheMshrs => cfg.icache.mshrs = u,
-            SweepKnob::DcacheMshrs => cfg.dcache.mshrs = u,
-            SweepKnob::BtbSets => cfg.btb_sets = u,
-            SweepKnob::RasEntries => cfg.ras_entries = u,
-            SweepKnob::BpShift => cfg.bp_table_shift = v as u32,
-        }
-    }
-
-    /// Reads the knob's current (post-clamp) value.
-    pub fn get(self, cfg: &BoomConfig) -> u64 {
-        match self {
-            SweepKnob::FetchWidth => cfg.fetch_width as u64,
-            SweepKnob::DecodeWidth => cfg.decode_width as u64,
-            SweepKnob::IntIssueWidth => cfg.int_issue_width as u64,
-            SweepKnob::MemIssueWidth => cfg.mem_issue_width as u64,
-            SweepKnob::FpIssueWidth => cfg.fp_issue_width as u64,
-            SweepKnob::Rob => cfg.rob_entries as u64,
-            SweepKnob::IntRegs => cfg.int_phys_regs as u64,
-            SweepKnob::FpRegs => cfg.fp_phys_regs as u64,
-            SweepKnob::IntIq => cfg.int_issue_slots as u64,
-            SweepKnob::MemIq => cfg.mem_issue_slots as u64,
-            SweepKnob::FpIq => cfg.fp_issue_slots as u64,
-            SweepKnob::Ldq => cfg.ldq_entries as u64,
-            SweepKnob::Stq => cfg.stq_entries as u64,
-            SweepKnob::IcacheWays => cfg.icache.ways as u64,
-            SweepKnob::DcacheWays => cfg.dcache.ways as u64,
-            SweepKnob::IcacheMshrs => cfg.icache.mshrs as u64,
-            SweepKnob::DcacheMshrs => cfg.dcache.mshrs as u64,
-            SweepKnob::BtbSets => cfg.btb_sets as u64,
-            SweepKnob::RasEntries => cfg.ras_entries as u64,
-            SweepKnob::BpShift => cfg.bp_table_shift as u64,
-        }
     }
 }
 

@@ -16,15 +16,15 @@
 //! A persisted or keyed type is declared once with [`record!`]: the one
 //! field list gives the struct, its [`Codec`] (encode, decode and a
 //! minimum encoded size that bounds every length read), its canonical
-//! content key, and — for counter records — its field-wise [`Counters`]
-//! merge. Every field names its mode, so a field added without choosing
-//! how it is encoded and keyed does not compile:
+//! content key, and — for counter records — [`Counters::is_active`].
+//! Every field names its mode, so a field added without choosing how it
+//! is encoded and keyed does not compile:
 //!
 //! | mode            | encoded | in the key                                  |
 //! |-----------------|---------|---------------------------------------------|
 //! | `key`           | yes     | yes                                         |
 //! | `nokey`         | yes     | no (a label such as a display name)         |
-//! | `skip`          | no      | no (decodes as `Default`; counters merge it)|
+//! | `skip`          | no      | no (decodes as `Default`)                   |
 //! | `key_elems`     | yes     | elements only, without the length prefix    |
 //! | `key_if_active` | yes     | only when [`Counters::is_active`]           |
 //!
@@ -328,34 +328,19 @@ pub trait Codec: Sized {
     }
 }
 
-/// Activity counters that accumulate field by field ([`record!`]'s
-/// `counters:` form).
+/// Activity counters ([`record!`]'s `counters:` form).
 pub trait Counters {
-    /// Adds `other`'s counts into `self` (per-slot vectors add
-    /// element-wise over their common prefix).
-    fn merge(&mut self, other: &Self);
-
     /// Whether any count is nonzero.
     fn is_active(&self) -> bool;
 }
 
 impl Counters for u64 {
-    fn merge(&mut self, other: &u64) {
-        *self += other;
-    }
-
     fn is_active(&self) -> bool {
         *self != 0
     }
 }
 
 impl Counters for Vec<u64> {
-    fn merge(&mut self, other: &Vec<u64>) {
-        for (s, o) in self.iter_mut().zip(other) {
-            *s += o;
-        }
-    }
-
     fn is_active(&self) -> bool {
         self.iter().any(|&v| v != 0)
     }
@@ -510,9 +495,6 @@ macro_rules! record {
         }
     ) => {
         impl $crate::codec::Counters for $name {
-            fn merge(&mut self, other: &$name) {
-                $($crate::codec::Counters::merge(&mut self.$field, &other.$field);)*
-            }
             fn is_active(&self) -> bool {
                 false $(|| $crate::codec::Counters::is_active(&self.$field))*
             }

@@ -7,7 +7,7 @@
 //! activity that forms the "rest of tile".
 //!
 //! Each record is declared once with [`rv_isa::record!`]: its journal
-//! codec, its field-wise [`Counters`] merge and its content key
+//! codec, its [`Counters::is_active`] and its content key
 //! ([`Stats::fingerprint`]) all come from that one field list. Two
 //! markers keep the fingerprint at the values the golden tests pin: the
 //! issue queue keys its slot count once for its two per-slot vectors
@@ -249,7 +249,7 @@ rv_isa::record! { counters:
         /// simulated stage-by-stage. These cycles are *included* in `cycles`
         /// and in every occupancy sum (the skip charges them analytically),
         /// so this is a pure diagnostic of how much work the skip saved.
-        /// Merged but neither encoded nor keyed: it records *how* the run
+        /// Neither encoded nor keyed: it records *how* the run
         /// was simulated, and a skip-on run must fingerprint (and journal)
         /// identically to the skip-off run it is provably equivalent to.
         pub idle_cycles_skipped: u64 [skip],
@@ -308,24 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_accumulates() {
-        let mut a = Stats::new(4, 4, 4);
-        a.cycles = 10;
-        a.retired = 20;
-        a.int_iq.slot_occupancy[1] = 5;
-        let mut b = Stats::new(4, 4, 4);
-        b.cycles = 5;
-        b.retired = 7;
-        b.int_iq.slot_occupancy[1] = 2;
-        b.irf_reads = 3;
-        a.merge(&b);
-        assert_eq!(a.cycles, 15);
-        assert_eq!(a.retired, 27);
-        assert_eq!(a.int_iq.slot_occupancy[1], 7);
-        assert_eq!(a.irf_reads, 3);
-    }
-
-    #[test]
     fn fingerprint_ignores_idle_mem_system_only() {
         // All-zero memory-system counters must not perturb the hash (the
         // golden fixed-latency fingerprints depend on this) ...
@@ -343,29 +325,11 @@ mod tests {
     fn fingerprint_ignores_idle_cycles_skipped() {
         // The skip counter is simulation-mode metadata: two runs of the
         // same program with skip on and off differ only in it, and must
-        // hash identically. It still merges like every other counter.
+        // hash identically.
         let a = Stats::new(4, 4, 4);
         let mut b = Stats::new(4, 4, 4);
         b.idle_cycles_skipped = 12_345;
         assert_eq!(a.fingerprint(), b.fingerprint());
-        let mut c = Stats::new(4, 4, 4);
-        c.idle_cycles_skipped = 5;
-        c.merge(&b);
-        assert_eq!(c.idle_cycles_skipped, 12_350);
-    }
-
-    #[test]
-    fn merge_accumulates_mem_system() {
-        let mut a = Stats::new(4, 4, 4);
-        a.mem.l2.reads = 3;
-        a.mem.dram_bw_wait_cycles = 7;
-        let mut b = Stats::new(4, 4, 4);
-        b.mem.l2.reads = 2;
-        b.mem.l2_contention_stalls = 5;
-        a.merge(&b);
-        assert_eq!(a.mem.l2.reads, 5);
-        assert_eq!(a.mem.dram_bw_wait_cycles, 7);
-        assert_eq!(a.mem.l2_contention_stalls, 5);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * **Profile** — [`BbvProfile`], keyed by (program fingerprint,
 //!   interval size, profiling budget);
 //! * **SimPointAnalysis** — [`SimPointAnalysis`], keyed by the profile
-//!   key plus [`SimPointConfig::cache_fingerprint`];
+//!   key plus [`SimPointConfig::cache_fingerprint`](simpoint::SimPointConfig::cache_fingerprint);
 //! * **CheckpointSet** — [`CheckpointSet`], keyed by the analysis key
 //!   plus the warm-up length. Checkpoints are held behind [`Arc`]
 //!   ([`rv_isa::checkpoint::SharedCheckpoint`]) so the memory images are

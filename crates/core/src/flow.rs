@@ -2,7 +2,7 @@
 //! `Profile → SimPointAnalysis → CheckpointSet → DetailedSim → Power`.
 //!
 //! The first three stages are configuration-independent and memoized by
-//! [`ArtifactStore`](crate::artifacts::ArtifactStore) — a campaign over
+//! [`ArtifactStore`] — a campaign over
 //! many configurations computes them exactly once per workload
 //! ([`run_simpoint_flow_with_store`]); [`run_simpoint_flow`] is the
 //! one-shot form with a private store.

@@ -173,13 +173,16 @@ impl CampaignJournal {
         header.extend_from_slice(MAGIC);
         header.extend_from_slice(&VERSION.to_le_bytes());
         header.extend_from_slice(&fingerprint.to_le_bytes());
+        // Not synced, like every record after it: a header lost to a
+        // power cut leaves an empty file, which `resume` starts afresh.
         file.write_all(&header)?;
-        file.sync_all()?;
         Ok(CampaignJournal { path: path.to_path_buf(), file: Mutex::new(file) })
     }
 
     /// Reopens the journal at `path`, replaying every valid record and
-    /// truncating a torn tail left by a crash mid-append.
+    /// truncating a torn tail left by a crash mid-append. An empty file
+    /// (a header the OS never wrote back before a power loss) is a fresh
+    /// journal: the header is rewritten and nothing replays.
     ///
     /// Returns the journal (positioned to append after the last valid
     /// record) together with the recovered outcomes.
@@ -196,6 +199,9 @@ impl CampaignJournal {
         fingerprint: u64,
     ) -> Result<(CampaignJournal, JournalReplay), JournalError> {
         let bytes = std::fs::read(path)?;
+        if bytes.is_empty() {
+            return Ok((CampaignJournal::create(path, fingerprint)?, JournalReplay::default()));
+        }
         if bytes.len() < HEADER_LEN || &bytes[..4] != MAGIC {
             return Err(JournalError::BadHeader);
         }
@@ -210,14 +216,15 @@ impl CampaignJournal {
             return Err(JournalError::FingerprintMismatch { expected: fingerprint, found });
         }
 
+        // A record that does not decode marks the torn tail, as an
+        // incomplete or checksum-failing one does.
         let mut replay = JournalReplay::default();
-        let mut pos = HEADER_LEN;
-        // A record that is incomplete, fails its checksum, or does not
-        // decode marks the torn tail: everything before `pos` is
-        // durable, everything after is discarded.
-        while let Some(end) = scan_record(&bytes, pos, &mut replay) {
-            pos = end;
-        }
+        let pos = scan_frames(&bytes, HEADER_LEN, |payload| {
+            let Ok((cell, index, outcome)) = decode_record(payload) else { return false };
+            let (shift, p_idx) = ((index >> POINT_BITS) as u32, index & ((1 << POINT_BITS) - 1));
+            replay.outcomes.insert((cell, shift, p_idx), outcome);
+            true
+        });
 
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
         file.set_len(pos as u64)?;
@@ -240,42 +247,48 @@ impl CampaignJournal {
     /// only means the point is recomputed after a crash, so it is
     /// swallowed rather than aborting the campaign.
     pub fn append(&self, c_idx: usize, p_idx: usize, outcome: &PointOutcome) {
-        let payload = encode_record(c_idx, p_idx, outcome);
-        let mut framed = Vec::with_capacity(4 + payload.len() + 8);
-        framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&payload);
-        framed.extend_from_slice(&fnv1a(&payload).to_le_bytes());
         // One write_all per record: a crash can tear the tail record
         // (caught by the checksum on resume) but never interleave two.
-        let _ = lock(&self.file).write_all(&framed);
+        let _ = lock(&self.file).write_all(&frame(&encode_record(c_idx, p_idx, outcome)));
     }
 }
 
-/// Parses the record starting at `pos`, adding it to `replay`. Returns
-/// the offset just past the record, or `None` at the torn tail / EOF.
-fn scan_record(bytes: &[u8], pos: usize, replay: &mut JournalReplay) -> Option<usize> {
-    let len_end = pos.checked_add(4)?;
-    if len_end > bytes.len() {
-        return None;
+/// Frames `payload` as one record, `len u32 | payload | fnv1a-64(payload)`:
+/// the framing of journal records and of the server's spec log.
+pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut framed = Vec::with_capacity(4 + payload.len() + 8);
+    framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    framed.extend_from_slice(payload);
+    framed.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    framed
+}
+
+/// Hands each [`frame`]d payload in `bytes`, from offset `pos` on, to
+/// `accept`, and returns the end of the valid prefix. The scan stops at
+/// the first record that is incomplete, fails its checksum or is refused
+/// by `accept`: that record starts the torn tail, which the caller
+/// truncates away.
+pub(crate) fn scan_frames(
+    bytes: &[u8],
+    mut pos: usize,
+    mut accept: impl FnMut(&[u8]) -> bool,
+) -> usize {
+    let next = |pos: usize| -> Option<(&[u8], usize)> {
+        let len_end = pos.checked_add(4)?;
+        let len = u32::from_le_bytes(bytes.get(pos..len_end)?.try_into().ok()?) as usize;
+        let payload_end = len_end.checked_add(len)?;
+        let rec_end = payload_end.checked_add(8)?;
+        let payload = bytes.get(len_end..payload_end)?;
+        let sum = u64::from_le_bytes(bytes.get(payload_end..rec_end)?.try_into().ok()?);
+        (fnv1a(payload) == sum).then_some((payload, rec_end))
+    };
+    while let Some((payload, end)) = next(pos) {
+        if !accept(payload) {
+            break;
+        }
+        pos = end;
     }
-    let mut len4 = [0u8; 4];
-    len4.copy_from_slice(&bytes[pos..len_end]);
-    let len = u32::from_le_bytes(len4) as usize;
-    let payload_end = len_end.checked_add(len)?;
-    let rec_end = payload_end.checked_add(8)?;
-    if rec_end > bytes.len() {
-        return None;
-    }
-    let payload = &bytes[len_end..payload_end];
-    let mut sum = [0u8; 8];
-    sum.copy_from_slice(&bytes[payload_end..rec_end]);
-    if fnv1a(payload) != u64::from_le_bytes(sum) {
-        return None;
-    }
-    let (cell, index, outcome) = decode_record(payload).ok()?;
-    let (shift, p_idx) = ((index >> POINT_BITS) as u32, index & ((1 << POINT_BITS) - 1));
-    replay.outcomes.insert((cell, shift, p_idx), outcome);
-    Some(rec_end)
+    pos
 }
 
 /// Fingerprint of everything that determines campaign point outcomes:
@@ -691,6 +704,25 @@ mod tests {
         assert!(matches!(CampaignJournal::resume(&path, 7), Err(JournalError::BadHeader)));
         std::fs::write(&path, b"BF").expect("write");
         assert!(matches!(CampaignJournal::resume(&path, 7), Err(JournalError::BadHeader)));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn empty_file_resumes_as_a_fresh_journal() {
+        // The header is not synced, so a power loss can leave the file
+        // empty: it resumes with nothing replayed and a rewritten header.
+        let path = scratch("empty");
+        std::fs::write(&path, b"").expect("write");
+        let (journal, replay) = CampaignJournal::resume(&path, 9).expect("resume empty");
+        assert!(replay.is_empty());
+        assert_eq!(std::fs::metadata(&path).expect("meta").len(), HEADER_LEN as u64);
+        journal.append(1, 2, &sample_ok());
+        journal.append(1, 3, &sample_hang());
+        drop(journal);
+        let (_, replay) = CampaignJournal::resume(&path, 9).expect("resume after appends");
+        assert_eq!(replay.len(), 2);
+        assert_outcomes_identical(&replay.outcomes[&(1, 0, 2)], &sample_ok());
+        assert_outcomes_identical(&replay.outcomes[&(1, 0, 3)], &sample_hang());
         let _ = std::fs::remove_file(&path);
     }
 

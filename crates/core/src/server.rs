@@ -20,18 +20,25 @@
 //! the number of active requests (`--max-active`); the rest are rejected
 //! with a typed reason rather than silently queued without bound.
 //!
-//! Durability: each request's specification is persisted to the state
-//! directory at admission and its points are journaled exactly as a solo
-//! `--journal` run's would be. A killed server therefore resumes
-//! cleanly: restart it on the same state directory and re-`attach` the
-//! request id — the journal replays the finished points and the report
-//! comes out byte-identical to an uninterrupted run. Graceful shutdown
+//! Durability: each request's specification is appended at admission to
+//! the state directory's one spec log (`requests.log`, framed and
+//! checksummed like journal records), and its points are journaled
+//! exactly as a solo `--journal` run's would be. A killed server
+//! therefore resumes cleanly: restart it on the same state directory and
+//! re-`attach` the request id — the journal replays the finished points
+//! and the report comes out byte-identical to an uninterrupted run.
+//! Nothing on the request path is fsynced: against process death every
+//! byte written survives; against power loss whatever the OS wrote back
+//! survives, a torn tail is truncated, an empty journal starts afresh and
+//! the rest recomputes — nothing is ever mis-replayed. Graceful shutdown
 //! cancels unstarted work (journals hold everything completed) before
 //! the socket closes.
 
 use crate::artifacts::ArtifactStore;
 use crate::flow::FlowConfig;
-use crate::journal::{campaign_fingerprint_with, CampaignJournal, JournalError, JournalReplay};
+use crate::journal::{
+    campaign_fingerprint_with, frame, scan_frames, CampaignJournal, JournalError, JournalReplay,
+};
 use crate::pool::WorkPool;
 use crate::protocol::{
     decode_client, encode_client, encode_server, read_frame, request_id, write_frame,
@@ -43,8 +50,9 @@ use crate::supervisor::{panic_message, supervise_campaign, RetryPolicy};
 use crate::sweep::{all_fixed_latency, run_sweep, SweepOptions, SweepSpec};
 use crate::sync::lock;
 use boom_uarch::BoomConfig;
-use rv_workloads::{all, by_name, Workload};
+use rv_workloads::{all, by_name, Scale, Workload};
 use std::collections::HashMap;
+use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -100,8 +108,9 @@ pub struct ServeOptions {
     pub max_active: usize,
     /// Disk tier of the shared artifact store (`None` = memory only).
     pub cache_dir: Option<PathBuf>,
-    /// State directory holding each request's persisted specification
-    /// and journal (created if needed) — the resume substrate.
+    /// State directory holding the spec log of every admitted request
+    /// and each request's journal (created if needed) — the resume
+    /// substrate.
     pub state_dir: PathBuf,
     /// Test-only: abort the whole server process after this many freshly
     /// journaled points, the service-side crash drill.
@@ -170,6 +179,10 @@ struct ServerState {
     store: ArtifactStore,
     /// The global, request-fair scheduler pool.
     pool: Arc<WorkPool>,
+    /// The spec log, `state_dir/requests.log`, open for appending.
+    spec_log: Mutex<File>,
+    /// Every program a request has named, built once.
+    programs: Programs,
     requests: Mutex<HashMap<u64, Arc<RequestState>>>,
     active: AtomicU64,
     shutdown: AtomicBool,
@@ -199,14 +212,20 @@ pub struct Server {
 
 impl Server {
     /// Binds the service (Unix socket or TCP listener per `addr`),
-    /// creating the state directory and opening the shared store's disk
-    /// tier.
+    /// creating the state directory, opening its spec log (truncating a
+    /// torn tail, as a journal resume does) and opening the shared
+    /// store's disk tier.
     ///
     /// # Errors
     ///
-    /// Propagates bind and directory-creation failures.
+    /// Propagates bind, directory-creation and spec-log failures.
     pub fn bind(addr: &ServeAddr, opts: ServeOptions) -> std::io::Result<Server> {
         std::fs::create_dir_all(&opts.state_dir)?;
+        let mut spec_log =
+            OpenOptions::new().read(true).append(true).create(true).open(spec_log_path(&opts))?;
+        let mut bytes = Vec::new();
+        spec_log.read_to_end(&mut bytes)?;
+        spec_log.set_len(scan_frames(&bytes, 0, |_| true) as u64)?;
         let store = match &opts.cache_dir {
             None => ArtifactStore::new(),
             Some(dir) => ArtifactStore::with_disk_cache(dir)?,
@@ -231,6 +250,8 @@ impl Server {
             addr,
             store,
             pool,
+            spec_log: Mutex::new(spec_log),
+            programs: Programs::default(),
             requests: Mutex::new(HashMap::new()),
             active: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
@@ -415,25 +436,39 @@ fn stream_events(
     }
 }
 
-/// The persisted-specification file of request `id` (the full submit
-/// frame payload, so it stays versioned like the wire).
-fn spec_path(state: &ServerState, id: u64) -> PathBuf {
-    state.opts.state_dir.join(format!("{id:016x}.req"))
+/// The spec log: one [`frame`]d record per admitted request, holding the
+/// full submit frame payload, so it stays versioned like the wire.
+fn spec_log_path(opts: &ServeOptions) -> PathBuf {
+    opts.state_dir.join("requests.log")
 }
 
+/// Appends request `id`'s specification to the spec log in one
+/// `write_all`, unsynced like the journals.
 fn store_spec(state: &ServerState, id: u64, req: &Request) {
-    let bytes = encode_client(&ClientMsg::Submit(req.clone()));
-    if let Err(e) = std::fs::write(spec_path(state, id), bytes) {
+    let record = frame(&encode_client(&ClientMsg::Submit(req.clone())));
+    if let Err(e) = lock(&state.spec_log).write_all(&record) {
         eprintln!("boomflow serve: cannot persist request {id:016x}: {e}");
     }
 }
 
+/// Request `id`'s specification from the spec log or, for a state
+/// directory written by an older build, from its `<id>.req` file (read,
+/// never written).
 fn load_spec(state: &ServerState, id: u64) -> Option<Request> {
-    let bytes = std::fs::read(spec_path(state, id)).ok()?;
-    match decode_client(&bytes) {
+    let as_spec = |payload: &[u8]| match decode_client(payload) {
         Ok(ClientMsg::Submit(req)) if request_id(&req) == id => Some(req),
         _ => None,
+    };
+    let mut found = None;
+    if let Ok(log) = std::fs::read(spec_log_path(&state.opts)) {
+        scan_frames(&log, 0, |payload| {
+            found = as_spec(payload);
+            found.is_none()
+        });
     }
+    found.or_else(|| {
+        as_spec(&std::fs::read(state.opts.state_dir.join(format!("{id:016x}.req"))).ok()?)
+    })
 }
 
 /// Executes one request end to end and publishes its terminal message.
@@ -460,6 +495,14 @@ fn run_request(state: &Arc<ServerState>, rs: &Arc<RequestState>, req: &Request) 
 pub fn realize_campaign(
     req: &CampaignRequest,
 ) -> Result<(Vec<BoomConfig>, Vec<Workload>, FlowConfig), String> {
+    realize_campaign_in(req, &Programs::default())
+}
+
+/// [`realize_campaign`] with the workloads taken from `programs`.
+fn realize_campaign_in(
+    req: &CampaignRequest,
+    programs: &Programs,
+) -> Result<(Vec<BoomConfig>, Vec<Workload>, FlowConfig), String> {
     let cfgs = match req.config.as_str() {
         "all" => BoomConfig::all_three(),
         "medium" => vec![BoomConfig::medium()],
@@ -467,7 +510,7 @@ pub fn realize_campaign(
         "mega" => vec![BoomConfig::mega()],
         other => return Err(format!("unknown configuration selection '{other}'")),
     };
-    let ws = realize_workloads(&req.workloads, req.scale)?;
+    let ws = programs.realize(&req.workloads, req.scale)?;
     let flow = FlowConfig {
         warmup_insts: req.warmup,
         idle_skip: req.idle_skip,
@@ -477,14 +520,46 @@ pub fn realize_campaign(
     Ok((cfgs, ws, flow))
 }
 
-fn realize_workloads(sel: &str, scale: rv_workloads::Scale) -> Result<Vec<Workload>, String> {
-    if sel == "all" {
-        return Ok(all(scale));
+/// A selection item at a scale: `None` is the `all` selection, `Some` a
+/// lower-cased program name.
+type SelectionKey = (Option<String>, u8);
+
+/// Built workloads by [`SelectionKey`]. Only known names are kept, so it
+/// holds at most twelve entries per scale. A hit clones the workloads,
+/// carrying their cached fingerprints, instead of re-assembling them.
+#[derive(Default)]
+struct Programs(Mutex<HashMap<SelectionKey, Vec<Workload>>>);
+
+impl Programs {
+    /// The workloads a request's comma-separated selection names, in
+    /// order; `all` is the paper's eleven.
+    fn realize(&self, sel: &str, scale: Scale) -> Result<Vec<Workload>, String> {
+        if sel == "all" {
+            return Ok(self.get(None, scale).unwrap_or_default());
+        }
+        let mut ws = Vec::new();
+        for n in sel.split(',').filter(|n| !n.is_empty()) {
+            let w = self.get(Some(n), scale).ok_or_else(|| format!("unknown workload '{n}'"))?;
+            ws.extend(w);
+        }
+        Ok(ws)
     }
-    sel.split(',')
-        .filter(|n| !n.is_empty())
-        .map(|n| by_name(n, scale).ok_or_else(|| format!("unknown workload '{n}'")))
-        .collect()
+
+    fn get(&self, name: Option<&str>, scale: Scale) -> Option<Vec<Workload>> {
+        let key = (name.map(str::to_ascii_lowercase), scale as u8);
+        if let Some(ws) = lock(&self.0).get(&key) {
+            return Some(ws.clone());
+        }
+        let ws = match name {
+            None => all(scale),
+            Some(n) => vec![by_name(n, scale)?],
+        };
+        // Hashed here, once: every clone handed out carries the value.
+        for w in &ws {
+            w.program.fingerprint();
+        }
+        Some(lock(&self.0).entry(key).or_insert(ws).clone())
+    }
 }
 
 fn execute(state: &Arc<ServerState>, rs: &Arc<RequestState>, req: &Request) -> ServerMsg {
@@ -497,7 +572,7 @@ fn execute(state: &Arc<ServerState>, rs: &Arc<RequestState>, req: &Request) -> S
     };
     match req {
         Request::Campaign(c) => {
-            let (cfgs, ws, mut flow) = match realize_campaign(c) {
+            let (cfgs, ws, mut flow) = match realize_campaign_in(c, &state.programs) {
                 Ok(r) => r,
                 Err(reason) => return reject(reason),
             };
@@ -580,7 +655,7 @@ fn execute(state: &Arc<ServerState>, rs: &Arc<RequestState>, req: &Request) -> S
                 Ok(cfgs) => cfgs,
                 Err(e) => return reject(format!("invalid sweep specification: {e}")),
             };
-            let ws = match realize_workloads(&s.workloads, s.scale) {
+            let ws = match state.programs.realize(&s.workloads, s.scale) {
                 Ok(ws) => ws,
                 Err(reason) => return reject(reason),
             };
@@ -672,5 +747,36 @@ pub fn request_events(
             }
             _ => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn fingerprints(ws: &[Workload]) -> Vec<(&'static str, u64, u64)> {
+        ws.iter().map(|w| (w.name, w.program.fingerprint(), w.interval_size)).collect()
+    }
+
+    #[test]
+    fn programs_are_built_per_name_and_scale() {
+        let programs = Programs::default();
+        let built = |sel: &str, scale: Scale| fingerprints(&programs.realize(sel, scale).unwrap());
+        let fresh = |names: &[&str], scale: Scale| {
+            let ws: Vec<Workload> = names.iter().map(|n| by_name(n, scale).unwrap()).collect();
+            fingerprints(&ws)
+        };
+        for _ in 0..2 {
+            assert_eq!(
+                built("sha,Bitcount", Scale::Test),
+                fresh(&["sha", "bitcount"], Scale::Test)
+            );
+            assert_eq!(built("SHA", Scale::Small), fresh(&["sha"], Scale::Small));
+            assert_eq!(built("all", Scale::Test), fingerprints(&all(Scale::Test)));
+        }
+        assert_eq!(lock(&programs.0).len(), 4);
+        assert!(programs.realize("ALL", Scale::Test).is_err(), "only `all` selects every program");
+        assert!(programs.realize("sha,nope", Scale::Test).is_err());
+        assert_eq!(lock(&programs.0).len(), 4, "unknown names are not kept");
     }
 }

@@ -17,7 +17,7 @@
 //!   quarantined point, including the pipeline watchdog's
 //!   [`WatchdogSnapshot`] for hangs;
 //! * [`Degradation`] — the honesty record attached to a
-//!   [`WorkloadResult`](crate::WorkloadResult) whose weights were
+//!   [`WorkloadResult`] whose weights were
 //!   re-normalized after quarantining points;
 //! * [`supervise_matrix`] — the campaign driver: every (configuration,
 //!   workload) cell is isolated behind `catch_unwind`, failures are
@@ -233,7 +233,7 @@ impl fmt::Display for PointFailure {
 }
 
 /// Record of graceful degradation attached to a
-/// [`WorkloadResult`](crate::WorkloadResult).
+/// [`WorkloadResult`].
 ///
 /// Present whenever the result was produced with fewer points than the
 /// phase analysis selected, or only after retries. The surviving points'

@@ -13,7 +13,7 @@
 //!
 //! ## Records
 //!
-//! A persisted or keyed type is declared once with [`record!`]: the one
+//! A persisted or keyed type is declared once with [`record!`](crate::record!): the one
 //! field list gives the struct, its [`Codec`] (encode, decode and a
 //! minimum encoded size that bounds every length read), its canonical
 //! content key, and — for counter records — [`Counters::is_active`].
@@ -33,7 +33,7 @@
 //! values that differ only in out-of-key fields share a key. The last two
 //! modes exist so the detailed core's statistics fingerprint keeps the
 //! exact values its golden tests pin. Tagged enums implement [`Codec`] by
-//! hand ([`tags!`] covers the fieldless ones).
+//! hand ([`tags!`](crate::tags!) covers the fieldless ones).
 
 use std::fmt;
 
@@ -295,7 +295,7 @@ impl<'a> ByteReader<'a> {
 }
 
 /// A value with one canonical byte encoding and a content key derived
-/// from it. Implemented by [`record!`] for records and by hand for
+/// from it. Implemented by [`record!`](crate::record!) for records and by hand for
 /// tagged enums.
 pub trait Codec: Sized {
     /// The fewest bytes any encoding of a value occupies: a sequence
@@ -328,7 +328,7 @@ pub trait Codec: Sized {
     }
 }
 
-/// Activity counters ([`record!`]'s `counters:` form).
+/// Activity counters ([`record!`](crate::record!)'s `counters:` form).
 pub trait Counters {
     /// Whether any count is nonzero.
     fn is_active(&self) -> bool;

@@ -129,7 +129,7 @@ fn set_bits(words: impl Iterator<Item = u64>) -> impl Iterator<Item = usize> {
 
 impl Clone for Memory {
     /// Copies only the held flat pages into a fresh buffer, which comes
-    /// back from the kernel already zeroed (see [`FLAT_ALLOC_FLOOR`]), so
+    /// back from the kernel already zeroed (see `FLAT_ALLOC_FLOOR`), so
     /// a clone costs O(pages held) and its resident size is the
     /// program's real footprint, not the reservation. An owned clone
     /// also skips held pages that read as zero; in copy-on-write mode

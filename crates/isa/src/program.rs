@@ -20,6 +20,9 @@ pub struct Program {
     /// excluded from [`Program::fingerprint`] — it is a pure function of
     /// the other fields.
     decoded: OnceLock<SharedImage>,
+    /// [`Program::fingerprint`], hashed on first use. `Program` has no
+    /// mutator, so it never goes stale; clones carry it.
+    fingerprint: OnceLock<u64>,
 }
 
 impl Program {
@@ -30,7 +33,15 @@ impl Program {
         symbols: HashMap<String, u64>,
         stack_top: u64,
     ) -> Program {
-        Program { base, text_len, image, symbols, stack_top, decoded: OnceLock::new() }
+        Program {
+            base,
+            text_len,
+            image,
+            symbols,
+            stack_top,
+            decoded: OnceLock::new(),
+            fingerprint: OnceLock::new(),
+        }
     }
 
     /// Load address of the first text byte; also the entry point.
@@ -67,19 +78,22 @@ impl Program {
     /// geometry), used as a cache key by artifact stores: two programs
     /// with the same fingerprint execute identically, so profiling and
     /// checkpoint artifacts derived from one are valid for the other.
+    /// Hashed once per program; later calls (and clones) read the cache.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(&self.base.to_le_bytes());
-        eat(&(self.text_len as u64).to_le_bytes());
-        eat(&self.stack_top.to_le_bytes());
-        eat(&self.image);
-        h
+        *self.fingerprint.get_or_init(|| {
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            let mut eat = |bytes: &[u8]| {
+                for &b in bytes {
+                    h ^= u64::from(b);
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            };
+            eat(&self.base.to_le_bytes());
+            eat(&(self.text_len as u64).to_le_bytes());
+            eat(&self.stack_top.to_le_bytes());
+            eat(&self.image);
+            h
+        })
     }
 
     /// Copies the image into `mem` at its base address, first reserving a

@@ -62,7 +62,7 @@ pub struct RunResult {
     pub retired: u64,
     /// Cycles simulated during this call.
     pub cycles: u64,
-    /// The pipeline made no progress for [`HANG_LIMIT`] cycles (a model
+    /// The pipeline made no progress for `HANG_LIMIT` (100,000) cycles (a model
     /// bug or an invalid program); state is left intact for inspection.
     pub hung: bool,
 }
@@ -516,7 +516,7 @@ impl Core {
     ///
     /// Only honored with an idle-skip-safe memory backend (the default
     /// fixed-latency model; see
-    /// [`MemoryBackend::idle_skip_safe`](crate::mem::MemoryBackend::idle_skip_safe))
+    /// [`MemoryBackend::idle_skip_safe`])
     /// and without an attached tracer or golden model. Dual-core co-runs
     /// drive [`Core::step_cycle`] directly and never skip — their strict
     /// cycle interleave must observe every cycle of both cores.
@@ -760,7 +760,7 @@ impl Core {
     // ------------------------------------------------------------------
 
     /// Fault injection: freezes the commit stage so the pipeline watchdog
-    /// fires deterministically after [`HANG_LIMIT`] cycles.
+    /// fires deterministically after `HANG_LIMIT` (100,000) cycles.
     ///
     /// Used by the flow supervisor's tests and by `boomflow --inject-hang`
     /// to exercise hang detection and diagnostics on demand; it has no

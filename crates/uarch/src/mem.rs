@@ -6,7 +6,7 @@
 //!   a fixed number of cycles after the miss. This is the default and is
 //!   pinned bit-identical by the golden-fingerprint suite.
 //! * [`Hierarchy`] — a shared, MSHR-tracked L2 (the same
-//!   [`Cache`](crate::cache::Cache) structure as the L1s, driven through
+//!   [`Cache`] structure as the L1s, driven through
 //!   its split lookup/fill interface) in front of a bandwidth-bounded
 //!   DRAM model with an open-row hit bonus. Cloning a `Hierarchy` shares
 //!   the uncore, which is how two co-running cores contend for the L2
@@ -123,7 +123,7 @@ impl Hierarchy {
 
     /// Two handles onto one shared uncore, for a dual-core co-run. The
     /// second handle's traffic is tag-salted into a disjoint "physical"
-    /// address range (see [`Hierarchy::salt`]).
+    /// address range (see `Hierarchy::salt`).
     pub fn shared_pair(params: HierarchyParams) -> (Hierarchy, Hierarchy) {
         let a = Hierarchy::new(params);
         let mut b = a.clone();

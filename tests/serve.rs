@@ -1,7 +1,7 @@
 //! Campaign-service tests: concurrent clients through one `boomflow
 //! serve` process get reports byte-identical to solo runs while sharing
 //! work through the warm store, and a killed server resumes a request
-//! from its journal on restart + re-attach.
+//! from its spec log and journal on restart + re-attach.
 
 // Test helpers unwrap freely: a failed unwrap is exactly a test failure.
 #![allow(clippy::unwrap_used)]
@@ -11,8 +11,11 @@ use boomflow::{
     supervise_matrix_with, ArtifactStore, CampaignOptions, CampaignRequest, ClientMsg, FlowConfig,
     Request, ServeAddr, ServeOptions, Server, ServerMsg, SweepOptions, SweepRequest, SweepSpec,
 };
+use rv_isa::codec::fnv1a;
 use rv_workloads::Scale;
-use std::path::PathBuf;
+use std::collections::BTreeSet;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 fn scratch(tag: &str) -> PathBuf {
@@ -33,6 +36,57 @@ fn campaign_request(workloads: &str) -> CampaignRequest {
         retries: 3,
         batch_lanes: 1,
         idle_skip: false,
+    }
+}
+
+/// The server's spec log in `state_dir`.
+fn spec_log(state_dir: &Path) -> PathBuf {
+    state_dir.join("requests.log")
+}
+
+/// The persisted specification of `req`: its submit frame payload.
+fn spec_of(req: &CampaignRequest) -> Vec<u8> {
+    encode_client(&ClientMsg::Submit(Request::Campaign(req.clone())))
+}
+
+/// `payload` as one spec-log record: `len u32 | payload | fnv1a-64`.
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut rec = (payload.len() as u32).to_le_bytes().to_vec();
+    rec.extend_from_slice(payload);
+    rec.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    rec
+}
+
+/// The payloads of the spec log's records, in order, up to the end of
+/// the file or the first record that is cut short or fails its checksum.
+fn spec_records(state_dir: &Path) -> Vec<Vec<u8>> {
+    let log = std::fs::read(spec_log(state_dir)).unwrap();
+    let (mut records, mut pos) = (Vec::new(), 0);
+    while pos + 4 <= log.len() {
+        let len = u32::from_le_bytes(log[pos..pos + 4].try_into().unwrap()) as usize;
+        let Some(sum) = log.get(pos + 4 + len..pos + 12 + len) else { break };
+        let payload = &log[pos + 4..pos + 4 + len];
+        if fnv1a(payload).to_le_bytes() != sum {
+            break;
+        }
+        records.push(payload.to_vec());
+        pos += 12 + len;
+    }
+    records
+}
+
+/// The names of the files in `dir`.
+fn files_in(dir: &Path) -> BTreeSet<String> {
+    std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().file_name().into_string().unwrap()).collect()
+}
+
+/// Submits `req` and checks that it succeeds with its solo report.
+fn serve_like_solo(addr: &ServeAddr, req: &CampaignRequest) {
+    match roundtrip(addr, &ClientMsg::Submit(Request::Campaign(req.clone()))) {
+        ServerMsg::Done { ok: true, report, .. } => {
+            assert_eq!(String::from_utf8(report).unwrap(), solo_report(req));
+        }
+        other => panic!("expected successful Done, got {other:?}"),
     }
 }
 
@@ -289,8 +343,8 @@ fn killed_server_resumes_on_restart_and_attach() {
     let status = child.wait().unwrap();
     assert!(!status.success(), "--inject-kill-after must abort the server");
     assert!(
-        state_dir.join(format!("{id:016x}.req")).exists(),
-        "the request spec must be persisted before any simulation"
+        spec_records(&state_dir).contains(&spec_of(&req)),
+        "the request spec must be persisted, as one spec-log record, before any simulation"
     );
     assert!(
         state_dir.join(format!("{id:016x}.bfj")).exists(),
@@ -448,6 +502,114 @@ fn warm_served_request_journals_every_point() {
     })
     .unwrap();
     assert_eq!(replayed, Some(points), "Admitted.replayed must count every point of Y");
+    shutdown(&addr, handle);
+}
+
+/// The spec log and journal layout: every served campaign request,
+/// warm or not, adds exactly one file to the state directory (its
+/// journal) and one record to the one spec log; no per-request spec
+/// file is written.
+#[test]
+fn served_requests_add_one_journal_each_and_one_spec_log_record() {
+    let state_dir = scratch("state-files");
+    let opts = ServeOptions {
+        jobs: 2,
+        max_active: 4,
+        cache_dir: None,
+        state_dir: state_dir.clone(),
+        kill_after_points: None,
+    };
+    let (addr, handle) = start_server("sock-files", opts);
+    // The second and third requests are fully warm.
+    let reqs = [
+        campaign_request("bitcount,sha"),
+        campaign_request("sha,bitcount"),
+        campaign_request("bitcount"),
+    ];
+    let mut before = files_in(&state_dir);
+    assert_eq!(before, BTreeSet::from(["requests.log".to_string()]));
+    for req in &reqs {
+        serve_like_solo(&addr, req);
+        let after = files_in(&state_dir);
+        let id = request_id(&Request::Campaign(req.clone()));
+        assert_eq!(
+            after.difference(&before).cloned().collect::<Vec<_>>(),
+            vec![format!("{id:016x}.bfj")],
+            "a served request must create its journal and nothing else"
+        );
+        before = after;
+    }
+    shutdown(&addr, handle);
+    assert_eq!(spec_records(&state_dir), reqs.iter().map(spec_of).collect::<Vec<_>>());
+}
+
+/// A crash mid-append leaves a partial record at the spec log's tail.
+/// A restarted server truncates it, so a spec it admits afterwards is
+/// found by the next restart, and so is every spec before the tear.
+#[test]
+fn torn_spec_log_tail_is_truncated_on_restart() {
+    let state_dir = scratch("state-torn");
+    let opts = || ServeOptions {
+        jobs: 1,
+        max_active: 4,
+        cache_dir: None,
+        state_dir: state_dir.clone(),
+        kill_after_points: None,
+    };
+    let (req_a, req_b) = (campaign_request("bitcount"), campaign_request("sha"));
+    let (addr, handle) = start_server("sock-torn", opts());
+    serve_like_solo(&addr, &req_a);
+    shutdown(&addr, handle);
+
+    let torn = framed(&spec_of(&campaign_request("qsort")));
+    let mut log = std::fs::OpenOptions::new().append(true).open(spec_log(&state_dir)).unwrap();
+    log.write_all(&torn[..torn.len() / 2]).unwrap();
+    drop(log);
+
+    let (addr, handle) = start_server("sock-torn2", opts());
+    serve_like_solo(&addr, &req_b);
+    shutdown(&addr, handle);
+    assert_eq!(spec_records(&state_dir), vec![spec_of(&req_a), spec_of(&req_b)]);
+
+    let (addr, handle) = start_server("sock-torn3", opts());
+    for req in [&req_a, &req_b] {
+        match roundtrip(&addr, &ClientMsg::Attach(request_id(&Request::Campaign(req.clone())))) {
+            ServerMsg::Done { ok: true, report, .. } => {
+                assert_eq!(String::from_utf8(report).unwrap(), solo_report(req));
+            }
+            other => panic!("attach after restart: expected Done, got {other:?}"),
+        }
+    }
+    shutdown(&addr, handle);
+}
+
+/// The journal header is not synced, so a power loss can leave a
+/// request's journal empty. Attaching such a request restarts it from
+/// its spec: it succeeds with the solo report.
+#[test]
+fn empty_journal_beside_its_spec_restarts_on_attach() {
+    let state_dir = scratch("state-empty");
+    std::fs::create_dir_all(&state_dir).unwrap();
+    let req = campaign_request("bitcount");
+    let id = request_id(&Request::Campaign(req.clone()));
+    std::fs::write(spec_log(&state_dir), framed(&spec_of(&req))).unwrap();
+    std::fs::write(state_dir.join(format!("{id:016x}.bfj")), b"").unwrap();
+
+    let opts = ServeOptions {
+        jobs: 1,
+        max_active: 4,
+        cache_dir: None,
+        state_dir,
+        kill_after_points: None,
+    };
+    let (addr, handle) = start_server("sock-empty", opts);
+    match roundtrip(&addr, &ClientMsg::Attach(id)) {
+        ServerMsg::Done { ok, report, summary, .. } => {
+            assert!(ok, "restarted request failed:\n{summary}");
+            assert_eq!(String::from_utf8(report).unwrap(), solo_report(&req));
+        }
+        other => panic!("attach over an empty journal: expected Done, got {other:?}"),
+    }
     shutdown(&addr, handle);
 }
 

@@ -2,30 +2,40 @@
 //! analysis flow.
 //!
 //! ```text
-//! boomflow serve (--socket PATH|--tcp ADDR) [--jobs N] [--max-active N]
-//!          [--cache-dir DIR] [--state-dir DIR]
-//! boomflow submit (--socket PATH|--tcp ADDR) [campaign flags...]
-//!          [--sweep-preset ref64|smoke16 [sweep flags...]] [--report-out FILE]
-//! boomflow attach (--socket PATH|--tcp ADDR) --id HEX [--report-out FILE]
-//! boomflow shutdown (--socket PATH|--tcp ADDR)
-//! boomflow sweep [--grid-preset ref64|smoke16] [--grid KNOB=V1,V2,...]
-//!          [--base medium|large|mega] [--random N --seed S]
-//!          [--workload NAME[,NAME...]|all] [--scale test|small|full]
-//!          [--warmup N] [--jobs N] [--batch-lanes N]
-//!          [--idle-skip|--no-idle-skip] [--rungs N] [--rung0-points N]
-//!          [--rung0-shift N] [--epsilon F] [--epsilon-decay F] [--exhaustive]
-//!          [--cache-dir DIR] [--journal FILE [--resume]]
-//!          [--report-out FILE] [--frontier-out FILE]
 //! boomflow [--workload NAME[,NAME...]|all] [--config medium|large|mega|all]
 //!          [--scale test|small|full] [--predictor tage|gshare]
-//!          [--iq collapsing|noncollapsing] [--full] [--warmup N]
-//!          [--retries N] [--cycle-budget N] [--jobs N]
-//!          [--mem-backend fixed|hierarchy] [--l2 SETSxWAYSxLINE]
-//!          [--l2-mshrs N] [--l2-latency N] [--dram-latency N]
-//!          [--dram-burst N] [--dram-row-hit N] [--co-run A+B ...]
-//!          [--batch-lanes N] [--idle-skip]
-//!          [--cache-dir DIR] [--journal FILE [--resume]] [--report-out FILE]
+//!          [--iq collapsing|noncollapsing] [--full] [--warmup N] [--retries N]
+//!          [--cycle-budget N] [--jobs N] [--mem-backend fixed|hierarchy]
+//!          [--l2 SETSxWAYSxLINE] [--l2-mshrs N] [--l2-latency N]
+//!          [--dram-latency N] [--dram-burst N] [--dram-row-hit N]
+//!          [--co-run A+B ...] [--batch-lanes N] [--idle-skip] [--cache-dir DIR]
+//!          [--journal FILE] [--resume] [--report-out FILE]
+//! boomflow sweep [--grid-preset ref64|smoke16] [--grid KNOB=V1,V2,...]
+//!          [--base medium|large|mega] [--random N] [--seed S]
+//!          [--workload NAME[,NAME...]|all] [--scale test|small|full] [--warmup N]
+//!          [--jobs N] [--batch-lanes N] [--idle-skip|--no-idle-skip] [--rungs N]
+//!          [--rung0-points N] [--rung0-shift N] [--epsilon F] [--epsilon-decay F]
+//!          [--exhaustive] [--cache-dir DIR] [--journal FILE] [--resume]
+//!          [--report-out FILE] [--frontier-out FILE]
+//! boomflow serve (--socket PATH|--tcp ADDR) [--jobs N] [--max-active N]
+//!          [--cache-dir DIR] [--state-dir DIR]
+//! boomflow submit (--socket PATH|--tcp ADDR) [--sweep-preset ref64|smoke16]
+//!          [--base medium|large|mega] [--workload NAME[,NAME...]|all]
+//!          [--config medium|large|mega|all] [--scale test|small|full] [--warmup N]
+//!          [--retries N] [--batch-lanes N] [--idle-skip] [--rungs N]
+//!          [--rung0-points N] [--rung0-shift N] [--epsilon F] [--epsilon-decay F]
+//!          [--exhaustive] [--report-out FILE]
+//! boomflow attach (--socket PATH|--tcp ADDR) --id HEX [--report-out FILE]
+//! boomflow shutdown (--socket PATH|--tcp ADDR)
 //! ```
+//!
+//! Every flag is declared once, in the `flags!` table below: its name,
+//! alias, value grammar, the entry points that accept it, and whether
+//! usage shows it. One loop parses any command line into the wire records
+//! (`CampaignRequest`, `SweepRequest`) plus the knobs they cannot carry
+//! yet, the synopsis above is the table's usage output, and solo and
+//! served runs realize the records with the same library code
+//! (`realize_campaign`, `realize_sweep`).
 //!
 //! The matrix is run under the fault-tolerant supervisor as a staged
 //! campaign: the configuration-independent stages (profiling, SimPoint
@@ -84,253 +94,454 @@
 //!     --journal campaign.bfj --resume --report-out report.txt
 //! ```
 
-use boom_uarch::{
-    BoomConfig, CacheParams, ConfigError, HierarchyParams, IssueQueueKind, PredictorKind,
-};
+use boom_uarch::{BoomConfig, ConfigError, HierarchyParams, IssueQueueKind, PredictorKind};
 use boomflow::report::render_table;
 use boomflow::{
-    all_fixed_latency, campaign_fingerprint_with, default_jobs, request_events, request_id,
-    run_full, run_sweep, supervise_campaign, ArtifactStore, CacheStage, CampaignJournal,
-    CampaignOptions, CampaignRequest, ClientMsg, DiskFaultInjection, FaultInjection, FlowConfig,
-    JournalReplay, Request, RetryPolicy, ServeAddr, ServeOptions, Server, ServerMsg, SweepKnob,
-    SweepOptions, SweepRequest, SweepSpec, WorkloadResult,
+    campaign_fingerprint_with, default_jobs, realize_campaign, realize_sweep, request_events,
+    request_id, run_full, run_sweep, supervise_campaign, ArtifactStore, CacheStage,
+    CampaignJournal, CampaignOptions, CampaignRequest, ClientMsg, DiskFaultInjection,
+    FaultInjection, FlowConfig, Request, ServeAddr, ServeOptions, Server, ServerMsg, SweepExtras,
+    SweepKnob, SweepOptions, SweepRequest, WorkloadResult,
 };
 use rtl_power::Component;
-use rv_workloads::{all, by_name, Scale, Workload};
+use rv_workloads::{Scale, Workload};
 use std::path::PathBuf;
 use std::process::exit;
 use std::sync::Arc;
 
-struct Args {
-    workload: String,
-    config: String,
-    scale: Scale,
-    predictor: PredictorKind,
-    iq: IssueQueueKind,
+/// The entry points, named by the first argument (a solo campaign has
+/// none).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Sub {
+    Run,
+    Sweep,
+    Serve,
+    Submit,
+    Attach,
+    Shutdown,
+}
+
+impl Sub {
+    const ALL: [Sub; 6] =
+        [Sub::Run, Sub::Sweep, Sub::Serve, Sub::Submit, Sub::Attach, Sub::Shutdown];
+
+    /// The subcommand word; empty for a solo campaign.
+    fn word(self) -> &'static str {
+        match self {
+            Sub::Run => "",
+            Sub::Sweep => "sweep",
+            Sub::Serve => "serve",
+            Sub::Submit => "submit",
+            Sub::Attach => "attach",
+            Sub::Shutdown => "shutdown",
+        }
+    }
+
+    /// The program name this entry point's messages start with.
+    fn prog(self) -> String {
+        match self {
+            Sub::Run => "boomflow".to_string(),
+            sub => format!("boomflow {}", sub.word()),
+        }
+    }
+
+    /// The bit a flag's entry-point set holds for this entry point.
+    const fn bit(self) -> u8 {
+        1 << self as u8
+    }
+}
+
+const RUN: u8 = Sub::Run.bit();
+const SWEEP: u8 = Sub::Sweep.bit();
+const SERVE: u8 = Sub::Serve.bit();
+const SUBMIT: u8 = Sub::Submit.bit();
+const ATTACH: u8 = Sub::Attach.bit();
+const SHUTDOWN: u8 = Sub::Shutdown.bit();
+/// `submit` takes the flag only together with `--sweep-preset`.
+const WITH_PRESET: u8 = 1 << 6;
+/// The service's client and server entry points.
+const ADDR: u8 = SERVE | SUBMIT | ATTACH | SHUTDOWN;
+
+/// How usage shows a flag.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Show {
+    /// `[--flag VALUE]`.
+    Opt,
+    /// `--flag VALUE`: required.
+    Req,
+    /// An alternative to the flag before it: `[a|b]`, or `(a|b)` when
+    /// that one is required.
+    Alt,
+    /// Not shown: the fault-injection drills.
+    Hidden,
+}
+
+/// One command-line flag.
+struct Flag {
+    name: &'static str,
+    alias: Option<&'static str>,
+    /// The value grammar usage shows; `None` for a switch.
+    value: Option<&'static str>,
+    /// The entry points that accept the flag (a set of [`Sub::bit`]s,
+    /// plus [`WITH_PRESET`]).
+    subs: u8,
+    show: Show,
+    /// Stores the flag's value (`""` for a switch). An `Err` is a usage
+    /// error, carrying a message when the usage alone would not say what
+    /// is wrong.
+    set: fn(&mut Cli, &str) -> Result<(), String>,
+}
+
+/// Declares [`FLAGS`] from one entry per flag:
+/// `"--name" [| "-alias"] [= "VALUE"] [ENTRY | POINTS] [Show] |cli, value| store;`
+macro_rules! flags {
+    ($($name:literal $(| $alias:literal)? $(= $value:literal)? [$($sub:ident)|+] $($show:ident)?
+        |$c:ident, $v:tt| $set:expr;)*) => {
+        /// Every flag of every entry point; usage lists them in this order.
+        const FLAGS: &[Flag] = &[$(Flag {
+            name: $name,
+            alias: flags!(@opt $($alias)?),
+            value: flags!(@opt $($value)?),
+            subs: 0 $(| $sub)+,
+            show: flags!(@show $($show)?),
+            set: |$c, $v| {
+                $set;
+                Ok(())
+            },
+        }),*];
+    };
+    (@opt) => { None };
+    (@opt $x:literal) => { Some($x) };
+    (@show) => { Show::Opt };
+    (@show $show:ident) => { Show::$show };
+}
+
+flags! {
+    "--socket" = "PATH" [ADDR] Req |c, v| c.local.addr = Some(ServeAddr::Unix(PathBuf::from(v)));
+    "--tcp" = "ADDR" [ADDR] Alt |c, v| c.local.addr = Some(ServeAddr::Tcp(v.to_string()));
+    "--id" = "HEX" [ATTACH] Req |c, v| {
+        let hex = v.trim_start_matches("0x");
+        c.local.id = Some(u64::from_str_radix(hex, 16).map_err(|_| String::new())?);
+    };
+    "--grid-preset" = "ref64|smoke16" [SWEEP] |c, v| c.sweep.preset = v.to_lowercase();
+    "--sweep-preset" = "ref64|smoke16" [SUBMIT] |c, v| {
+        c.sweep.preset = v.to_lowercase();
+        c.local.sweep = true;
+    };
+    "--grid" = "KNOB=V1,V2,..." [SWEEP] |c, v| c.local.extras.axes.push(grid_axis(v)?);
+    "--base" = "medium|large|mega" [SWEEP | SUBMIT | WITH_PRESET] |c, v| {
+        c.sweep.base = v.to_lowercase();
+    };
+    "--random" = "N" [SWEEP] |c, v| c.local.extras.random = Some(num(v)?);
+    "--seed" = "S" [SWEEP] |c, v| c.local.extras.seed = num(v)?;
+    "--workload" | "-w" = "NAME[,NAME...]|all" [RUN | SWEEP | SUBMIT] |c, v| {
+        c.campaign.workloads = v.to_lowercase();
+        c.sweep.workloads = v.to_lowercase();
+    };
+    "--config" | "-c" = "medium|large|mega|all" [RUN | SUBMIT] |c, v| {
+        c.campaign.config = v.to_lowercase();
+    };
+    "--scale" | "-s" = "test|small|full" [RUN | SWEEP | SUBMIT] |c, v| {
+        c.campaign.scale =
+            pick(v, &[("test", Scale::Test), ("small", Scale::Small), ("full", Scale::Full)])?;
+        c.sweep.scale = c.campaign.scale;
+    };
+    "--predictor" | "-p" = "tage|gshare" [RUN] |c, v| {
+        let kinds = [("tage", PredictorKind::Tage), ("gshare", PredictorKind::Gshare)];
+        c.local.predictor = Some(pick(v, &kinds)?);
+    };
+    "--iq" = "collapsing|noncollapsing" [RUN] |c, v| {
+        let kinds = [
+            ("collapsing", IssueQueueKind::Collapsing),
+            ("noncollapsing", IssueQueueKind::NonCollapsing),
+            ("non-collapsing", IssueQueueKind::NonCollapsing),
+        ];
+        c.local.iq = Some(pick(v, &kinds)?);
+    };
+    "--full" [RUN] |c, _| c.local.full = true;
+    "--warmup" = "N" [RUN | SWEEP | SUBMIT] |c, v| {
+        c.campaign.warmup = num(v)?;
+        c.sweep.warmup = c.campaign.warmup;
+    };
+    "--retries" = "N" [RUN | SUBMIT] |c, v| c.campaign.retries = num(v)?;
+    "--cycle-budget" = "N" [RUN] |c, v| c.local.cycle_budget = Some(num(v)?);
+    "--jobs" | "-j" = "N" [RUN | SWEEP | SERVE] |c, v| c.local.jobs = Some(positive(v)?);
+    "--max-active" = "N" [SERVE] |c, v| c.local.serve.max_active = positive(v)?;
+    "--mem-backend" = "fixed|hierarchy" [RUN] |c, v| {
+        if pick(v, &[("fixed", false), ("hierarchy", true)])? {
+            c.local.uncore();
+        }
+    };
+    "--l2" = "SETSxWAYSxLINE" [RUN] |c, v| {
+        let [sets, ways, line] = v.split('x').collect::<Vec<_>>()[..] else {
+            return Err(String::new());
+        };
+        let l2 = &mut c.local.uncore().l2;
+        (l2.sets, l2.ways, l2.line_bytes) = (num(sets)?, num(ways)?, num(line)?);
+    };
+    "--l2-mshrs" = "N" [RUN] |c, v| c.local.uncore().l2.mshrs = num(v)?;
+    "--l2-latency" = "N" [RUN] |c, v| c.local.uncore().l2.hit_latency = num(v)?;
+    "--dram-latency" = "N" [RUN] |c, v| c.local.uncore().dram_latency = num(v)?;
+    "--dram-burst" = "N" [RUN] |c, v| c.local.uncore().dram_burst_cycles = num(v)?;
+    "--dram-row-hit" = "N" [RUN] |c, v| c.local.uncore().dram_row_hit_latency = num(v)?;
+    "--co-run" = "A+B ..." [RUN] |c, v| {
+        let (a, b) = v.split_once('+').ok_or_else(String::new)?;
+        c.local.co_run.push((a.to_lowercase(), b.to_lowercase()));
+    };
+    "--batch-lanes" = "N" [RUN | SWEEP | SUBMIT] |c, v| {
+        c.campaign.batch_lanes = positive(v)?;
+        c.sweep.batch_lanes = c.campaign.batch_lanes;
+    };
+    "--idle-skip" [RUN | SWEEP | SUBMIT] |c, _| {
+        c.campaign.idle_skip = true;
+        c.local.extras.idle_skip = Some(true);
+    };
+    "--no-idle-skip" [SWEEP] Alt |c, _| c.local.extras.idle_skip = Some(false);
+    "--rungs" = "N" [SWEEP | SUBMIT | WITH_PRESET] |c, v| c.sweep.max_rungs = num(v)?;
+    "--rung0-points" = "N" [SWEEP | SUBMIT | WITH_PRESET] |c, v| c.sweep.rung0_points = num(v)?;
+    "--rung0-shift" = "N" [SWEEP | SUBMIT | WITH_PRESET] |c, v| c.sweep.rung0_shift = num(v)?;
+    "--epsilon" = "F" [SWEEP | SUBMIT | WITH_PRESET] |c, v| c.sweep.epsilon = num(v)?;
+    "--epsilon-decay" = "F" [SWEEP | SUBMIT | WITH_PRESET] |c, v| c.sweep.epsilon_decay = num(v)?;
+    "--exhaustive" [SWEEP | SUBMIT | WITH_PRESET] |c, _| c.sweep.exhaustive = true;
+    "--cache-dir" = "DIR" [RUN | SWEEP | SERVE] |c, v| c.local.cache_dir = Some(PathBuf::from(v));
+    "--state-dir" = "DIR" [SERVE] |c, v| c.local.serve.state_dir = PathBuf::from(v);
+    "--journal" = "FILE" [RUN | SWEEP] |c, v| c.local.journal = Some(PathBuf::from(v));
+    "--resume" [RUN | SWEEP] |c, _| c.local.resume = true;
+    "--report-out" = "FILE" [RUN | SWEEP | SUBMIT | ATTACH] |c, v| {
+        c.local.report_out = Some(PathBuf::from(v));
+    };
+    "--frontier-out" = "FILE" [SWEEP] |c, v| c.local.frontier_out = Some(PathBuf::from(v));
+    // Fault-injection drills: the watchdog / quarantine path, the
+    // disk-cache corruption handling, and the journal resume protocol on
+    // a live run.
+    "--inject-hang" = "N" [RUN] Hidden |c, v| c.local.inject.hang_point = Some(num(v)?);
+    "--inject-torn-write" = "STAGE" [RUN] Hidden |c, v| c.local.disk.torn_write = Some(stage(v)?);
+    "--inject-corrupt" = "STAGE" [RUN] Hidden |c, v| c.local.disk.corrupt_write = Some(stage(v)?);
+    "--inject-kill-after" = "N" [RUN | SWEEP | SERVE] Hidden |c, v| {
+        c.local.inject.kill_after_points = Some(num(v)?);
+    };
+}
+
+fn num<T: std::str::FromStr>(v: &str) -> Result<T, String> {
+    v.parse().map_err(|_| String::new())
+}
+
+fn positive(v: &str) -> Result<usize, String> {
+    match num(v)? {
+        0 => Err(String::new()),
+        n => Ok(n),
+    }
+}
+
+/// The value `v` names (case-insensitively) among `choices`.
+fn pick<T: Copy>(v: &str, choices: &[(&str, T)]) -> Result<T, String> {
+    let v = v.to_lowercase();
+    choices.iter().find(|(name, _)| *name == v).map(|&(_, x)| x).ok_or_else(String::new)
+}
+
+fn stage(v: &str) -> Result<CacheStage, String> {
+    CacheStage::parse(v).ok_or_else(String::new)
+}
+
+/// Parses one `--grid KNOB=V1,V2,...` axis.
+fn grid_axis(spec: &str) -> Result<(SweepKnob, Vec<u64>), String> {
+    let spec = spec.to_lowercase();
+    let (name, values) = spec.split_once('=').ok_or_else(String::new)?;
+    let knob = SweepKnob::parse(name).ok_or_else(|| format!("unknown knob '{name}'"))?;
+    let values = values.split(',').filter(|v| !v.is_empty()).map(num).collect::<Result<_, _>>()?;
+    Ok((knob, values))
+}
+
+/// One parsed command line: the wire records every entry point builds,
+/// plus the knobs they cannot carry yet.
+#[derive(Default)]
+struct Cli {
+    campaign: CampaignRequest,
+    sweep: SweepRequest,
+    local: Local,
+}
+
+/// The CLI-local knobs (see `CampaignRequest`'s and `SweepRequest`'s
+/// docs for why each stays off the wire). `None` keeps the library's
+/// default.
+#[derive(Default)]
+struct Local {
+    predictor: Option<PredictorKind>,
+    iq: Option<IssueQueueKind>,
     full: bool,
-    warmup: u64,
-    retries: u32,
     cycle_budget: Option<u64>,
-    jobs: usize,
-    hierarchy: bool,
-    l2: Option<String>,
-    l2_mshrs: Option<usize>,
-    l2_latency: Option<u64>,
-    dram_latency: Option<u64>,
-    dram_burst: Option<u64>,
-    dram_row_hit: Option<u64>,
-    co_run: Vec<String>,
-    batch_lanes: usize,
-    idle_skip: bool,
+    /// The uncore of the hierarchy backend, which `--mem-backend
+    /// hierarchy` and every `--l2*`/`--dram*` knob select.
+    uncore: Option<HierarchyParams>,
+    co_run: Vec<(String, String)>,
+    extras: SweepExtras,
+    /// `submit --sweep-preset`: the request is a sweep.
+    sweep: bool,
+    jobs: Option<usize>,
+    /// `serve`'s own knobs; its jobs, cache and kill drill come from the
+    /// shared fields.
+    serve: ServeOptions,
+    addr: Option<ServeAddr>,
+    id: Option<u64>,
     cache_dir: Option<PathBuf>,
     journal: Option<PathBuf>,
     resume: bool,
     report_out: Option<PathBuf>,
-    /// Hidden: freeze commit on simulation point N (watchdog demo/tests).
-    inject_hang: Option<usize>,
-    /// Hidden: tear the next disk-cache write of this stage.
-    inject_torn_write: Option<CacheStage>,
-    /// Hidden: corrupt the next disk-cache write of this stage.
-    inject_corrupt: Option<CacheStage>,
-    /// Hidden: abort the process after journaling N fresh points.
-    inject_kill_after: Option<u64>,
+    frontier_out: Option<PathBuf>,
+    inject: FaultInjection,
+    disk: DiskFaultInjection,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: boomflow [--workload NAME[,NAME...]|all] [--config medium|large|mega|all]\n\
-         \x20               [--scale test|small|full] [--predictor tage|gshare]\n\
-         \x20               [--iq collapsing|noncollapsing] [--full] [--warmup N]\n\
-         \x20               [--retries N] [--cycle-budget N] [--jobs N]\n\
-         \x20               [--mem-backend fixed|hierarchy] [--l2 SETSxWAYSxLINE]\n\
-         \x20               [--l2-mshrs N] [--l2-latency N] [--dram-latency N]\n\
-         \x20               [--dram-burst N] [--dram-row-hit N] [--co-run A+B ...]\n\
-         \x20               [--batch-lanes N] [--idle-skip]\n\
-         \x20               [--cache-dir DIR] [--journal FILE [--resume]]\n\
-         \x20               [--report-out FILE]\n\
-         workloads: basicmath stringsearch fft ifft bitcount qsort dijkstra\n\
-         \x20          patricia matmult sha tarfind"
-    );
+impl Local {
+    fn uncore(&mut self) -> &mut HierarchyParams {
+        self.uncore.get_or_insert_with(HierarchyParams::default_uncore)
+    }
+
+    fn jobs(&self) -> usize {
+        self.jobs.unwrap_or_else(default_jobs)
+    }
+}
+
+impl Cli {
+    /// The request `submit` sends.
+    fn request(&self) -> Request {
+        match self.local.sweep {
+            true => Request::Sweep(self.sweep.clone()),
+            false => Request::Campaign(self.campaign.clone()),
+        }
+    }
+}
+
+/// Parses the arguments after the subcommand word. An `Err` is a usage
+/// error (see [`Flag::set`]).
+fn parse(sub: Sub, argv: &[String]) -> Result<Cli, String> {
+    let mut cli = Cli::default();
+    if sub == Sub::Submit {
+        // A served sweep batches like a served campaign unless told
+        // otherwise; its request id has always hashed this default.
+        cli.sweep.batch_lanes = cli.campaign.batch_lanes;
+    }
+    let mut seen = [false; FLAGS.len()];
+    let mut args = argv.iter();
+    while let Some(arg) = args.next() {
+        let i = FLAGS
+            .iter()
+            .position(|f| f.subs & sub.bit() != 0 && (f.name == arg || f.alias == Some(arg)))
+            .ok_or_else(String::new)?;
+        let value = match FLAGS[i].value {
+            Some(_) => args.next().ok_or_else(String::new)?,
+            None => "",
+        };
+        (FLAGS[i].set)(&mut cli, value)?;
+        seen[i] = true;
+    }
+    // A required flag, or one of its alternatives, must be given; a
+    // sweep-only submit flag needs `--sweep-preset`.
+    for (i, flag) in FLAGS.iter().enumerate() {
+        let alts = FLAGS[i + 1..].iter().take_while(|f| f.show == Show::Alt).count();
+        let missing = flag.show == Show::Req && !seen[i..=i + alts].contains(&true);
+        let presetless =
+            sub == Sub::Submit && flag.subs & WITH_PRESET != 0 && seen[i] && !cli.local.sweep;
+        if flag.subs & sub.bit() != 0 && (missing || presetless) {
+            return Err(String::new());
+        }
+    }
+    Ok(cli)
+}
+
+/// `sub`'s synopsis, generated from [`FLAGS`] and wrapped at 80 columns.
+fn synopsis(sub: Sub) -> String {
+    let mut items = vec![sub.prog()];
+    for flag in FLAGS.iter().filter(|f| f.subs & sub.bit() != 0 && f.show != Show::Hidden) {
+        let item = match flag.value {
+            Some(value) => format!("{} {value}", flag.name),
+            None => flag.name.to_string(),
+        };
+        match (flag.show, items.last_mut()) {
+            (Show::Alt, Some(last)) => {
+                *last = match last.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
+                    Some(inner) => format!("[{inner}|{item}]"),
+                    None => format!("({last}|{item})"),
+                };
+            }
+            (Show::Req, _) => items.push(item),
+            _ => items.push(format!("[{item}]")),
+        }
+    }
+    let mut out = String::new();
+    let mut line = items.remove(0);
+    for item in items {
+        if line.len() + 1 + item.len() > 80 {
+            out += &line;
+            out.push('\n');
+            line = " ".repeat("boomflow".len());
+        }
+        line.push(' ');
+        line.push_str(&item);
+    }
+    out + &line + "\n"
+}
+
+/// Prints `sub`'s usage (and `msg`, when there is one), then exits 2.
+fn usage(sub: Sub, msg: &str) -> ! {
+    if !msg.is_empty() {
+        eprintln!("{}: {msg}", sub.prog());
+    }
+    for (i, line) in synopsis(sub).lines().enumerate() {
+        eprintln!("{}{line}", if i == 0 { "usage: " } else { "       " });
+    }
+    let names = |subs: u8| {
+        let flags = FLAGS.iter().filter(|f| f.subs & subs == subs);
+        flags.map(|f| f.name).collect::<Vec<_>>().join(" ")
+    };
+    if sub == Sub::Submit {
+        eprintln!("sweep flags, with --sweep-preset: {}", names(SUBMIT | WITH_PRESET));
+    }
+    if matches!(sub, Sub::Run | Sub::Sweep | Sub::Submit) {
+        let workloads = rv_workloads::names().map(str::to_lowercase).collect::<Vec<_>>();
+        eprintln!("workloads: {}", workloads.join(" "));
+    }
+    if sub == Sub::Sweep {
+        eprintln!("knobs: {}", SweepKnob::ALL.map(|k| k.key()).join(" "));
+    }
     exit(2)
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        workload: "all".to_string(),
-        config: "all".to_string(),
-        scale: Scale::Small,
-        predictor: PredictorKind::Tage,
-        iq: IssueQueueKind::Collapsing,
-        full: false,
-        warmup: 5_000,
-        retries: RetryPolicy::default().max_attempts,
-        cycle_budget: None,
-        jobs: default_jobs(),
-        hierarchy: false,
-        l2: None,
-        l2_mshrs: None,
-        l2_latency: None,
-        dram_latency: None,
-        dram_burst: None,
-        dram_row_hit: None,
-        co_run: Vec::new(),
-        batch_lanes: 1,
-        idle_skip: false,
-        cache_dir: None,
-        journal: None,
-        resume: false,
-        report_out: None,
-        inject_hang: None,
-        inject_torn_write: None,
-        inject_corrupt: None,
-        inject_kill_after: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--workload" | "-w" => args.workload = value().to_lowercase(),
-            "--config" | "-c" => args.config = value().to_lowercase(),
-            "--scale" | "-s" => {
-                args.scale = match value().to_lowercase().as_str() {
-                    "test" => Scale::Test,
-                    "small" => Scale::Small,
-                    "full" => Scale::Full,
-                    _ => usage(),
-                }
-            }
-            "--predictor" | "-p" => {
-                args.predictor = match value().to_lowercase().as_str() {
-                    "tage" => PredictorKind::Tage,
-                    "gshare" => PredictorKind::Gshare,
-                    _ => usage(),
-                }
-            }
-            "--iq" => {
-                args.iq = match value().to_lowercase().as_str() {
-                    "collapsing" => IssueQueueKind::Collapsing,
-                    "noncollapsing" | "non-collapsing" => IssueQueueKind::NonCollapsing,
-                    _ => usage(),
-                }
-            }
-            "--full" => args.full = true,
-            "--warmup" => args.warmup = value().parse().unwrap_or_else(|_| usage()),
-            "--retries" => args.retries = value().parse().unwrap_or_else(|_| usage()),
-            "--cycle-budget" => {
-                args.cycle_budget = Some(value().parse().unwrap_or_else(|_| usage()))
-            }
-            "--jobs" | "-j" => {
-                args.jobs = value().parse().unwrap_or_else(|_| usage());
-                if args.jobs == 0 {
-                    usage()
-                }
-            }
-            "--mem-backend" => {
-                args.hierarchy = match value().to_lowercase().as_str() {
-                    "fixed" => false,
-                    "hierarchy" => true,
-                    _ => usage(),
-                }
-            }
-            "--l2" => args.l2 = Some(value()),
-            "--l2-mshrs" => args.l2_mshrs = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--l2-latency" => args.l2_latency = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--dram-latency" => {
-                args.dram_latency = Some(value().parse().unwrap_or_else(|_| usage()))
-            }
-            "--dram-burst" => args.dram_burst = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--dram-row-hit" => {
-                args.dram_row_hit = Some(value().parse().unwrap_or_else(|_| usage()))
-            }
-            "--co-run" => args.co_run.push(value().to_lowercase()),
-            "--batch-lanes" => {
-                args.batch_lanes = value().parse().unwrap_or_else(|_| usage());
-                if args.batch_lanes == 0 {
-                    usage()
-                }
-            }
-            "--idle-skip" => args.idle_skip = true,
-            "--cache-dir" => args.cache_dir = Some(PathBuf::from(value())),
-            "--journal" => args.journal = Some(PathBuf::from(value())),
-            "--resume" => args.resume = true,
-            "--report-out" => args.report_out = Some(PathBuf::from(value())),
-            // Hidden fault-injection flags: exercise the watchdog /
-            // quarantine path, the disk-cache corruption handling, and
-            // the journal resume protocol on a live run.
-            "--inject-hang" => args.inject_hang = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--inject-torn-write" => {
-                args.inject_torn_write =
-                    Some(CacheStage::parse(&value()).unwrap_or_else(|| usage()))
-            }
-            "--inject-corrupt" => {
-                args.inject_corrupt = Some(CacheStage::parse(&value()).unwrap_or_else(|| usage()))
-            }
-            "--inject-kill-after" => {
-                args.inject_kill_after = Some(value().parse().unwrap_or_else(|_| usage()))
-            }
-            "--help" | "-h" => usage(),
-            _ => usage(),
+/// Prints `msg` under `sub`'s name and exits with `code`.
+fn die(sub: Sub, code: i32, msg: impl std::fmt::Display) -> ! {
+    eprintln!("{}: {msg}", sub.prog());
+    exit(code)
+}
+
+/// Writes `bytes` to the `--report-out`/`--frontier-out` file, if any.
+fn write_out(sub: Sub, what: &str, path: Option<&PathBuf>, bytes: &[u8]) {
+    if let Some(path) = path {
+        if let Err(e) = std::fs::write(path, bytes) {
+            die(sub, 1, format!("cannot write {what} {}: {e}", path.display()));
         }
     }
-    args
 }
 
-fn configs(sel: &str, predictor: PredictorKind, iq: IssueQueueKind) -> Vec<BoomConfig> {
-    let base = match sel {
-        "all" => BoomConfig::all_three(),
-        "medium" => vec![BoomConfig::medium()],
-        "large" => vec![BoomConfig::large()],
-        "mega" => vec![BoomConfig::mega()],
-        _ => usage(),
-    };
-    base.into_iter().map(|c| c.with_predictor(predictor).with_issue_queue(iq)).collect()
-}
-
-/// Parses `SETSxWAYSxLINE` (e.g. `512x8x64`) onto a base L2 geometry.
-fn parse_l2_geometry(spec: &str, base: CacheParams) -> CacheParams {
-    let parts: Vec<&str> = spec.split('x').collect();
-    let [sets, ways, line] = parts.as_slice() else { usage() };
-    CacheParams {
-        sets: sets.parse().unwrap_or_else(|_| usage()),
-        ways: ways.parse().unwrap_or_else(|_| usage()),
-        line_bytes: line.parse().unwrap_or_else(|_| usage()),
-        ..base
+/// The artifact store, disk-backed under `--cache-dir`. The I/O fault
+/// injectors only make sense against a real cache directory.
+fn open_store(sub: Sub, local: &Local) -> ArtifactStore {
+    let injected = local.disk.torn_write.is_some() || local.disk.corrupt_write.is_some();
+    match &local.cache_dir {
+        None if injected => die(sub, 2, "--inject-torn-write/--inject-corrupt require --cache-dir"),
+        None => ArtifactStore::new(),
+        Some(dir) => ArtifactStore::with_disk_cache_injected(dir, local.disk).unwrap_or_else(|e| {
+            die(sub, 2, format!("cannot open cache dir {}: {e}", dir.display()))
+        }),
     }
 }
 
-/// Builds the uncore parameter block from the CLI knobs, starting from
-/// the Table-I-style defaults.
-fn uncore_params(args: &Args) -> HierarchyParams {
-    let mut uncore = HierarchyParams::default_uncore();
-    if let Some(spec) = &args.l2 {
-        uncore.l2 = parse_l2_geometry(spec, uncore.l2);
+/// Whether to resume from `--journal`: `--resume` was given and the
+/// journal exists.
+fn resuming(sub: Sub, local: &Local) -> bool {
+    match &local.journal {
+        None if local.resume => die(sub, 2, "--resume requires --journal"),
+        journal => local.resume && journal.as_ref().is_some_and(|path| path.exists()),
     }
-    if let Some(m) = args.l2_mshrs {
-        uncore.l2.mshrs = m;
-    }
-    if let Some(l) = args.l2_latency {
-        uncore.l2.hit_latency = l;
-    }
-    if let Some(l) = args.dram_latency {
-        uncore.dram_latency = l;
-    }
-    if let Some(b) = args.dram_burst {
-        uncore.dram_burst_cycles = b;
-    }
-    if let Some(r) = args.dram_row_hit {
-        uncore.dram_row_hit_latency = r;
-    }
-    uncore
-}
-
-fn workloads(sel: &str, scale: Scale) -> Vec<Workload> {
-    if sel == "all" {
-        return all(scale);
-    }
-    sel.split(',')
-        .filter(|n| !n.is_empty())
-        .map(|n| by_name(n, scale).unwrap_or_else(|| usage()))
-        .collect()
 }
 
 fn print_result(r: &WorkloadResult) {
@@ -371,608 +582,65 @@ fn print_result(r: &WorkloadResult) {
     print!("{}", render_table(&header, &rows));
 }
 
-/// Arguments of the `boomflow sweep` subcommand.
-struct SweepArgs {
-    preset: Option<String>,
-    grid: Vec<String>,
-    base: Option<String>,
-    random: Option<usize>,
-    seed: u64,
-    workload: String,
-    scale: Scale,
-    warmup: u64,
-    jobs: usize,
-    batch_lanes: usize,
-    /// `None` = auto-arm idle skipping when every config allows it.
-    idle_skip: Option<bool>,
-    rungs: Option<usize>,
-    rung0_points: usize,
-    rung0_shift: u32,
-    epsilon: f64,
-    epsilon_decay: f64,
-    exhaustive: bool,
-    cache_dir: Option<PathBuf>,
-    journal: Option<PathBuf>,
-    resume: bool,
-    report_out: Option<PathBuf>,
-    frontier_out: Option<PathBuf>,
-    /// Hidden: abort the process after journaling N fresh points.
-    inject_kill_after: Option<u64>,
+/// A solo campaign: the shared realization, then the CLI-local knobs on
+/// top.
+struct Run {
+    cfgs: Vec<BoomConfig>,
+    ws: Vec<Workload>,
+    flow: FlowConfig,
+    co_runs: Vec<(usize, usize)>,
 }
 
-fn sweep_usage() -> ! {
-    eprintln!(
-        "usage: boomflow sweep [--grid-preset ref64|smoke16] [--grid KNOB=V1,V2,...]\n\
-         \x20               [--base medium|large|mega] [--random N --seed S]\n\
-         \x20               [--workload NAME[,NAME...]|all] [--scale test|small|full]\n\
-         \x20               [--warmup N] [--jobs N] [--batch-lanes N]\n\
-         \x20               [--idle-skip|--no-idle-skip] [--rungs N] [--rung0-points N]\n\
-         \x20               [--rung0-shift N] [--epsilon F] [--epsilon-decay F] [--exhaustive]\n\
-         \x20               [--cache-dir DIR] [--journal FILE [--resume]]\n\
-         \x20               [--report-out FILE] [--frontier-out FILE]\n\
-         knobs: {}",
-        SweepKnob::ALL.map(|k| k.key()).join(" ")
-    );
-    exit(2)
-}
-
-fn parse_sweep_args(argv: &[String]) -> SweepArgs {
-    let mut args = SweepArgs {
-        preset: None,
-        grid: Vec::new(),
-        base: None,
-        random: None,
-        seed: 0,
-        workload: "all".to_string(),
-        scale: Scale::Small,
-        warmup: 5_000,
-        jobs: default_jobs(),
-        batch_lanes: 4,
-        idle_skip: None,
-        rungs: None,
-        rung0_points: 1,
-        rung0_shift: 3,
-        epsilon: 0.05,
-        epsilon_decay: 0.5,
-        exhaustive: false,
-        cache_dir: None,
-        journal: None,
-        resume: false,
-        report_out: None,
-        frontier_out: None,
-        inject_kill_after: None,
-    };
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().cloned().unwrap_or_else(|| sweep_usage());
-        match flag.as_str() {
-            "--grid-preset" => args.preset = Some(value().to_lowercase()),
-            "--grid" => args.grid.push(value().to_lowercase()),
-            "--base" => args.base = Some(value().to_lowercase()),
-            "--random" => args.random = Some(value().parse().unwrap_or_else(|_| sweep_usage())),
-            "--seed" => args.seed = value().parse().unwrap_or_else(|_| sweep_usage()),
-            "--workload" | "-w" => args.workload = value().to_lowercase(),
-            "--scale" | "-s" => {
-                args.scale = match value().to_lowercase().as_str() {
-                    "test" => Scale::Test,
-                    "small" => Scale::Small,
-                    "full" => Scale::Full,
-                    _ => sweep_usage(),
-                }
-            }
-            "--warmup" => args.warmup = value().parse().unwrap_or_else(|_| sweep_usage()),
-            "--jobs" | "-j" => {
-                args.jobs = value().parse().unwrap_or_else(|_| sweep_usage());
-                if args.jobs == 0 {
-                    sweep_usage()
-                }
-            }
-            "--batch-lanes" => {
-                args.batch_lanes = value().parse().unwrap_or_else(|_| sweep_usage());
-                if args.batch_lanes == 0 {
-                    sweep_usage()
-                }
-            }
-            "--idle-skip" => args.idle_skip = Some(true),
-            "--no-idle-skip" => args.idle_skip = Some(false),
-            "--rungs" => args.rungs = Some(value().parse().unwrap_or_else(|_| sweep_usage())),
-            "--rung0-points" => {
-                args.rung0_points = value().parse().unwrap_or_else(|_| sweep_usage())
-            }
-            "--rung0-shift" => args.rung0_shift = value().parse().unwrap_or_else(|_| sweep_usage()),
-            "--epsilon" => args.epsilon = value().parse().unwrap_or_else(|_| sweep_usage()),
-            "--epsilon-decay" => {
-                args.epsilon_decay = value().parse().unwrap_or_else(|_| sweep_usage())
-            }
-            "--exhaustive" => args.exhaustive = true,
-            "--cache-dir" => args.cache_dir = Some(PathBuf::from(value())),
-            "--journal" => args.journal = Some(PathBuf::from(value())),
-            "--resume" => args.resume = true,
-            "--report-out" => args.report_out = Some(PathBuf::from(value())),
-            "--frontier-out" => args.frontier_out = Some(PathBuf::from(value())),
-            "--inject-kill-after" => {
-                args.inject_kill_after = Some(value().parse().unwrap_or_else(|_| sweep_usage()))
-            }
-            "--help" | "-h" => sweep_usage(),
-            _ => sweep_usage(),
-        }
-    }
-    args
-}
-
-/// Parses one `--grid KNOB=V1,V2,...` axis.
-fn parse_grid_axis(spec: &str) -> (SweepKnob, Vec<u64>) {
-    let Some((name, values)) = spec.split_once('=') else { sweep_usage() };
-    let Some(knob) = SweepKnob::parse(name) else {
-        eprintln!("boomflow sweep: unknown knob '{name}'");
-        sweep_usage()
-    };
-    let values: Vec<u64> = values
-        .split(',')
-        .filter(|v| !v.is_empty())
-        .map(|v| v.parse().unwrap_or_else(|_| sweep_usage()))
-        .collect();
-    (knob, values)
-}
-
-fn sweep_main(argv: &[String]) {
-    let args = parse_sweep_args(argv);
-
-    // Assemble the design-space specification: preset axes first, then
-    // any explicit `--grid` axes appended in flag order.
-    let mut spec = match &args.preset {
-        Some(name) => SweepSpec::preset(name).unwrap_or_else(|| {
-            eprintln!("boomflow sweep: unknown grid preset '{name}'");
-            sweep_usage()
-        }),
-        None => SweepSpec { base: BoomConfig::medium(), axes: Vec::new(), random: None },
-    };
-    if let Some(base) = &args.base {
-        spec.base = match base.as_str() {
-            "medium" => BoomConfig::medium(),
-            "large" => BoomConfig::large(),
-            "mega" => BoomConfig::mega(),
-            _ => sweep_usage(),
-        };
-    }
-    for axis in &args.grid {
-        spec.axes.push(parse_grid_axis(axis));
-    }
-    if let Some(n) = args.random {
-        spec.random = Some((n, args.seed));
-    }
-    let cfgs = spec.generate().unwrap_or_else(|e| {
-        eprintln!("boomflow sweep: invalid sweep specification: {e}");
-        exit(2)
-    });
-    let ws = workloads(&args.workload, args.scale);
-
-    // Idle-cycle skipping: auto-armed when every configuration sits on
-    // the flat fixed-latency backend; an *explicit* `--idle-skip` over a
-    // hierarchy config is a typed rejection, never a silent drop.
-    let idle_skip = match args.idle_skip {
-        Some(true) => {
-            if !all_fixed_latency(&cfgs) {
-                let e = ConfigError::IdleSkipUnsupported {
-                    what: "sweep over memory-hierarchy configurations".to_string(),
-                };
-                eprintln!("boomflow sweep: {e}");
-                exit(2);
-            }
-            true
-        }
-        Some(false) => false,
-        None => all_fixed_latency(&cfgs),
-    };
-
-    let flow = FlowConfig {
-        warmup_insts: args.warmup,
-        idle_skip,
-        inject: FaultInjection {
-            kill_after_points: args.inject_kill_after,
-            ..FaultInjection::default()
-        },
-        ..FlowConfig::default()
-    };
-    let store = match &args.cache_dir {
-        None => ArtifactStore::new(),
-        Some(dir) => ArtifactStore::with_disk_cache(dir).unwrap_or_else(|e| {
-            eprintln!("boomflow sweep: cannot open cache dir {}: {e}", dir.display());
-            exit(2);
-        }),
-    };
-    if args.resume && args.journal.is_none() {
-        eprintln!("boomflow sweep: --resume requires --journal");
-        exit(2);
-    }
-    let resume = args.resume && args.journal.as_ref().is_some_and(|p| p.exists());
-    let opts = SweepOptions {
-        jobs: args.jobs,
-        batch_lanes: args.batch_lanes,
-        epsilon: args.epsilon,
-        epsilon_decay: args.epsilon_decay,
-        rung0_points: args.rung0_points,
-        rung0_shift: args.rung0_shift,
-        max_rungs: args.rungs,
-        exhaustive: args.exhaustive,
-        journal_path: args.journal.clone(),
-        resume,
-        pool: None,
-    };
-
-    let report = match run_sweep(&cfgs, &ws, &flow, &store, &opts) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("boomflow sweep: {e}");
-            exit(2);
-        }
-    };
-    if resume {
-        eprintln!(
-            "boomflow sweep: resumed, {} completed point(s) replayed",
-            report.stats.replayed_points
-        );
-    }
-    print!("{}", report.render_frontier());
-    print!("\n{}", report.stage_summary());
-    if let Some(path) = &args.report_out {
-        if let Err(e) = std::fs::write(path, report.render_deterministic()) {
-            eprintln!("boomflow sweep: cannot write report {}: {e}", path.display());
-            exit(1);
-        }
-    }
-    if let Some(path) = &args.frontier_out {
-        if let Err(e) = std::fs::write(path, report.render_frontier()) {
-            eprintln!("boomflow sweep: cannot write frontier {}: {e}", path.display());
-            exit(1);
-        }
-    }
-    if !report.all_ok() {
-        exit(1);
-    }
-}
-
-fn serve_usage() -> ! {
-    eprintln!(
-        "usage: boomflow serve (--socket PATH|--tcp ADDR) [--jobs N] [--max-active N]\n\
-         \x20               [--cache-dir DIR] [--state-dir DIR]\n\
-         \x20      boomflow submit (--socket PATH|--tcp ADDR)\n\
-         \x20               [--workload NAME[,NAME...]|all] [--config medium|large|mega|all]\n\
-         \x20               [--scale test|small|full] [--warmup N] [--retries N]\n\
-         \x20               [--batch-lanes N] [--idle-skip] [--report-out FILE]\n\
-         \x20               [--sweep-preset ref64|smoke16 [--base medium|large|mega]\n\
-         \x20                [--rungs N] [--rung0-points N] [--rung0-shift N]\n\
-         \x20                [--epsilon F] [--epsilon-decay F] [--exhaustive]]\n\
-         \x20      boomflow attach (--socket PATH|--tcp ADDR) --id HEX [--report-out FILE]\n\
-         \x20      boomflow shutdown (--socket PATH|--tcp ADDR)"
-    );
-    exit(2)
-}
-
-/// Collects the shared `--socket`/`--tcp` address flag, returning the
-/// unconsumed flags.
-fn parse_addr(argv: &[String]) -> (ServeAddr, Vec<String>) {
-    let mut addr = None;
-    let mut rest = Vec::new();
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--socket" => {
-                addr = Some(ServeAddr::Unix(PathBuf::from(
-                    it.next().cloned().unwrap_or_else(|| serve_usage()),
-                )))
-            }
-            "--tcp" => {
-                addr = Some(ServeAddr::Tcp(it.next().cloned().unwrap_or_else(|| serve_usage())))
-            }
-            other => rest.push(other.to_string()),
-        }
-    }
-    match addr {
-        Some(addr) => (addr, rest),
-        None => serve_usage(),
-    }
-}
-
-fn serve_main(argv: &[String]) {
-    let (addr, rest) = parse_addr(argv);
-    let mut opts = ServeOptions::default();
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().cloned().unwrap_or_else(|| serve_usage());
-        match flag.as_str() {
-            "--jobs" | "-j" => {
-                opts.jobs = value().parse().unwrap_or_else(|_| serve_usage());
-                if opts.jobs == 0 {
-                    serve_usage()
-                }
-            }
-            "--max-active" => {
-                opts.max_active = value().parse().unwrap_or_else(|_| serve_usage());
-                if opts.max_active == 0 {
-                    serve_usage()
-                }
-            }
-            "--cache-dir" => opts.cache_dir = Some(PathBuf::from(value())),
-            "--state-dir" => opts.state_dir = PathBuf::from(value()),
-            "--inject-kill-after" => {
-                opts.kill_after_points = Some(value().parse().unwrap_or_else(|_| serve_usage()))
-            }
-            _ => serve_usage(),
-        }
-    }
-    let server = Server::bind(&addr, opts).unwrap_or_else(|e| {
-        eprintln!("boomflow serve: cannot bind {addr}: {e}");
-        exit(2);
-    });
-    eprintln!("boomflow serve: listening on {}", server.addr());
-    if let Err(e) = server.run() {
-        eprintln!("boomflow serve: {e}");
-        exit(1);
-    }
-}
-
-/// Runs one client request against the service and exits with the
-/// request's status: progress to stderr, the result summary to stdout,
-/// the deterministic report bytes to `report_out`.
-fn client_main(addr: &ServeAddr, msg: &ClientMsg, report_out: Option<&PathBuf>) -> ! {
-    let sub = match msg {
-        ClientMsg::Shutdown => "shutdown",
-        ClientMsg::Attach(_) => "attach",
-        ClientMsg::Submit(_) => "submit",
-    };
-    let terminal = request_events(addr, msg, |event| match event {
-        ServerMsg::Admitted { id, replayed, active } => {
-            eprintln!(
-                "boomflow {sub}: request {id:016x} admitted ({replayed} point(s) replayed, \
-                 {active} active)"
-            );
-        }
-        ServerMsg::Progress { done, total, .. } => eprintln!("boomflow {sub}: {done}/{total}"),
-        _ => {}
-    });
-    match terminal {
-        Ok(Some(ServerMsg::Done { ok, report, summary, extra, .. })) => {
-            if !extra.is_empty() {
-                println!("{extra}");
-            }
-            print!("{summary}");
-            if let Some(path) = report_out {
-                if let Err(e) = std::fs::write(path, &report) {
-                    eprintln!("boomflow {sub}: cannot write report {}: {e}", path.display());
-                    exit(1);
-                }
-            }
-            exit(if ok { 0 } else { 1 })
-        }
-        Ok(Some(ServerMsg::Rejected { reason })) => {
-            eprintln!("boomflow {sub}: rejected: {reason}");
-            exit(2)
-        }
-        Ok(Some(ServerMsg::Bye { active })) => {
-            eprintln!("boomflow {sub}: server shutting down ({active} request(s) draining)");
-            exit(0)
-        }
-        Ok(_) => {
-            eprintln!("boomflow {sub}: server closed the stream before finishing (killed?)");
-            exit(1)
-        }
-        Err(e) => {
-            eprintln!("boomflow {sub}: {e}");
-            exit(1)
-        }
-    }
-}
-
-fn submit_main(argv: &[String]) {
-    let (addr, rest) = parse_addr(argv);
-    let mut campaign = CampaignRequest {
-        workloads: "all".to_string(),
-        config: "all".to_string(),
-        scale: Scale::Small,
-        warmup: 5_000,
-        retries: RetryPolicy::default().max_attempts,
-        batch_lanes: 1,
-        idle_skip: false,
-    };
-    let mut sweep: Option<SweepRequest> = None;
-    let mut report_out: Option<PathBuf> = None;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().cloned().unwrap_or_else(|| serve_usage());
-        match flag.as_str() {
-            "--workload" | "-w" => campaign.workloads = value().to_lowercase(),
-            "--config" | "-c" => campaign.config = value().to_lowercase(),
-            "--scale" | "-s" => {
-                campaign.scale = match value().to_lowercase().as_str() {
-                    "test" => Scale::Test,
-                    "small" => Scale::Small,
-                    "full" => Scale::Full,
-                    _ => serve_usage(),
-                }
-            }
-            "--warmup" => campaign.warmup = value().parse().unwrap_or_else(|_| serve_usage()),
-            "--retries" => campaign.retries = value().parse().unwrap_or_else(|_| serve_usage()),
-            "--batch-lanes" => {
-                campaign.batch_lanes = value().parse().unwrap_or_else(|_| serve_usage());
-                if campaign.batch_lanes == 0 {
-                    serve_usage()
-                }
-            }
-            "--idle-skip" => campaign.idle_skip = true,
-            "--report-out" => report_out = Some(PathBuf::from(value())),
-            "--sweep-preset" => {
-                sweep = Some(SweepRequest {
-                    preset: value().to_lowercase(),
-                    base: String::new(),
-                    workloads: String::new(),
-                    scale: Scale::Small,
-                    warmup: 5_000,
-                    max_rungs: 0,
-                    rung0_points: 1,
-                    rung0_shift: 3,
-                    epsilon: 0.05,
-                    epsilon_decay: 0.5,
-                    exhaustive: false,
-                    batch_lanes: 1,
-                })
-            }
-            "--base" => match &mut sweep {
-                Some(s) => s.base = value().to_lowercase(),
-                None => serve_usage(),
-            },
-            "--rungs" => match &mut sweep {
-                Some(s) => s.max_rungs = value().parse().unwrap_or_else(|_| serve_usage()),
-                None => serve_usage(),
-            },
-            "--rung0-points" => match &mut sweep {
-                Some(s) => s.rung0_points = value().parse().unwrap_or_else(|_| serve_usage()),
-                None => serve_usage(),
-            },
-            "--rung0-shift" => match &mut sweep {
-                Some(s) => s.rung0_shift = value().parse().unwrap_or_else(|_| serve_usage()),
-                None => serve_usage(),
-            },
-            "--epsilon" => match &mut sweep {
-                Some(s) => s.epsilon = value().parse().unwrap_or_else(|_| serve_usage()),
-                None => serve_usage(),
-            },
-            "--epsilon-decay" => match &mut sweep {
-                Some(s) => s.epsilon_decay = value().parse().unwrap_or_else(|_| serve_usage()),
-                None => serve_usage(),
-            },
-            "--exhaustive" => match &mut sweep {
-                Some(s) => s.exhaustive = true,
-                None => serve_usage(),
-            },
-            _ => serve_usage(),
-        }
-    }
-    let request = match sweep {
-        Some(mut s) => {
-            // The sweep rides the shared workload/scale/warmup/batching
-            // flags; they were parsed into the campaign skeleton.
-            s.workloads = campaign.workloads.clone();
-            s.scale = campaign.scale;
-            s.warmup = campaign.warmup;
-            s.batch_lanes = campaign.batch_lanes;
-            Request::Sweep(s)
-        }
-        None => Request::Campaign(campaign),
-    };
-    eprintln!("boomflow submit: request id {:016x}", request_id(&request));
-    client_main(&addr, &ClientMsg::Submit(request), report_out.as_ref())
-}
-
-fn attach_main(argv: &[String]) {
-    let (addr, rest) = parse_addr(argv);
-    let mut id: Option<u64> = None;
-    let mut report_out: Option<PathBuf> = None;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().cloned().unwrap_or_else(|| serve_usage());
-        match flag.as_str() {
-            "--id" => {
-                let raw = value();
-                let raw = raw.trim_start_matches("0x");
-                id = Some(u64::from_str_radix(raw, 16).unwrap_or_else(|_| serve_usage()));
-            }
-            "--report-out" => report_out = Some(PathBuf::from(value())),
-            _ => serve_usage(),
-        }
-    }
-    let Some(id) = id else { serve_usage() };
-    client_main(&addr, &ClientMsg::Attach(id), report_out.as_ref())
-}
-
-fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    match argv.first().map(String::as_str) {
-        Some("sweep") => {
-            sweep_main(&argv[1..]);
-            return;
-        }
-        Some("serve") => {
-            serve_main(&argv[1..]);
-            return;
-        }
-        Some("submit") => submit_main(&argv[1..]),
-        Some("attach") => attach_main(&argv[1..]),
-        Some("shutdown") => {
-            let (addr, rest) = parse_addr(&argv[1..]);
-            if !rest.is_empty() {
-                serve_usage()
-            }
-            client_main(&addr, &ClientMsg::Shutdown, None)
-        }
-        _ => {}
-    }
-    let args = parse_args();
-    let flow = FlowConfig {
-        warmup_insts: args.warmup,
-        idle_skip: args.idle_skip,
-        retry: RetryPolicy {
-            max_attempts: args.retries,
-            cycle_budget: args.cycle_budget,
-            ..RetryPolicy::default()
-        },
-        inject: FaultInjection {
-            hang_point: args.inject_hang,
-            kill_after_points: args.inject_kill_after,
-            ..FaultInjection::default()
-        },
-        ..FlowConfig::default()
-    };
-    let mut cfgs = configs(&args.config, args.predictor, args.iq);
-    let ws = workloads(&args.workload, args.scale);
-
+/// Realizes a solo campaign; an `Err` is a configuration error.
+fn realize_run(cli: &Cli) -> Result<Run, String> {
+    let local = &cli.local;
+    let (cfgs, ws, mut flow) = realize_campaign(&cli.campaign)?;
+    flow.retry.cycle_budget = local.cycle_budget;
+    flow.inject = local.inject;
     // Memory hierarchy: any L2/DRAM knob implies `--mem-backend
     // hierarchy`. Validation is typed — a bad geometry is reported next
     // to the offending knob instead of panicking mid-campaign.
-    let knobs_given = args.l2.is_some()
-        || args.l2_mshrs.is_some()
-        || args.l2_latency.is_some()
-        || args.dram_latency.is_some()
-        || args.dram_burst.is_some()
-        || args.dram_row_hit.is_some();
-    if args.hierarchy || knobs_given {
-        let uncore = uncore_params(&args);
-        cfgs = cfgs.into_iter().map(|c| c.with_hierarchy(uncore)).collect();
-    }
-    for cfg in &cfgs {
-        if let Err(e) = cfg.validate() {
-            eprintln!("boomflow: invalid configuration {}: {e}", cfg.name);
-            exit(2);
+    let mut out = Vec::with_capacity(cfgs.len());
+    for mut cfg in cfgs {
+        cfg.predictor = local.predictor.unwrap_or(cfg.predictor);
+        cfg.iq_kind = local.iq.unwrap_or(cfg.iq_kind);
+        if let Some(uncore) = local.uncore {
+            cfg = cfg.with_hierarchy(uncore);
         }
+        cfg.validate().map_err(|e| format!("invalid configuration {}: {e}", cfg.name))?;
+        out.push(cfg);
     }
-
-    // Dual-core co-run cells: resolve `--co-run A+B` names against the
+    // Dual-core co-run cells: `--co-run A+B` names resolve against the
     // selected workload set.
-    let mut co_runs: Vec<(usize, usize)> = Vec::new();
-    for spec in &args.co_run {
-        let Some((a, b)) = spec.split_once('+') else { usage() };
-        let idx = |n: &str| {
-            ws.iter().position(|w| w.name.eq_ignore_ascii_case(n)).unwrap_or_else(|| {
-                eprintln!("boomflow: co-run workload '{n}' is not in the selected workload set");
-                exit(2)
-            })
-        };
-        co_runs.push((idx(a), idx(b)));
-    }
-    if args.full && !co_runs.is_empty() {
-        eprintln!("boomflow: --co-run is a campaign cell type; it cannot combine with --full");
-        exit(2);
+    let index = |n: &str| {
+        ws.iter()
+            .position(|w| w.name.eq_ignore_ascii_case(n))
+            .ok_or_else(|| format!("co-run workload '{n}' is not in the selected workload set"))
+    };
+    let co_runs = local
+        .co_run
+        .iter()
+        .map(|(a, b)| Ok((index(a)?, index(b)?)))
+        .collect::<Result<Vec<_>, String>>()?;
+    if local.full && !co_runs.is_empty() {
+        return Err("--co-run is a campaign cell type; it cannot combine with --full".to_string());
     }
     // Idle skipping is rejected — not silently dropped — for co-run
     // cells: the strict cycle interleave over a shared uncore must
     // observe every cycle of both cores.
-    if args.idle_skip && !co_runs.is_empty() {
-        let e = ConfigError::IdleSkipUnsupported { what: "--co-run dual-core cells".to_string() };
-        eprintln!("boomflow: {e}");
-        exit(2);
+    if flow.idle_skip && !co_runs.is_empty() {
+        let what = "--co-run dual-core cells".to_string();
+        return Err(ConfigError::IdleSkipUnsupported { what }.to_string());
     }
+    Ok(Run { cfgs: out, ws, flow, co_runs })
+}
 
-    if args.full {
+fn run_main(cli: &Cli) {
+    let sub = Sub::Run;
+    let Run { cfgs, ws, flow, co_runs } = realize_run(cli).unwrap_or_else(|e| die(sub, 2, e));
+    let local = &cli.local;
+
+    if local.full {
         // Full detailed simulation: one run per cell, no SimPoint. A hang
         // prints the watchdog snapshot and moves on to the next cell.
         let mut failures = 0u32;
@@ -998,67 +666,38 @@ fn main() {
         return;
     }
 
-    // Disk-backed artifact store. The I/O fault injectors only make
-    // sense against a real cache directory.
-    let faults = DiskFaultInjection {
-        torn_write: args.inject_torn_write,
-        corrupt_write: args.inject_corrupt,
-    };
-    if args.cache_dir.is_none() && (faults.torn_write.is_some() || faults.corrupt_write.is_some()) {
-        eprintln!("boomflow: --inject-torn-write/--inject-corrupt require --cache-dir");
-        exit(2);
-    }
-    let store = match &args.cache_dir {
-        None => ArtifactStore::new(),
-        Some(dir) => ArtifactStore::with_disk_cache_injected(dir, faults).unwrap_or_else(|e| {
-            eprintln!("boomflow: cannot open cache dir {}: {e}", dir.display());
-            exit(2);
-        }),
-    };
-
+    let store = open_store(sub, local);
     // Resumable campaign journal, keyed by the campaign fingerprint so a
     // journal from a different matrix or flow setup is refused.
-    if args.resume && args.journal.is_none() {
-        eprintln!("boomflow: --resume requires --journal");
-        exit(2);
-    }
-    let mut journal: Option<Arc<CampaignJournal>> = None;
-    let mut replay: Option<Arc<JournalReplay>> = None;
-    if let Some(path) = &args.journal {
-        let fp = campaign_fingerprint_with(&cfgs, &ws, &flow, &co_runs);
-        if args.resume && path.exists() {
-            match CampaignJournal::resume(path, fp) {
-                Ok((j, r)) => {
-                    eprintln!(
-                        "boomflow: resuming, {} completed point(s) replayed from {}",
-                        r.len(),
-                        path.display()
-                    );
-                    journal = Some(Arc::new(j));
-                    replay = Some(Arc::new(r));
-                }
-                Err(e) => {
-                    eprintln!("boomflow: cannot resume journal {}: {e}", path.display());
-                    exit(2);
-                }
-            }
-        } else {
-            match CampaignJournal::create(path, fp) {
-                Ok(j) => journal = Some(Arc::new(j)),
-                Err(e) => {
-                    eprintln!("boomflow: cannot create journal {}: {e}", path.display());
-                    exit(2);
-                }
-            }
+    let resume = resuming(sub, local);
+    let fp = || campaign_fingerprint_with(&cfgs, &ws, &flow, &co_runs);
+    let (journal, replay) = match &local.journal {
+        Some(path) if resume => {
+            let (j, r) = CampaignJournal::resume(path, fp()).unwrap_or_else(|e| {
+                die(sub, 2, format!("cannot resume journal {}: {e}", path.display()))
+            });
+            eprintln!(
+                "boomflow: resuming, {} completed point(s) replayed from {}",
+                r.len(),
+                path.display()
+            );
+            (Some(Arc::new(j)), Some(Arc::new(r)))
         }
-    }
+        Some(path) => {
+            let j = CampaignJournal::create(path, fp()).unwrap_or_else(|e| {
+                die(sub, 2, format!("cannot create journal {}: {e}", path.display()))
+            });
+            (Some(Arc::new(j)), None)
+        }
+        None => (None, None),
+    };
 
     let opts = CampaignOptions {
-        jobs: args.jobs,
+        jobs: local.jobs(),
         journal,
         replay,
         co_runs,
-        batch_lanes: args.batch_lanes,
+        batch_lanes: cli.campaign.batch_lanes,
         pool: None,
         progress: None,
     };
@@ -1093,13 +732,339 @@ fn main() {
     if let Some(log) = report.failure_log() {
         eprint!("\n{log}");
     }
-    if let Some(path) = &args.report_out {
-        if let Err(e) = std::fs::write(path, report.render_deterministic()) {
-            eprintln!("boomflow: cannot write report {}: {e}", path.display());
-            exit(1);
-        }
-    }
+    write_out(sub, "report", local.report_out.as_ref(), report.render_deterministic().as_bytes());
     if !report.all_ok() {
         exit(1);
+    }
+}
+
+fn sweep_main(cli: &Cli) {
+    let sub = Sub::Sweep;
+    let local = &cli.local;
+    let (cfgs, ws, mut flow, opts) =
+        realize_sweep(&cli.sweep, &local.extras).unwrap_or_else(|e| die(sub, 2, e));
+    flow.inject.kill_after_points = local.inject.kill_after_points;
+    let store = open_store(sub, local);
+    let resume = resuming(sub, local);
+    let opts =
+        SweepOptions { jobs: local.jobs(), journal_path: local.journal.clone(), resume, ..opts };
+    let report = run_sweep(&cfgs, &ws, &flow, &store, &opts).unwrap_or_else(|e| die(sub, 2, e));
+    if resume {
+        eprintln!(
+            "boomflow sweep: resumed, {} completed point(s) replayed",
+            report.stats.replayed_points
+        );
+    }
+    print!("{}", report.render_frontier());
+    print!("\n{}", report.stage_summary());
+    write_out(sub, "report", local.report_out.as_ref(), report.render_deterministic().as_bytes());
+    write_out(sub, "frontier", local.frontier_out.as_ref(), report.render_frontier().as_bytes());
+    if !report.all_ok() {
+        exit(1);
+    }
+}
+
+fn serve_main(cli: Cli) {
+    let sub = Sub::Serve;
+    let local = cli.local;
+    let Some(addr) = &local.addr else { usage(sub, "") };
+    let opts = ServeOptions {
+        jobs: local.jobs(),
+        cache_dir: local.cache_dir.clone(),
+        kill_after_points: local.inject.kill_after_points,
+        ..local.serve
+    };
+    let server = Server::bind(addr, opts)
+        .unwrap_or_else(|e| die(sub, 2, format!("cannot bind {addr}: {e}")));
+    eprintln!("boomflow serve: listening on {}", server.addr());
+    if let Err(e) = server.run() {
+        die(sub, 1, e);
+    }
+}
+
+/// Runs one client request against the service and exits with the
+/// request's status: progress to stderr, the result summary to stdout,
+/// the deterministic report bytes to `--report-out`.
+fn client_main(sub: Sub, local: &Local, msg: &ClientMsg) -> ! {
+    let Some(addr) = &local.addr else { usage(sub, "") };
+    let prog = sub.prog();
+    let terminal = request_events(addr, msg, |event| match event {
+        ServerMsg::Admitted { id, replayed, active } => {
+            eprintln!(
+                "{prog}: request {id:016x} admitted ({replayed} point(s) replayed, \
+                 {active} active)"
+            );
+        }
+        ServerMsg::Progress { done, total, .. } => eprintln!("{prog}: {done}/{total}"),
+        _ => {}
+    });
+    match terminal {
+        Ok(Some(ServerMsg::Done { ok, report, summary, extra, .. })) => {
+            if !extra.is_empty() {
+                println!("{extra}");
+            }
+            print!("{summary}");
+            write_out(sub, "report", local.report_out.as_ref(), &report);
+            exit(if ok { 0 } else { 1 })
+        }
+        Ok(Some(ServerMsg::Rejected { reason })) => die(sub, 2, format!("rejected: {reason}")),
+        Ok(Some(ServerMsg::Bye { active })) => {
+            eprintln!("{prog}: server shutting down ({active} request(s) draining)");
+            exit(0)
+        }
+        Ok(_) => die(sub, 1, "server closed the stream before finishing (killed?)"),
+        Err(e) => die(sub, 1, e),
+    }
+}
+
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let first = argv.first().map_or("", String::as_str);
+    let sub = Sub::ALL.into_iter().find(|s| s.word() == first && !first.is_empty());
+    let (sub, rest) = match sub {
+        Some(sub) => (sub, &argv[1..]),
+        None => (Sub::Run, &argv[..]),
+    };
+    let cli = parse(sub, rest).unwrap_or_else(|msg| usage(sub, &msg));
+    match sub {
+        Sub::Run => run_main(&cli),
+        Sub::Sweep => sweep_main(&cli),
+        Sub::Serve => serve_main(cli),
+        Sub::Submit => {
+            let request = cli.request();
+            eprintln!("boomflow submit: request id {:016x}", request_id(&request));
+            client_main(sub, &cli.local, &ClientMsg::Submit(request))
+        }
+        Sub::Attach => {
+            let Some(id) = cli.local.id else { usage(sub, "") };
+            client_main(sub, &cli.local, &ClientMsg::Attach(id))
+        }
+        Sub::Shutdown => client_main(sub, &cli.local, &ClientMsg::Shutdown),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    /// `line`'s flags, each with its value, in reverse order.
+    fn reversed(line: &str) -> String {
+        let mut groups: Vec<Vec<&str>> = Vec::new();
+        for word in line.split_whitespace() {
+            match groups.last_mut() {
+                Some(group) if !word.starts_with('-') => group.push(word),
+                _ => groups.push(vec![word]),
+            }
+        }
+        groups.iter().rev().map(|g| g.join(" ")).collect::<Vec<_>>().join(" ")
+    }
+
+    fn submitted(line: &str) -> Request {
+        match parse(Sub::Submit, &args(line)) {
+            Ok(cli) => cli.request(),
+            Err(msg) => panic!("`submit {line}` must parse ({msg})"),
+        }
+    }
+
+    fn campaign(workloads: &str, config: &str, scale: Scale) -> CampaignRequest {
+        CampaignRequest {
+            workloads: workloads.to_string(),
+            config: config.to_string(),
+            scale,
+            warmup: 5_000,
+            retries: 3,
+            batch_lanes: 1,
+            idle_skip: false,
+        }
+    }
+
+    fn smoke16() -> SweepRequest {
+        SweepRequest {
+            preset: "smoke16".to_string(),
+            base: String::new(),
+            workloads: "all".to_string(),
+            scale: Scale::Small,
+            warmup: 5_000,
+            max_rungs: 0,
+            rung0_points: 1,
+            rung0_shift: 3,
+            epsilon: 0.05,
+            epsilon_decay: 0.5,
+            exhaustive: false,
+            batch_lanes: 1,
+        }
+    }
+
+    const EVERY_CAMPAIGN_FLAG: &str = "--socket s --workload bitcount,sha --config mega \
+        --scale test --warmup 3000 --retries 2 --batch-lanes 3 --idle-skip";
+    const EVERY_SWEEP_FLAG: &str = "--socket s --sweep-preset REF64 --base Large --rungs 2 \
+        --rung0-points 2 --rung0-shift 4 --epsilon 0.1 --epsilon-decay 0.25 --exhaustive \
+        --workload sha,qsort --scale test --warmup 2000 --batch-lanes 2";
+
+    /// The requests and ids `submit` built with the hand-written parsers
+    /// the flag table replaced: spec logs and re-attaches from earlier
+    /// builds keep working.
+    #[test]
+    fn submit_requests_keep_their_values() {
+        let cases = [
+            (
+                "--socket s",
+                Request::Campaign(campaign("all", "all", Scale::Small)),
+                0x8223_51de_3fe5_3b9f,
+            ),
+            (
+                EVERY_CAMPAIGN_FLAG,
+                Request::Campaign(CampaignRequest {
+                    warmup: 3_000,
+                    retries: 2,
+                    batch_lanes: 3,
+                    idle_skip: true,
+                    ..campaign("bitcount,sha", "mega", Scale::Test)
+                }),
+                0x80b4_5dcd_2b50_20da,
+            ),
+            (
+                "--socket s -w Dijkstra -c LARGE -s FULL",
+                Request::Campaign(campaign("dijkstra", "large", Scale::Full)),
+                0x7408_a66d_e1b0_9778,
+            ),
+            (
+                "--socket s --retries 0",
+                Request::Campaign(CampaignRequest {
+                    retries: 0,
+                    ..campaign("all", "all", Scale::Small)
+                }),
+                0x0b22_b691_fbee_4dc2,
+            ),
+            ("--socket s --sweep-preset smoke16", Request::Sweep(smoke16()), 0x3188_b092_0530_22ae),
+            (
+                // Campaign-only flags leave a sweep request as it was.
+                "--socket s --sweep-preset smoke16 --config mega --retries 1 --idle-skip",
+                Request::Sweep(smoke16()),
+                0x3188_b092_0530_22ae,
+            ),
+            (
+                EVERY_SWEEP_FLAG,
+                Request::Sweep(SweepRequest {
+                    preset: "ref64".to_string(),
+                    base: "large".to_string(),
+                    workloads: "sha,qsort".to_string(),
+                    scale: Scale::Test,
+                    warmup: 2_000,
+                    max_rungs: 2,
+                    rung0_points: 2,
+                    rung0_shift: 4,
+                    epsilon: 0.1,
+                    epsilon_decay: 0.25,
+                    exhaustive: true,
+                    batch_lanes: 2,
+                }),
+                0xa7f6_40d3_6786_94dc,
+            ),
+        ];
+        for (line, want, id) in cases {
+            let got = submitted(line);
+            assert_eq!(got, want, "submit {line}");
+            assert_eq!(request_id(&got), id, "submit {line}");
+        }
+    }
+
+    #[test]
+    fn submit_parses_flags_in_any_order() {
+        for line in
+            ["--socket s --base mega --sweep-preset smoke16", EVERY_SWEEP_FLAG, EVERY_CAMPAIGN_FLAG]
+        {
+            let (a, b) = (submitted(line), submitted(&reversed(line)));
+            assert_eq!(a, b, "submit {line}");
+            assert_eq!(request_id(&a), request_id(&b));
+        }
+        assert!(
+            parse(Sub::Submit, &args("--socket s --base mega")).is_err(),
+            "a sweep flag without --sweep-preset is a usage error"
+        );
+        assert!(parse(Sub::Submit, &args("--workload sha")).is_err(), "the address is required");
+        assert!(parse(Sub::Attach, &args("--socket s")).is_err(), "attach needs --id");
+    }
+
+    /// The flags each entry point accepted before the table.
+    #[test]
+    fn each_entry_point_accepts_its_flags() {
+        let accepted = |sub: Sub| {
+            let flags = FLAGS.iter().filter(|f| f.subs & sub.bit() != 0);
+            flags.flat_map(|f| [Some(f.name), f.alias]).flatten().collect::<BTreeSet<_>>()
+        };
+        let set = |list: &'static str| list.split_whitespace().collect::<BTreeSet<_>>();
+        let cases = [
+            (
+                Sub::Run,
+                "--workload -w --config -c --scale -s --predictor -p --iq --full --warmup \
+                 --retries --cycle-budget --jobs -j --mem-backend --l2 --l2-mshrs --l2-latency \
+                 --dram-latency --dram-burst --dram-row-hit --co-run --batch-lanes --idle-skip \
+                 --cache-dir --journal --resume --report-out --inject-hang --inject-torn-write \
+                 --inject-corrupt --inject-kill-after",
+            ),
+            (
+                Sub::Sweep,
+                "--grid-preset --grid --base --random --seed --workload -w --scale -s --warmup \
+                 --jobs -j --batch-lanes --idle-skip --no-idle-skip --rungs --rung0-points \
+                 --rung0-shift --epsilon --epsilon-decay --exhaustive --cache-dir --journal \
+                 --resume --report-out --frontier-out --inject-kill-after",
+            ),
+            (
+                Sub::Serve,
+                "--socket --tcp --jobs -j --max-active --cache-dir --state-dir --inject-kill-after",
+            ),
+            (
+                Sub::Submit,
+                "--socket --tcp --workload -w --config -c --scale -s --warmup --retries \
+                 --batch-lanes --idle-skip --report-out --sweep-preset --base --rungs \
+                 --rung0-points --rung0-shift --epsilon --epsilon-decay --exhaustive",
+            ),
+            (Sub::Attach, "--socket --tcp --id --report-out"),
+            (Sub::Shutdown, "--socket --tcp"),
+        ];
+        for (sub, want) in cases {
+            assert_eq!(accepted(sub), set(want), "{sub:?}");
+        }
+    }
+
+    /// `--retries 0` runs one attempt, as `--retries 1` does, so both are
+    /// one campaign with one journal fingerprint.
+    #[test]
+    fn retries_zero_and_one_realize_one_campaign() {
+        let realized = |retries: u32| {
+            let line = format!("--workload bitcount --scale test --retries {retries}");
+            let cli = parse(Sub::Run, &args(&line)).unwrap();
+            let run = realize_run(&cli).unwrap();
+            let fp = campaign_fingerprint_with(&run.cfgs, &run.ws, &run.flow, &run.co_runs);
+            (format!("{:?}", run.flow), fp)
+        };
+        assert_eq!(realized(0), realized(1));
+        assert_ne!(realized(1).1, realized(2).1, "the retry count stays in the fingerprint");
+    }
+
+    /// The module synopsis and README's CLI synopsis are the table's
+    /// usage output.
+    #[test]
+    fn docs_carry_the_generated_synopsis() {
+        let synopsis: String = Sub::ALL.map(synopsis).concat();
+        let module: String = include_str!("boomflow.rs")
+            .lines()
+            .skip_while(|l| *l != "//! ```text")
+            .skip(1)
+            .take_while(|l| *l != "//! ```")
+            .map(|l| format!("{}\n", l.trim_start_matches("//!").strip_prefix(' ').unwrap_or("")))
+            .collect();
+        assert_eq!(module, synopsis, "regenerate the module synopsis");
+        let readme = include_str!("../../../../README.md");
+        assert!(
+            readme.contains(&format!("```text\n{synopsis}```")),
+            "regenerate README's synopsis"
+        );
     }
 }

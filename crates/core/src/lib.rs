@@ -76,7 +76,8 @@ pub use protocol::{
 };
 pub use scheduler::{default_jobs, CampaignOptions, ProgressHook};
 pub use server::{
-    connect, realize_campaign, request_events, ServeAddr, ServeOptions, ServeStream, Server,
+    connect, realize_campaign, realize_sweep, request_events, RealizedSweep, ServeAddr,
+    ServeOptions, ServeStream, Server,
 };
 pub use supervisor::{
     supervise_campaign, supervise_matrix, supervise_matrix_with, CampaignReport, CampaignStats,
@@ -85,5 +86,5 @@ pub use supervisor::{
 };
 pub use sweep::{
     admit, all_fixed_latency, finalize_config, run_sweep, rung_schedule, FrontierPoint, RungSpec,
-    RungSummary, SweepKnob, SweepOptions, SweepReport, SweepSpec, SweepStats,
+    RungSummary, SweepExtras, SweepKnob, SweepOptions, SweepReport, SweepSpec, SweepStats,
 };

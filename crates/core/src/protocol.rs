@@ -41,6 +41,9 @@
 //! clients submitting byte-identical requests are coalesced onto one
 //! run.
 
+use crate::flow::FlowConfig;
+use crate::scheduler::CampaignOptions;
+use crate::sweep::SweepOptions;
 use rv_isa::codec::{ByteReader, ByteWriter, Codec, CodecError};
 use rv_workloads::Scale;
 use std::io::{Read, Write};
@@ -127,10 +130,21 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, ProtocolError> {
 }
 
 rv_isa::record! {
-    /// A campaign specification as submitted over the wire — the server
-    /// realizes it with exactly the CLI's selection rules, so a submitted
-    /// campaign and a solo `boomflow` run of the same flags produce
-    /// byte-identical deterministic reports.
+    /// A campaign specification as submitted over the wire. The server and
+    /// a solo `boomflow` run both realize it through
+    /// [`realize_campaign`](crate::realize_campaign), so a submitted
+    /// campaign and a solo run of the same flags produce byte-identical
+    /// deterministic reports. [`Default`] is the solo CLI's defaults.
+    ///
+    /// CLI-local flags, which only a solo run accepts: `--predictor`,
+    /// `--iq`, `--full`, `--cycle-budget`, `--mem-backend` and the
+    /// `--l2*`/`--dram*` knobs, `--co-run`, `--jobs`, the paths
+    /// (`--cache-dir`, `--journal`, `--resume`) and the `--inject-*`
+    /// drills. Each would need a new field, and a new field changes every
+    /// request id and the benchmark's request literals, so they wait for a
+    /// change that moves both together. `--jobs` and the paths are
+    /// per-process anyway: the server has its own pool, cache and state
+    /// directory.
     #[derive(Clone, Debug, PartialEq)]
     pub struct CampaignRequest {
         /// Workload selection: `all` or a comma-separated name list.
@@ -151,8 +165,16 @@ rv_isa::record! {
 }
 
 rv_isa::record! {
-    /// A sweep specification as submitted over the wire (preset-based; the
-    /// full `--grid` axis grammar stays CLI-local).
+    /// A sweep specification as submitted over the wire, realized by
+    /// [`realize_sweep`](crate::realize_sweep) on both the server and the
+    /// solo `boomflow sweep`. [`Default`] is the solo sweep's defaults; an
+    /// empty `preset` is the solo sweep without `--grid-preset`.
+    ///
+    /// `--grid`, `--random`/`--seed` and `--idle-skip`/`--no-idle-skip`
+    /// stay CLI-local ([`SweepExtras`](crate::SweepExtras)): the axis
+    /// grammar has no wire encoding, and adding one changes every sweep's
+    /// request id, so served sweeps name a preset and auto-arm idle
+    /// skipping.
     #[derive(Clone, Debug, PartialEq)]
     pub struct SweepRequest {
         /// Grid preset name (`ref64`, `smoke16`).
@@ -180,6 +202,41 @@ rv_isa::record! {
         pub exhaustive: bool [key],
         /// Configurations per batched point lane group.
         pub batch_lanes: usize [key],
+    }
+}
+
+impl Default for CampaignRequest {
+    fn default() -> CampaignRequest {
+        let flow = FlowConfig::default();
+        CampaignRequest {
+            workloads: "all".to_string(),
+            config: "all".to_string(),
+            scale: Scale::Small,
+            warmup: flow.warmup_insts,
+            retries: flow.retry.max_attempts,
+            batch_lanes: CampaignOptions::default().batch_lanes,
+            idle_skip: flow.idle_skip,
+        }
+    }
+}
+
+impl Default for SweepRequest {
+    fn default() -> SweepRequest {
+        let opts = SweepOptions::default();
+        SweepRequest {
+            preset: String::new(),
+            base: String::new(),
+            workloads: "all".to_string(),
+            scale: Scale::Small,
+            warmup: FlowConfig::default().warmup_insts,
+            max_rungs: opts.max_rungs.unwrap_or(0),
+            rung0_points: opts.rung0_points,
+            rung0_shift: opts.rung0_shift,
+            epsilon: opts.epsilon,
+            epsilon_decay: opts.epsilon_decay,
+            exhaustive: opts.exhaustive,
+            batch_lanes: opts.batch_lanes,
+        }
     }
 }
 

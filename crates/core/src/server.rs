@@ -42,14 +42,13 @@ use crate::journal::{
 use crate::pool::WorkPool;
 use crate::protocol::{
     decode_client, encode_client, encode_server, read_frame, request_id, write_frame,
-    CampaignRequest, ClientMsg, ProtocolError, Request, ServerMsg,
+    CampaignRequest, ClientMsg, ProtocolError, Request, ServerMsg, SweepRequest,
 };
 use crate::scheduler::{default_jobs, CampaignOptions, ProgressHook};
-use crate::supervisor::FaultInjection;
 use crate::supervisor::{panic_message, supervise_campaign, RetryPolicy};
-use crate::sweep::{all_fixed_latency, run_sweep, SweepOptions, SweepSpec};
+use crate::sweep::{all_fixed_latency, run_sweep, SweepExtras, SweepOptions, SweepSpec};
 use crate::sync::lock;
-use boom_uarch::BoomConfig;
+use boom_uarch::{BoomConfig, ConfigError};
 use rv_workloads::{all, by_name, Scale, Workload};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -488,6 +487,8 @@ fn run_request(state: &Arc<ServerState>, rs: &Arc<RequestState>, req: &Request) 
 /// Realizes a wire campaign request into the exact configuration,
 /// workload, and flow objects a solo CLI run of the same flags builds —
 /// the identity that makes served reports byte-comparable to solo ones.
+/// `retries` is clamped to at least one attempt here, so `0` and `1` are
+/// the same campaign (and the same journal fingerprint) on every path.
 ///
 /// # Errors
 ///
@@ -505,10 +506,8 @@ fn realize_campaign_in(
 ) -> Result<(Vec<BoomConfig>, Vec<Workload>, FlowConfig), String> {
     let cfgs = match req.config.as_str() {
         "all" => BoomConfig::all_three(),
-        "medium" => vec![BoomConfig::medium()],
-        "large" => vec![BoomConfig::large()],
-        "mega" => vec![BoomConfig::mega()],
-        other => return Err(format!("unknown configuration selection '{other}'")),
+        name => vec![BoomConfig::preset(name)
+            .ok_or_else(|| format!("unknown configuration selection '{name}'"))?],
     };
     let ws = programs.realize(&req.workloads, req.scale)?;
     let flow = FlowConfig {
@@ -518,6 +517,66 @@ fn realize_campaign_in(
         ..FlowConfig::default()
     };
     Ok((cfgs, ws, flow))
+}
+
+/// A realized sweep: its configurations, workloads, flow and options.
+/// The options' pool, jobs and journal are left at their defaults for
+/// the caller to fill.
+pub type RealizedSweep = (Vec<BoomConfig>, Vec<Workload>, FlowConfig, SweepOptions);
+
+/// Realizes a wire sweep request plus the CLI-local `extras` (none for a
+/// served sweep) — the one place a preset, base override, grid and
+/// idle-skip choice become configurations, for the server and the solo
+/// `boomflow sweep` alike.
+///
+/// # Errors
+///
+/// Returns a human-readable reason for unknown selections, an invalid
+/// grid, or an explicit idle skip over hierarchy configurations.
+pub fn realize_sweep(req: &SweepRequest, extras: &SweepExtras) -> Result<RealizedSweep, String> {
+    realize_sweep_in(req, extras, &Programs::default())
+}
+
+/// [`realize_sweep`] with the workloads taken from `programs`.
+fn realize_sweep_in(
+    req: &SweepRequest,
+    extras: &SweepExtras,
+    programs: &Programs,
+) -> Result<RealizedSweep, String> {
+    let mut spec = match req.preset.as_str() {
+        "" => SweepSpec { base: BoomConfig::medium(), axes: Vec::new(), random: None },
+        name => SweepSpec::preset(name).ok_or_else(|| format!("unknown grid preset '{name}'"))?,
+    };
+    if !req.base.is_empty() {
+        spec.base = BoomConfig::preset(&req.base)
+            .ok_or_else(|| format!("unknown base configuration '{}'", req.base))?;
+    }
+    spec.axes.extend(extras.axes.iter().cloned());
+    spec.random = extras.random.map(|n| (n, extras.seed));
+    let cfgs = spec.generate().map_err(|e| format!("invalid sweep specification: {e}"))?;
+    let ws = programs.realize(&req.workloads, req.scale)?;
+    // An explicit idle skip over hierarchy configurations is a typed
+    // rejection, never a silent drop.
+    let idle_skip = match extras.idle_skip {
+        Some(true) if !all_fixed_latency(&cfgs) => {
+            let what = "sweep over memory-hierarchy configurations".to_string();
+            return Err(ConfigError::IdleSkipUnsupported { what }.to_string());
+        }
+        Some(on) => on,
+        None => all_fixed_latency(&cfgs),
+    };
+    let flow = FlowConfig { warmup_insts: req.warmup, idle_skip, ..FlowConfig::default() };
+    let opts = SweepOptions {
+        batch_lanes: req.batch_lanes.max(1),
+        epsilon: req.epsilon,
+        epsilon_decay: req.epsilon_decay,
+        rung0_points: req.rung0_points.max(1),
+        rung0_shift: req.rung0_shift,
+        max_rungs: (req.max_rungs > 0).then_some(req.max_rungs),
+        exhaustive: req.exhaustive,
+        ..SweepOptions::default()
+    };
+    Ok((cfgs, ws, flow, opts))
 }
 
 /// A selection item at a scale: `None` is the `all` selection, `Some` a
@@ -576,10 +635,7 @@ fn execute(state: &Arc<ServerState>, rs: &Arc<RequestState>, req: &Request) -> S
                 Ok(r) => r,
                 Err(reason) => return reject(reason),
             };
-            flow.inject = FaultInjection {
-                kill_after_points: state.opts.kill_after_points,
-                ..FaultInjection::default()
-            };
+            flow.inject.kill_after_points = state.opts.kill_after_points;
             // Journal under the state directory, resumed when a previous
             // server life left one. The campaign fingerprint inside the
             // journal independently validates that the persisted spec
@@ -641,46 +697,19 @@ fn execute(state: &Arc<ServerState>, rs: &Arc<RequestState>, req: &Request) -> S
             }
         }
         Request::Sweep(s) => {
-            let Some(mut spec) = SweepSpec::preset(&s.preset) else {
-                return reject(format!("unknown grid preset '{}'", s.preset));
-            };
-            match s.base.as_str() {
-                "" => {}
-                "medium" => spec.base = BoomConfig::medium(),
-                "large" => spec.base = BoomConfig::large(),
-                "mega" => spec.base = BoomConfig::mega(),
-                other => return reject(format!("unknown base configuration '{other}'")),
-            }
-            let cfgs = match spec.generate() {
-                Ok(cfgs) => cfgs,
-                Err(e) => return reject(format!("invalid sweep specification: {e}")),
-            };
-            let ws = match state.programs.realize(&s.workloads, s.scale) {
-                Ok(ws) => ws,
-                Err(reason) => return reject(reason),
-            };
-            let flow = FlowConfig {
-                warmup_insts: s.warmup,
-                idle_skip: all_fixed_latency(&cfgs),
-                inject: FaultInjection {
-                    kill_after_points: state.opts.kill_after_points,
-                    ..FaultInjection::default()
-                },
-                ..FlowConfig::default()
-            };
+            let (cfgs, ws, mut flow, opts) =
+                match realize_sweep_in(s, &SweepExtras::default(), &state.programs) {
+                    Ok(r) => r,
+                    Err(reason) => return reject(reason),
+                };
+            flow.inject.kill_after_points = state.opts.kill_after_points;
             let path = state.opts.state_dir.join(format!("{:016x}.swj", rs.id));
             let opts = SweepOptions {
                 jobs: state.opts.jobs,
-                batch_lanes: s.batch_lanes.max(1),
-                epsilon: s.epsilon,
-                epsilon_decay: s.epsilon_decay,
-                rung0_points: s.rung0_points.max(1),
-                rung0_shift: s.rung0_shift,
-                max_rungs: (s.max_rungs > 0).then_some(s.max_rungs),
-                exhaustive: s.exhaustive,
                 resume: path.exists(),
                 journal_path: Some(path),
                 pool: Some(Arc::clone(&state.pool)),
+                ..opts
             };
             let report = match run_sweep(&cfgs, &ws, &flow, &state.store, &opts) {
                 // An older-format journal: start it afresh, as for campaigns.

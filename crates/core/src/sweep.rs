@@ -335,6 +335,23 @@ pub fn admit(cfgs: Vec<BoomConfig>) -> (Vec<BoomConfig>, usize) {
     (out, folded)
 }
 
+/// The parts of a sweep the wire [`SweepRequest`](crate::SweepRequest)
+/// cannot carry yet: the solo CLI's `--grid` axes, `--random`/`--seed`
+/// sampling and its explicit `--idle-skip`/`--no-idle-skip`. The default
+/// adds nothing, which is what a served sweep gets.
+#[derive(Clone, Debug, Default)]
+pub struct SweepExtras {
+    /// Axes appended after the preset's, in flag order.
+    pub axes: Vec<(SweepKnob, Vec<u64>)>,
+    /// Draw this many random points instead of the full cross product.
+    pub random: Option<usize>,
+    /// Seed of the random draw.
+    pub seed: u64,
+    /// Explicit idle-cycle skipping; `None` arms it when every
+    /// configuration allows it ([`all_fixed_latency`]).
+    pub idle_skip: Option<bool>,
+}
+
 /// Whether every configuration uses the flat fixed-latency memory
 /// backend — the precondition for auto-arming event-driven idle-cycle
 /// skipping across a sweep.

@@ -455,6 +455,17 @@ impl BoomConfig {
         }
     }
 
+    /// A paper configuration by its lower-case name: `medium`, `large`
+    /// or `mega`.
+    pub fn preset(name: &str) -> Option<BoomConfig> {
+        match name {
+            "medium" => Some(BoomConfig::medium()),
+            "large" => Some(BoomConfig::large()),
+            "mega" => Some(BoomConfig::mega()),
+            _ => None,
+        }
+    }
+
     /// The three paper configurations, smallest first.
     pub fn all_three() -> Vec<BoomConfig> {
         vec![BoomConfig::medium(), BoomConfig::large(), BoomConfig::mega()]

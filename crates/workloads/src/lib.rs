@@ -144,6 +144,11 @@ pub fn all(scale: Scale) -> Vec<Workload> {
     TABLE.iter().map(|(_, build)| build(scale)).collect()
 }
 
+/// Every workload's paper name, in the paper's Table II order.
+pub fn names() -> impl Iterator<Item = &'static str> {
+    TABLE.iter().map(|(name, _)| *name)
+}
+
 /// Looks a workload up by its paper name (case-insensitive) and builds
 /// only that one.
 pub fn by_name(name: &str, scale: Scale) -> Option<Workload> {

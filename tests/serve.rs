@@ -616,3 +616,115 @@ fn empty_journal_beside_its_spec_restarts_on_attach() {
 fn sock_addr(path: &std::path::Path) -> ServeAddr {
     ServeAddr::Unix(path.to_path_buf())
 }
+
+/// Runs the `boomflow` binary with `args`.
+fn boomflow(args: &[&str]) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_boomflow")).args(args).output().unwrap()
+}
+
+/// Runs `args` with `--report-out` and returns the report bytes,
+/// panicking unless the run succeeds.
+fn report_of(args: &[&str], out: &Path) -> Vec<u8> {
+    let mut full = args.to_vec();
+    full.extend(["--report-out", out.to_str().unwrap()]);
+    let run = boomflow(&full);
+    assert!(
+        run.status.success(),
+        "boomflow {}: {}",
+        full.join(" "),
+        String::from_utf8_lossy(&run.stderr)
+    );
+    std::fs::read(out).unwrap()
+}
+
+/// Each flag `submit` accepts, at one non-default value on bitcount at
+/// test scale: the served report bytes equal the solo run's. Sweep flags
+/// go before and after `--sweep-preset`, which must not matter.
+#[test]
+fn every_submit_flag_serves_its_solo_bytes() {
+    let opts = ServeOptions {
+        jobs: 2,
+        max_active: 4,
+        cache_dir: None,
+        state_dir: scratch("state-flags"),
+        kill_after_points: None,
+    };
+    let (addr, handle) = start_server("sock-flags", opts);
+    let ServeAddr::Unix(sock) = &addr else { unreachable!() };
+    let sock = sock.to_str().unwrap();
+    let dir = scratch("flags");
+    std::fs::create_dir_all(&dir).unwrap();
+    let base = ["--workload", "bitcount", "--scale", "test"];
+
+    let campaign_flags: [&[&str]; 6] = [
+        &[],
+        &["--config", "medium"],
+        &["--warmup", "3000"],
+        &["--retries", "1"],
+        &["--batch-lanes", "2"],
+        &["--idle-skip"],
+    ];
+    for (i, flag) in campaign_flags.iter().enumerate() {
+        let solo =
+            report_of(&[&base[..], flag, &["--jobs", "1"]].concat(), &dir.join(format!("c{i}")));
+        let served = [&["submit", "--socket", sock][..], &base, flag].concat();
+        assert_eq!(report_of(&served, &dir.join(format!("c{i}-served"))), solo, "{flag:?}");
+    }
+
+    let sweep_flags: [&[&str]; 10] = [
+        &[],
+        &["--base", "large"],
+        &["--rungs", "2"],
+        &["--rung0-points", "2"],
+        &["--rung0-shift", "2"],
+        &["--epsilon", "0.2"],
+        &["--epsilon-decay", "0.9"],
+        &["--exhaustive"],
+        &["--warmup", "3000"],
+        &["--batch-lanes", "2"],
+    ];
+    for (i, flag) in sweep_flags.iter().enumerate() {
+        let solo_args = [&["sweep", "--grid-preset", "smoke16"][..], &base, flag, &["--jobs", "1"]];
+        let solo = report_of(&solo_args.concat(), &dir.join(format!("s{i}")));
+        let preset = ["--sweep-preset", "smoke16"];
+        let before = [&["submit", "--socket", sock][..], &base, &preset, flag].concat();
+        let after = [&["submit", "--socket", sock][..], flag, &base, &preset].concat();
+        assert_eq!(report_of(&before, &dir.join(format!("s{i}-before"))), solo, "{flag:?}");
+        assert_eq!(report_of(&after, &dir.join(format!("s{i}-after"))), solo, "{flag:?}");
+    }
+    shutdown(&addr, handle);
+}
+
+/// An unknown workload is named, with the server's words, on the solo
+/// campaign and sweep paths alike: a usage error (exit 2), not the
+/// usage text.
+#[test]
+fn unknown_workload_is_named_on_every_path() {
+    for args in [
+        &["--workload", "nosuch", "--scale", "test"][..],
+        &["sweep", "--grid-preset", "smoke16", "--workload", "nosuch", "--scale", "test"],
+    ] {
+        let run = boomflow(args);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("unknown workload 'nosuch'"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("usage:"), "{args:?}: {stderr}");
+    }
+
+    let opts = ServeOptions {
+        jobs: 1,
+        max_active: 4,
+        cache_dir: None,
+        state_dir: scratch("state-nosuch"),
+        kill_after_points: None,
+    };
+    let (addr, handle) = start_server("sock-nosuch", opts);
+    let req = Request::Campaign(campaign_request("nosuch"));
+    match roundtrip(&addr, &ClientMsg::Submit(req)) {
+        ServerMsg::Done { ok: false, summary, .. } => {
+            assert_eq!(summary, "unknown workload 'nosuch'");
+        }
+        other => panic!("expected a failed Done, got {other:?}"),
+    }
+    shutdown(&addr, handle);
+}

@@ -159,6 +159,9 @@ const ATTACH: u8 = Sub::Attach.bit();
 const SHUTDOWN: u8 = Sub::Shutdown.bit();
 /// `submit` takes the flag only together with `--sweep-preset`.
 const WITH_PRESET: u8 = 1 << 6;
+/// `submit` takes the flag only without `--sweep-preset`: a served sweep
+/// has no such field.
+const WITHOUT_PRESET: u8 = 1 << 7;
 /// The service's client and server entry points.
 const ADDR: u8 = SERVE | SUBMIT | ATTACH | SHUTDOWN;
 
@@ -183,7 +186,7 @@ struct Flag {
     /// The value grammar usage shows; `None` for a switch.
     value: Option<&'static str>,
     /// The entry points that accept the flag (a set of [`Sub::bit`]s,
-    /// plus [`WITH_PRESET`]).
+    /// plus [`WITH_PRESET`] or [`WITHOUT_PRESET`]).
     subs: u8,
     show: Show,
     /// Stores the flag's value (`""` for a switch). An `Err` is a usage
@@ -238,7 +241,7 @@ flags! {
         c.campaign.workloads = v.to_lowercase();
         c.sweep.workloads = v.to_lowercase();
     };
-    "--config" | "-c" = "medium|large|mega|all" [RUN | SUBMIT] |c, v| {
+    "--config" | "-c" = "medium|large|mega|all" [RUN | SUBMIT | WITHOUT_PRESET] |c, v| {
         c.campaign.config = v.to_lowercase();
     };
     "--scale" | "-s" = "test|small|full" [RUN | SWEEP | SUBMIT] |c, v| {
@@ -263,7 +266,7 @@ flags! {
         c.campaign.warmup = num(v)?;
         c.sweep.warmup = c.campaign.warmup;
     };
-    "--retries" = "N" [RUN | SUBMIT] |c, v| c.campaign.retries = num(v)?;
+    "--retries" = "N" [RUN | SUBMIT | WITHOUT_PRESET] |c, v| c.campaign.retries = num(v)?;
     "--cycle-budget" = "N" [RUN] |c, v| c.local.cycle_budget = Some(num(v)?);
     "--jobs" | "-j" = "N" [RUN | SWEEP | SERVE] |c, v| c.local.jobs = Some(positive(v)?);
     "--max-active" = "N" [SERVE] |c, v| c.local.serve.max_active = positive(v)?;
@@ -292,7 +295,7 @@ flags! {
         c.campaign.batch_lanes = positive(v)?;
         c.sweep.batch_lanes = c.campaign.batch_lanes;
     };
-    "--idle-skip" [RUN | SWEEP | SUBMIT] |c, _| {
+    "--idle-skip" [RUN | SWEEP | SUBMIT | WITHOUT_PRESET] |c, _| {
         c.campaign.idle_skip = true;
         c.local.extras.idle_skip = Some(true);
     };
@@ -436,13 +439,14 @@ fn parse(sub: Sub, argv: &[String]) -> Result<Cli, String> {
         seen[i] = true;
     }
     // A required flag, or one of its alternatives, must be given; a
-    // sweep-only submit flag needs `--sweep-preset`.
+    // sweep-only submit flag needs `--sweep-preset`, and a campaign-only
+    // one refuses it.
+    let refused = if cli.local.sweep { WITHOUT_PRESET } else { WITH_PRESET };
     for (i, flag) in FLAGS.iter().enumerate() {
         let alts = FLAGS[i + 1..].iter().take_while(|f| f.show == Show::Alt).count();
         let missing = flag.show == Show::Req && !seen[i..=i + alts].contains(&true);
-        let presetless =
-            sub == Sub::Submit && flag.subs & WITH_PRESET != 0 && seen[i] && !cli.local.sweep;
-        if flag.subs & sub.bit() != 0 && (missing || presetless) {
+        let misplaced = sub == Sub::Submit && flag.subs & refused != 0 && seen[i];
+        if flag.subs & sub.bit() != 0 && (missing || misplaced) {
             return Err(String::new());
         }
     }
@@ -496,6 +500,7 @@ fn usage(sub: Sub, msg: &str) -> ! {
     };
     if sub == Sub::Submit {
         eprintln!("sweep flags, with --sweep-preset: {}", names(SUBMIT | WITH_PRESET));
+        eprintln!("campaign flags, without --sweep-preset: {}", names(SUBMIT | WITHOUT_PRESET));
     }
     if matches!(sub, Sub::Run | Sub::Sweep | Sub::Submit) {
         let workloads = rv_workloads::names().map(str::to_lowercase).collect::<Vec<_>>();
@@ -535,13 +540,13 @@ fn open_store(sub: Sub, local: &Local) -> ArtifactStore {
     }
 }
 
-/// Whether to resume from `--journal`: `--resume` was given and the
-/// journal exists.
+/// Whether to resume `--journal` (a missing journal resumes as a fresh
+/// one); `--resume` needs `--journal`.
 fn resuming(sub: Sub, local: &Local) -> bool {
-    match &local.journal {
-        None if local.resume => die(sub, 2, "--resume requires --journal"),
-        journal => local.resume && journal.as_ref().is_some_and(|path| path.exists()),
+    if local.resume && local.journal.is_none() {
+        die(sub, 2, "--resume requires --journal");
     }
+    local.resume
 }
 
 fn print_result(r: &WorkloadResult) {
@@ -670,24 +675,21 @@ fn run_main(cli: &Cli) {
     // Resumable campaign journal, keyed by the campaign fingerprint so a
     // journal from a different matrix or flow setup is refused.
     let resume = resuming(sub, local);
-    let fp = || campaign_fingerprint_with(&cfgs, &ws, &flow, &co_runs);
     let (journal, replay) = match &local.journal {
-        Some(path) if resume => {
-            let (j, r) = CampaignJournal::resume(path, fp()).unwrap_or_else(|e| {
-                die(sub, 2, format!("cannot resume journal {}: {e}", path.display()))
-            });
-            eprintln!(
-                "boomflow: resuming, {} completed point(s) replayed from {}",
-                r.len(),
-                path.display()
-            );
-            (Some(Arc::new(j)), Some(Arc::new(r)))
-        }
         Some(path) => {
-            let j = CampaignJournal::create(path, fp()).unwrap_or_else(|e| {
-                die(sub, 2, format!("cannot create journal {}: {e}", path.display()))
+            let fp = campaign_fingerprint_with(&cfgs, &ws, &flow, &co_runs);
+            let (j, r) = CampaignJournal::open(path, fp, resume).unwrap_or_else(|e| {
+                let verb = if resume { "resume" } else { "create" };
+                die(sub, 2, format!("cannot {verb} journal {}: {e}", path.display()))
             });
-            (Some(Arc::new(j)), None)
+            if resume {
+                eprintln!(
+                    "boomflow: resuming, {} completed point(s) replayed from {}",
+                    r.len(),
+                    path.display()
+                );
+            }
+            (Some(Arc::new(j)), Some(Arc::new(r)))
         }
         None => (None, None),
     };
@@ -943,12 +945,6 @@ mod tests {
             ),
             ("--socket s --sweep-preset smoke16", Request::Sweep(smoke16()), 0x3188_b092_0530_22ae),
             (
-                // Campaign-only flags leave a sweep request as it was.
-                "--socket s --sweep-preset smoke16 --config mega --retries 1 --idle-skip",
-                Request::Sweep(smoke16()),
-                0x3188_b092_0530_22ae,
-            ),
-            (
                 EVERY_SWEEP_FLAG,
                 Request::Sweep(SweepRequest {
                     preset: "ref64".to_string(),
@@ -987,6 +983,17 @@ mod tests {
             parse(Sub::Submit, &args("--socket s --base mega")).is_err(),
             "a sweep flag without --sweep-preset is a usage error"
         );
+        for flag in ["--config mega", "-c mega", "--retries 1", "--idle-skip"] {
+            for line in [
+                format!("--socket s --sweep-preset smoke16 {flag}"),
+                format!("{flag} --socket s --sweep-preset smoke16"),
+            ] {
+                assert!(
+                    parse(Sub::Submit, &args(&line)).is_err(),
+                    "`submit {line}`: a campaign flag with --sweep-preset is a usage error"
+                );
+            }
+        }
         assert!(parse(Sub::Submit, &args("--workload sha")).is_err(), "the address is required");
         assert!(parse(Sub::Attach, &args("--socket s")).is_err(), "attach needs --id");
     }
@@ -1031,6 +1038,15 @@ mod tests {
         for (sub, want) in cases {
             assert_eq!(accepted(sub), set(want), "{sub:?}");
         }
+        // `submit`'s sweep-only and campaign-only flags.
+        let only = |bit: u8| {
+            let flags = FLAGS.iter().filter(|f| f.subs & (SUBMIT | bit) == SUBMIT | bit);
+            flags.map(|f| f.name).collect::<BTreeSet<_>>()
+        };
+        let sweep_only = "--base --rungs --rung0-points --rung0-shift --epsilon --epsilon-decay \
+            --exhaustive";
+        assert_eq!(only(WITH_PRESET), set(sweep_only));
+        assert_eq!(only(WITHOUT_PRESET), set("--config --retries --idle-skip"));
     }
 
     /// `--retries 0` runs one attempt, as `--retries 1` does, so both are

@@ -668,12 +668,6 @@ pub fn run_full(cfg: &BoomConfig, workload: &Workload) -> Result<FullRunResult, 
     })
 }
 
-/// Cycles a co-run core may go without committing before it is declared
-/// hung — the same limit as the single-core pipeline watchdog, but
-/// tracked here because the co-run loop steps two cores itself instead
-/// of delegating to [`Core::run`].
-const CO_RUN_HANG_LIMIT: u64 = 100_000;
-
 /// Runs one dual-core co-run cell: two cores, one workload each, sharing
 /// one L2 + DRAM uncore through a [`Hierarchy::shared_pair`].
 ///
@@ -720,8 +714,8 @@ pub(crate) fn run_co_cell(
         [Err(f.clone()), Err(f)]
     };
 
-    // (retired, cycle) at each core's last observed commit progress.
-    let mut progress = [(0u64, 0u64); 2];
+    // The loop steps both cores itself instead of delegating to
+    // `Core::run`, so it asks each core's own watchdog after every cycle.
     loop {
         let mut live = false;
         for (i, core) in cores.iter_mut().enumerate() {
@@ -730,10 +724,7 @@ pub(crate) fn run_co_cell(
             }
             live = true;
             core.step_cycle();
-            let retired = core.stats().retired;
-            if retired != progress[i].0 {
-                progress[i] = (retired, core.cycle());
-            } else if core.cycle() - progress[i].1 >= CO_RUN_HANG_LIMIT {
+            if core.hung() {
                 return fail(i, FailureKind::Hung { snapshot: Box::new(core.dump_state()) });
             }
         }

@@ -8,6 +8,10 @@
 //! producing a [`CampaignReport`](crate::supervisor::CampaignReport)
 //! bit-identical to an uninterrupted run.
 //!
+//! Every run opens its journal by one rule, [`CampaignJournal::open`]:
+//! create afresh, or resume, where a missing or empty journal resumes as
+//! a fresh one, so no caller looks for the file first.
+//!
 //! ## On-disk format
 //!
 //! ```text
@@ -62,8 +66,8 @@ use rv_workloads::Workload;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::io::{ErrorKind, Seek, SeekFrom, Write};
+use std::path::Path;
 use std::sync::Mutex;
 
 const MAGIC: &[u8; 4] = b"BFJL";
@@ -155,7 +159,6 @@ const POINT_BITS: u32 = 24;
 /// an internal poison-recovering mutex.
 #[derive(Debug)]
 pub struct CampaignJournal {
-    path: PathBuf,
     file: Mutex<File>,
 }
 
@@ -176,13 +179,13 @@ impl CampaignJournal {
         // Not synced, like every record after it: a header lost to a
         // power cut leaves an empty file, which `resume` starts afresh.
         file.write_all(&header)?;
-        Ok(CampaignJournal { path: path.to_path_buf(), file: Mutex::new(file) })
+        Ok(CampaignJournal { file: Mutex::new(file) })
     }
 
     /// Reopens the journal at `path`, replaying every valid record and
-    /// truncating a torn tail left by a crash mid-append. An empty file
-    /// (a header the OS never wrote back before a power loss) is a fresh
-    /// journal: the header is rewritten and nothing replays.
+    /// truncating a torn tail left by a crash mid-append. A missing file,
+    /// or an empty one (a header the OS never wrote back before a power
+    /// loss), is a fresh journal: the header is written, nothing replays.
     ///
     /// Returns the journal (positioned to append after the last valid
     /// record) together with the recovered outcomes.
@@ -198,7 +201,10 @@ impl CampaignJournal {
         path: &Path,
         fingerprint: u64,
     ) -> Result<(CampaignJournal, JournalReplay), JournalError> {
-        let bytes = std::fs::read(path)?;
+        let bytes = match std::fs::read(path) {
+            Err(e) if e.kind() == ErrorKind::NotFound => Vec::new(),
+            read => read?,
+        };
         if bytes.is_empty() {
             return Ok((CampaignJournal::create(path, fingerprint)?, JournalReplay::default()));
         }
@@ -229,12 +235,24 @@ impl CampaignJournal {
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
         file.set_len(pos as u64)?;
         file.seek(SeekFrom::End(0))?;
-        Ok((CampaignJournal { path: path.to_path_buf(), file: Mutex::new(file) }, replay))
+        Ok((CampaignJournal { file: Mutex::new(file) }, replay))
     }
 
-    /// Path of the journal file.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// Opens a run's journal: [`resume`](CampaignJournal::resume)s it, or
+    /// [`create`](CampaignJournal::create)s it with nothing to replay.
+    ///
+    /// # Errors
+    ///
+    /// As `create` and `resume`.
+    pub fn open(
+        path: &Path,
+        fingerprint: u64,
+        resume: bool,
+    ) -> Result<(CampaignJournal, JournalReplay), JournalError> {
+        match resume {
+            true => CampaignJournal::resume(path, fingerprint),
+            false => Ok((CampaignJournal::create(path, fingerprint)?, JournalReplay::default())),
+        }
     }
 
     /// Appends the outcome of SimPoint `p_idx` at truncation `shift` of
@@ -423,7 +441,7 @@ mod tests {
     use rtl_power::{Component, PowerBreakdown, PowerReport};
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    fn scratch(tag: &str) -> PathBuf {
+    fn scratch(tag: &str) -> std::path::PathBuf {
         static N: AtomicU64 = AtomicU64::new(0);
         let n = N.fetch_add(1, Ordering::Relaxed);
         std::env::temp_dir().join(format!("boomflow-journal-{tag}-{}-{n}.bfj", std::process::id()))
@@ -723,6 +741,21 @@ mod tests {
         assert_eq!(replay.len(), 2);
         assert_outcomes_identical(&replay.outcomes[&(1, 0, 2)], &sample_ok());
         assert_outcomes_identical(&replay.outcomes[&(1, 0, 3)], &sample_hang());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn missing_file_resumes_as_a_fresh_journal() {
+        let path = scratch("missing");
+        let _ = std::fs::remove_file(&path);
+        let (journal, replay) = CampaignJournal::resume(&path, 9).expect("resume missing");
+        assert!(replay.is_empty());
+        assert_eq!(std::fs::metadata(&path).expect("created").len(), HEADER_LEN as u64);
+        journal.append(0, 1, &sample_ok());
+        drop(journal);
+        let (_, replay) = CampaignJournal::resume(&path, 9).expect("resume after append");
+        assert_eq!(replay.len(), 1);
+        assert_outcomes_identical(&replay.outcomes[&(0, 0, 1)], &sample_ok());
         let _ = std::fs::remove_file(&path);
     }
 

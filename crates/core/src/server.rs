@@ -13,6 +13,14 @@
 //! `inflight_dedup_hits` / `warm_store_hits` in each request's stage
 //! summary.
 //!
+//! Admission: a submitted request, and a request an `attach` relaunches
+//! from its persisted spec, is realized (its workloads built through the
+//! server's program memo, its configurations and grid resolved) when it
+//! is admitted, before anything is written. A request naming an unknown
+//! workload, configuration, preset or base is `Rejected` with the solo
+//! CLI's words and leaves no state behind. Identical requests coalesce
+//! onto one run before any realization.
+//!
 //! Scheduling: every admitted request drains its tasks through one
 //! [`WorkPool`] bounded by `--jobs`, which serves submissions round-robin
 //! — a small campaign admitted after a big one makes progress
@@ -20,10 +28,13 @@
 //! the number of active requests (`--max-active`); the rest are rejected
 //! with a typed reason rather than silently queued without bound.
 //!
-//! Durability: each request's specification is appended at admission to
-//! the state directory's one spec log (`requests.log`, framed and
+//! Durability: each admitted request's specification is appended to the
+//! state directory's one spec log (`requests.log`, framed and
 //! checksummed like journal records), and its points are journaled
-//! exactly as a solo `--journal` run's would be. A killed server
+//! exactly as a solo `--journal` run's would be. Campaigns and sweeps
+//! run through one body: the journal `<id>.bfj` or `<id>.swj` is always
+//! resumed (a missing one starts fresh), and a journal of an older
+//! format is restarted rather than rejected. A killed server
 //! therefore resumes cleanly: restart it on the same state directory and
 //! re-`attach` the request id — the journal replays the finished points
 //! and the report comes out byte-identical to an uninterrupted run.
@@ -37,7 +48,7 @@
 use crate::artifacts::ArtifactStore;
 use crate::flow::FlowConfig;
 use crate::journal::{
-    campaign_fingerprint_with, frame, scan_frames, CampaignJournal, JournalError, JournalReplay,
+    campaign_fingerprint_with, frame, scan_frames, CampaignJournal, JournalError,
 };
 use crate::pool::WorkPool;
 use crate::protocol::{
@@ -317,7 +328,7 @@ fn handle_conn(
             return Err(e);
         }
     };
-    match msg {
+    let admitted = match msg {
         ClientMsg::Shutdown => {
             state.shutdown.store(true, Ordering::SeqCst);
             // Drop queued-but-unstarted work; running points finish and
@@ -326,58 +337,48 @@ fn handle_conn(
             reply(&mut stream, &ServerMsg::Bye { active: state.active.load(Ordering::SeqCst) })?;
             // Unblock the accept loop so `run` can drain and exit.
             let _ = connect(&state.addr);
-            Ok(())
+            return Ok(());
         }
-        ClientMsg::Submit(req) => {
-            let rs = match admit(state, request_id(&req), Some(req)) {
-                Ok(rs) => rs,
-                Err(reason) => {
-                    reply(&mut stream, &ServerMsg::Rejected { reason })?;
-                    return Ok(());
-                }
-            };
-            stream_events(stream, state, &rs)
-        }
-        ClientMsg::Attach(id) => {
-            // In-memory first; otherwise relaunch from the persisted
-            // specification — the resume path after a server crash.
-            let known = lock(&state.requests).get(&id).cloned();
-            let rs = match known {
-                Some(rs) => rs,
-                None => match admit(state, id, load_spec(state, id)) {
-                    Ok(rs) => rs,
-                    Err(reason) => {
-                        reply(&mut stream, &ServerMsg::Rejected { reason })?;
-                        return Ok(());
-                    }
-                },
-            };
-            stream_events(stream, state, &rs)
-        }
+        ClientMsg::Submit(req) => admit(state, request_id(&req), || Some(req)),
+        // Not in memory: relaunch from the persisted specification, the
+        // resume path after a server crash.
+        ClientMsg::Attach(id) => admit(state, id, || load_spec(state, id)),
+    };
+    match admitted {
+        Ok(rs) => stream_events(stream, state, &rs),
+        Err(reason) => reply(&mut stream, &ServerMsg::Rejected { reason }),
     }
 }
 
-/// Admits request `id`: joins the in-flight run when one exists,
-/// otherwise launches a runner for `spec` under the admission bound.
-/// Returns a rejection reason when the queue is full, the server is
-/// shutting down, or no specification is available.
+/// Admits request `id`: joins the in-flight (or finished) run when one
+/// exists, otherwise realizes `spec` and launches a runner for it under
+/// the admission bound. Returns a rejection reason when the server is
+/// shutting down, no specification is available, the request cannot be
+/// realized (an unknown workload, configuration, preset or base) or the
+/// queue is full. A rejected request leaves no state behind: no spec-log
+/// record, no journal, no active slot.
 fn admit(
     state: &Arc<ServerState>,
     id: u64,
-    spec: Option<Request>,
+    spec: impl FnOnce() -> Option<Request>,
 ) -> Result<Arc<RequestState>, String> {
+    // Coalesced: an identical request is already running (or done); the
+    // caller just subscribes to it.
+    if let Some(rs) = lock(&state.requests).get(&id) {
+        return Ok(Arc::clone(rs));
+    }
     if state.shutdown.load(Ordering::SeqCst) {
         return Err("server is shutting down".to_string());
     }
+    let req = spec().ok_or_else(|| format!("unknown request id {id:016x}"))?;
+    // Realized outside the `requests` lock: building programs must not
+    // stall every other admission.
+    let job = realize(state, &req)?;
     let mut requests = lock(&state.requests);
     if let Some(rs) = requests.get(&id) {
-        // Coalesced: an identical request is already running (or done);
-        // the caller just subscribes to it.
+        // An identical request was admitted while this one was realized.
         return Ok(Arc::clone(rs));
     }
-    let Some(req) = spec else {
-        return Err(format!("unknown request id {id:016x}"));
-    };
     let active = state.active.load(Ordering::SeqCst);
     if active >= state.opts.max_active as u64 {
         return Err(format!(
@@ -397,7 +398,7 @@ fn admit(
     store_spec(state, id, &req);
     let runner_state = Arc::clone(state);
     let runner_rs = Arc::clone(&rs);
-    let handle = std::thread::spawn(move || run_request(&runner_state, &runner_rs, &req));
+    let handle = std::thread::spawn(move || run_request(&runner_state, &runner_rs, &job));
     // Reap finished runners, so a long-lived server holds only live
     // ones (shutdown joins those). A runner contains its own panics, so
     // dropping a finished handle loses nothing and frees its stack.
@@ -471,15 +472,11 @@ fn load_spec(state: &ServerState, id: u64) -> Option<Request> {
 }
 
 /// Executes one request end to end and publishes its terminal message.
-fn run_request(state: &Arc<ServerState>, rs: &Arc<RequestState>, req: &Request) {
-    let result = catch_unwind(AssertUnwindSafe(|| execute(state, rs, req)));
-    let done = result.unwrap_or_else(|payload| ServerMsg::Done {
-        id: rs.id,
-        ok: false,
-        report: Vec::new(),
-        summary: format!("request runner panicked: {}", panic_message(payload.as_ref())),
-        extra: String::new(),
-    });
+fn run_request(state: &Arc<ServerState>, rs: &Arc<RequestState>, job: &Job) {
+    let done =
+        catch_unwind(AssertUnwindSafe(|| execute(state, rs, job))).unwrap_or_else(|payload| {
+            failed(rs.id, format!("request runner panicked: {}", panic_message(payload.as_ref())))
+        });
     rs.publish(&done, true);
     state.active.fetch_sub(1, Ordering::SeqCst);
 }
@@ -621,128 +618,123 @@ impl Programs {
     }
 }
 
-fn execute(state: &Arc<ServerState>, rs: &Arc<RequestState>, req: &Request) -> ServerMsg {
-    let reject = |summary: String| ServerMsg::Done {
-        id: rs.id,
-        ok: false,
-        report: Vec::new(),
-        summary,
-        extra: String::new(),
-    };
-    match req {
+/// A request realized at admission: what its runner executes.
+struct Job {
+    cfgs: Vec<BoomConfig>,
+    ws: Vec<Workload>,
+    flow: FlowConfig,
+    kind: JobKind,
+}
+
+enum JobKind {
+    /// A campaign, with its batch lanes.
+    Campaign(usize),
+    /// A sweep, with its options (the pool, jobs and journal are the
+    /// server's).
+    Sweep(SweepOptions),
+}
+
+/// Realizes `req` through the server's program memo into the job its
+/// runner executes, armed with the server's kill drill. An `Err` names
+/// the unknown selection the request is rejected for.
+fn realize(state: &ServerState, req: &Request) -> Result<Job, String> {
+    let mut job = match req {
         Request::Campaign(c) => {
-            let (cfgs, ws, mut flow) = match realize_campaign_in(c, &state.programs) {
-                Ok(r) => r,
-                Err(reason) => return reject(reason),
-            };
-            flow.inject.kill_after_points = state.opts.kill_after_points;
-            // Journal under the state directory, resumed when a previous
-            // server life left one. The campaign fingerprint inside the
-            // journal independently validates that the persisted spec
-            // still describes the same matrix.
-            let path = state.opts.state_dir.join(format!("{:016x}.bfj", rs.id));
-            let fp = campaign_fingerprint_with(&cfgs, &ws, &flow, &[]);
-            let opened = if path.exists() {
-                match CampaignJournal::resume(&path, fp) {
-                    Ok((j, r)) => Ok((j, Some(Arc::new(r)))),
-                    // An older format is this server's own journal, written
-                    // by an older build for the same persisted spec: start
-                    // it afresh rather than reject the id for good.
-                    Err(JournalError::Version { .. }) => {
-                        CampaignJournal::create(&path, fp).map(|j| (j, None))
-                    }
-                    Err(e) => return reject(format!("cannot resume journal: {e}")),
-                }
-            } else {
-                CampaignJournal::create(&path, fp).map(|j| (j, None))
-            };
-            let (journal, replay): (Arc<CampaignJournal>, Option<Arc<JournalReplay>>) = match opened
-            {
-                Ok((j, r)) => (Arc::new(j), r),
-                Err(e) => return reject(format!("cannot create journal: {e}")),
-            };
-            rs.replayed.store(replay.as_ref().map_or(0, |r| r.len() as u64), Ordering::SeqCst);
-            let progress_rs = Arc::clone(rs);
-            let opts = CampaignOptions {
-                jobs: state.opts.jobs,
-                journal: Some(journal),
-                replay,
-                co_runs: Vec::new(),
-                batch_lanes: c.batch_lanes.max(1),
-                pool: Some(Arc::clone(&state.pool)),
-                progress: Some(ProgressHook(Arc::new(move |done, total| {
-                    progress_rs
-                        .publish(&ServerMsg::Progress { id: progress_rs.id, done, total }, false);
-                }))),
-            };
-            let report = supervise_campaign(&cfgs, &ws, &flow, &state.store, &opts);
-            if state.shutdown.load(Ordering::SeqCst) {
-                return reject(
-                    "server shut down mid-campaign; completed points are journaled — \
-                     restart the server and attach this id to resume"
-                        .to_string(),
-                );
-            }
-            let mut summary = report.stage_summary();
-            if let Some(log) = report.failure_log() {
-                summary.push('\n');
-                summary.push_str(&log);
-            }
-            ServerMsg::Done {
-                id: rs.id,
-                ok: report.all_ok(),
-                report: report.render_deterministic().into_bytes(),
-                summary,
-                extra: String::new(),
-            }
+            let (cfgs, ws, flow) = realize_campaign_in(c, &state.programs)?;
+            Job { cfgs, ws, flow, kind: JobKind::Campaign(c.batch_lanes.max(1)) }
         }
         Request::Sweep(s) => {
-            let (cfgs, ws, mut flow, opts) =
-                match realize_sweep_in(s, &SweepExtras::default(), &state.programs) {
-                    Ok(r) => r,
-                    Err(reason) => return reject(reason),
+            let (cfgs, ws, flow, opts) =
+                realize_sweep_in(s, &SweepExtras::default(), &state.programs)?;
+            Job { cfgs, ws, flow, kind: JobKind::Sweep(opts) }
+        }
+    };
+    job.flow.inject.kill_after_points = state.opts.kill_after_points;
+    Ok(job)
+}
+
+/// The terminal message of request `id` when it fails before it has a
+/// report.
+fn failed(id: u64, summary: String) -> ServerMsg {
+    ServerMsg::Done { id, ok: false, report: Vec::new(), summary, extra: String::new() }
+}
+
+/// Runs `job` on the server's pool and store against its journal in the
+/// state directory, `<id>.bfj` for a campaign and `<id>.swj` for a sweep,
+/// always resumed: a previous server life's journal replays, a missing
+/// one starts fresh. The fingerprint inside the journal independently
+/// validates that the persisted spec still describes the same run.
+fn execute(state: &Arc<ServerState>, rs: &Arc<RequestState>, job: &Job) -> ServerMsg {
+    let (ext, what) = match job.kind {
+        JobKind::Campaign(_) => ("bfj", "campaign"),
+        JobKind::Sweep(_) => ("swj", "sweep"),
+    };
+    let path = state.opts.state_dir.join(format!("{:016x}.{ext}", rs.id));
+    let (cfgs, ws, flow) = (&job.cfgs, &job.ws, &job.flow);
+    let (jobs, pool) = (state.opts.jobs, Some(Arc::clone(&state.pool)));
+    let run = |resume| -> Result<ServerMsg, JournalError> {
+        match &job.kind {
+            JobKind::Campaign(batch_lanes) => {
+                let fp = campaign_fingerprint_with(cfgs, ws, flow, &[]);
+                let (journal, replay) = CampaignJournal::open(&path, fp, resume)?;
+                rs.replayed.store(replay.len() as u64, Ordering::SeqCst);
+                let progress_rs = Arc::clone(rs);
+                let opts = CampaignOptions {
+                    jobs,
+                    journal: Some(Arc::new(journal)),
+                    replay: Some(Arc::new(replay)),
+                    co_runs: Vec::new(),
+                    batch_lanes: *batch_lanes,
+                    pool: pool.clone(),
+                    progress: Some(ProgressHook(Arc::new(move |done, total| {
+                        let msg = ServerMsg::Progress { id: progress_rs.id, done, total };
+                        progress_rs.publish(&msg, false);
+                    }))),
                 };
-            flow.inject.kill_after_points = state.opts.kill_after_points;
-            let path = state.opts.state_dir.join(format!("{:016x}.swj", rs.id));
-            let opts = SweepOptions {
-                jobs: state.opts.jobs,
-                resume: path.exists(),
-                journal_path: Some(path),
-                pool: Some(Arc::clone(&state.pool)),
-                ..opts
-            };
-            let report = match run_sweep(&cfgs, &ws, &flow, &state.store, &opts) {
-                // An older-format journal: start it afresh, as for campaigns.
-                Err(JournalError::Version { .. }) => run_sweep(
-                    &cfgs,
-                    &ws,
-                    &flow,
-                    &state.store,
-                    &SweepOptions { resume: false, ..opts },
-                ),
-                r => r,
-            };
-            let report = match report {
-                Ok(report) => report,
-                Err(e) => return reject(format!("sweep failed: {e}")),
-            };
-            rs.replayed.store(report.stats.replayed_points, Ordering::SeqCst);
-            if state.shutdown.load(Ordering::SeqCst) {
-                return reject(
-                    "server shut down mid-sweep; completed points are journaled — \
-                     restart the server and attach this id to resume"
-                        .to_string(),
-                );
+                let report = supervise_campaign(cfgs, ws, flow, &state.store, &opts);
+                let mut summary = report.stage_summary();
+                if let Some(log) = report.failure_log() {
+                    summary = format!("{summary}\n{log}");
+                }
+                Ok(ServerMsg::Done {
+                    id: rs.id,
+                    ok: report.all_ok(),
+                    report: report.render_deterministic().into_bytes(),
+                    summary,
+                    extra: String::new(),
+                })
             }
-            ServerMsg::Done {
-                id: rs.id,
-                ok: report.all_ok(),
-                report: report.render_deterministic().into_bytes(),
-                summary: report.stage_summary(),
-                extra: report.render_frontier(),
+            JobKind::Sweep(opts) => {
+                let (journal_path, pool) = (Some(path.clone()), pool.clone());
+                let opts = SweepOptions { jobs, journal_path, resume, pool, ..*opts };
+                let report = run_sweep(cfgs, ws, flow, &state.store, &opts)?;
+                rs.replayed.store(report.stats.replayed_points, Ordering::SeqCst);
+                Ok(ServerMsg::Done {
+                    id: rs.id,
+                    ok: report.all_ok(),
+                    report: report.render_deterministic().into_bytes(),
+                    summary: report.stage_summary(),
+                    extra: report.render_frontier(),
+                })
             }
         }
-    }
+    };
+    let ran = match run(true) {
+        // An older format is this server's own journal, written by an
+        // older build for the same persisted spec: start it afresh
+        // rather than reject the id for good.
+        Err(JournalError::Version { .. }) => run(false),
+        ran => ran,
+    };
+    let summary = match ran {
+        Ok(_) if state.shutdown.load(Ordering::SeqCst) => format!(
+            "server shut down mid-{what}; completed points are journaled — restart the server \
+             and attach this id to resume"
+        ),
+        Ok(done) => return done,
+        Err(e) => format!("cannot open journal: {e}"),
+    };
+    failed(rs.id, summary)
 }
 
 /// Convenience for in-process clients (tests, benches, the CLI): sends
@@ -807,5 +799,33 @@ mod tests {
         assert!(programs.realize("ALL", Scale::Test).is_err(), "only `all` selects every program");
         assert!(programs.realize("sha,nope", Scale::Test).is_err());
         assert_eq!(lock(&programs.0).len(), 4, "unknown names are not kept");
+    }
+
+    #[test]
+    fn a_known_id_coalesces_even_during_shutdown() {
+        let dir = std::env::temp_dir().join(format!("boomflow-admit-{}", std::process::id()));
+        let opts = ServeOptions {
+            jobs: 1,
+            max_active: 1,
+            cache_dir: None,
+            state_dir: dir.join("state"),
+            kill_after_points: None,
+        };
+        let server = Server::bind(&ServeAddr::Unix(dir.join("s.sock")), opts).unwrap();
+        let state = &server.state;
+        let known = Arc::new(RequestState {
+            id: 7,
+            replayed: AtomicU64::new(0),
+            subscribers: Mutex::new(Vec::new()),
+            done: OnceLock::new(),
+        });
+        lock(&state.requests).insert(7, Arc::clone(&known));
+        state.shutdown.store(true, Ordering::SeqCst);
+        let joined = admit(state, 7, || unreachable!("a known id reads no spec")).unwrap();
+        assert!(Arc::ptr_eq(&joined, &known));
+        let refused = admit(state, 8, || unreachable!("shutdown refuses before the spec"));
+        assert_eq!(refused.err().unwrap(), "server is shutting down");
+        drop(server);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -551,18 +551,8 @@ impl CampaignReport {
     /// `--jobs`) produce byte-identical output. Written by
     /// `boomflow --report-out` and diffed by the CI resume smoke job.
     pub fn render_deterministic(&self) -> String {
-        let mut out = format!("cells {}\n", self.cells.len());
-        for c in &self.cells {
-            match &c.outcome {
-                Ok(r) => {
-                    out.push_str(&format!("cell {} {} ok\n", c.config, c.workload));
-                    render_cell_body(&mut out, r);
-                }
-                Err(e) => {
-                    out.push_str(&format!("cell {} {} failed: {e}\n", c.config, c.workload));
-                }
-            }
-        }
+        let mut out = String::new();
+        render_cells(&mut out, &self.cells);
         // The co-run section is appended only when co-runs were scheduled,
         // so reports from existing single-core campaigns stay
         // byte-identical.
@@ -615,50 +605,62 @@ pub(crate) fn fb(v: f64) -> String {
     format!("{v:.6}[{:016x}]", v.to_bits())
 }
 
-/// Renders the deterministic per-cell body (ipc/coverage line, power
-/// breakdown, per-point rows, degradation) shared by the campaign report
-/// and the sweep's survivor-cell section.
-pub(crate) fn render_cell_body(out: &mut String, r: &WorkloadResult) {
-    out.push_str(&format!(
-        "  ipc {} coverage {} speedup {} total_insts {} interval {}\n",
-        fb(r.ipc),
-        fb(r.coverage),
-        fb(r.speedup),
-        r.total_insts,
-        r.interval_size
-    ));
-    for (comp, b) in r.power.iter() {
+/// Renders the deterministic `cells N` section: per cell, an `ok` line
+/// with its body (ipc/coverage line, power breakdown, per-point rows,
+/// degradation) or a `failed` line. The campaign report's cells and the
+/// sweep's survivor cells render through it alike.
+pub(crate) fn render_cells(out: &mut String, cells: &[CellResult]) {
+    out.push_str(&format!("cells {}\n", cells.len()));
+    for c in cells {
+        let r = match &c.outcome {
+            Ok(r) => r,
+            Err(e) => {
+                out.push_str(&format!("cell {} {} failed: {e}\n", c.config, c.workload));
+                continue;
+            }
+        };
+        out.push_str(&format!("cell {} {} ok\n", c.config, c.workload));
         out.push_str(&format!(
-            "  power {:?} {} {} {}\n",
-            comp,
-            fb(b.leakage_mw),
-            fb(b.internal_mw),
-            fb(b.switching_mw)
+            "  ipc {} coverage {} speedup {} total_insts {} interval {}\n",
+            fb(r.ipc),
+            fb(r.coverage),
+            fb(r.speedup),
+            r.total_insts,
+            r.interval_size
         ));
-    }
-    for (slot, mw) in r.power.int_issue_slot_mw.iter().enumerate() {
-        out.push_str(&format!("  slot {slot} {}\n", fb(*mw)));
-    }
-    for p in &r.points {
-        out.push_str(&format!(
-            "  point interval {} weight {} ipc {} stats {:016x}\n",
-            p.interval,
-            fb(p.weight),
-            fb(p.ipc),
-            p.stats.fingerprint()
-        ));
-    }
-    if let Some(d) = &r.degradation {
-        out.push_str(&format!("  degraded lost {} retries {}\n", fb(d.lost_weight), d.retries));
-        for pf in &d.failed {
+        for (comp, b) in r.power.iter() {
             out.push_str(&format!(
-                "  quarantined {} interval {} weight {} attempts {}: {}\n",
-                pf.simpoint,
-                pf.interval,
-                fb(pf.weight),
-                pf.attempts,
-                pf.kind
+                "  power {:?} {} {} {}\n",
+                comp,
+                fb(b.leakage_mw),
+                fb(b.internal_mw),
+                fb(b.switching_mw)
             ));
+        }
+        for (slot, mw) in r.power.int_issue_slot_mw.iter().enumerate() {
+            out.push_str(&format!("  slot {slot} {}\n", fb(*mw)));
+        }
+        for p in &r.points {
+            out.push_str(&format!(
+                "  point interval {} weight {} ipc {} stats {:016x}\n",
+                p.interval,
+                fb(p.weight),
+                fb(p.ipc),
+                p.stats.fingerprint()
+            ));
+        }
+        if let Some(d) = &r.degradation {
+            out.push_str(&format!("  degraded lost {} retries {}\n", fb(d.lost_weight), d.retries));
+            for pf in &d.failed {
+                out.push_str(&format!(
+                    "  quarantined {} interval {} weight {} attempts {}: {}\n",
+                    pf.simpoint,
+                    pf.interval,
+                    fb(pf.weight),
+                    pf.attempts,
+                    pf.kind
+                ));
+            }
         }
     }
 }

@@ -39,7 +39,7 @@ use crate::flow::{weighted_estimate, FlowConfig, PointOutcome};
 use crate::journal::{sweep_fingerprint, CampaignJournal, JournalError};
 use crate::report::render_table;
 use crate::scheduler::{kill_switch, run_pool, PointRun};
-use crate::supervisor::{fb, render_cell_body, CellResult};
+use crate::supervisor::{fb, render_cells, CellResult};
 use boom_uarch::{BoomConfig, ConfigError, MemBackendKind};
 use rv_isa::codec::Codec;
 use rv_workloads::Workload;
@@ -449,8 +449,9 @@ pub struct SweepOptions {
     /// Journal file recording every completed point for crash-safe
     /// resume; `None` disables journaling.
     pub journal_path: Option<PathBuf>,
-    /// Resume from an existing journal at [`SweepOptions::journal_path`]
-    /// instead of creating a fresh one.
+    /// Resume the journal at [`SweepOptions::journal_path`] instead of
+    /// creating a fresh one ([`CampaignJournal::open`]; a missing journal
+    /// resumes as a fresh one).
     pub resume: bool,
     /// Externally owned worker pool (the campaign service's shared,
     /// request-fair pool); `None` creates a private pool of
@@ -585,18 +586,7 @@ impl SweepReport {
                 r.points, r.shift, r.entered, r.promoted, r.eliminated
             ));
         }
-        out.push_str(&format!("cells {}\n", self.cells.len()));
-        for c in &self.cells {
-            match &c.outcome {
-                Ok(r) => {
-                    out.push_str(&format!("cell {} {} ok\n", c.config, c.workload));
-                    render_cell_body(&mut out, r);
-                }
-                Err(e) => {
-                    out.push_str(&format!("cell {} {} failed: {e}\n", c.config, c.workload));
-                }
-            }
-        }
+        render_cells(&mut out, &self.cells);
         out.push_str(&self.render_frontier());
         out
     }
@@ -770,8 +760,8 @@ pub fn run_sweep(
     let mut replayed: u64 = 0;
     let journal: Option<CampaignJournal> = match &opts.journal_path {
         None => None,
-        Some(path) if opts.resume => {
-            let (j, replay) = CampaignJournal::resume(path, sweep_fp)?;
+        Some(path) => {
+            let (j, replay) = CampaignJournal::open(path, sweep_fp, opts.resume)?;
             for (&(cell, shift, p_idx), outcome) in &replay.outcomes {
                 if cell < cfgs.len() * w {
                     store.record_point(run.key(cell / w, cell % w, shift, p_idx), outcome);
@@ -780,7 +770,6 @@ pub fn run_sweep(
             }
             Some(j)
         }
-        Some(path) => Some(CampaignJournal::create(path, sweep_fp)?),
     };
 
     let charge_and_maybe_kill = kill_switch(flow);

@@ -482,8 +482,16 @@ impl Core {
             exit_code: self.exited,
             retired: self.stats.retired - start_retired,
             cycles: self.stats.cycles - start_cycles,
-            hung: self.exited.is_none() && self.cycle - self.last_commit_cycle >= HANG_LIMIT,
+            hung: self.hung(),
         }
+    }
+
+    /// Whether the pipeline watchdog has fired: the program has not
+    /// exited and nothing has committed for `HANG_LIMIT` (100,000)
+    /// cycles. [`Core::run`] stops there by itself; a caller stepping
+    /// the core with [`Core::step_cycle`] asks after each cycle.
+    pub fn hung(&self) -> bool {
+        self.exited.is_none() && self.cycle - self.last_commit_cycle >= HANG_LIMIT
     }
 
     fn run_loop<const TRACED: bool>(&mut self, start_retired: u64, max_insts: u64) {

@@ -8,10 +8,11 @@
 use boom_uarch::BoomConfig;
 use boomflow::{
     run_simpoint_flow, run_simpoint_flow_with_store, supervise_campaign, supervise_matrix_with,
-    ArtifactStore, CampaignOptions, CampaignReport, FaultInjection, FlowConfig, WorkPool,
-    WorkloadResult,
+    ArtifactStore, CampaignOptions, CampaignReport, CellFailure, FaultInjection, FlowConfig,
+    FlowError, WorkPool, WorkloadResult,
 };
 use rtl_power::Component;
+use rv_isa::codec::fnv1a;
 use rv_workloads::{by_name, Scale, Workload};
 use simpoint::SimPointConfig;
 use std::sync::{mpsc, Arc, Barrier};
@@ -288,6 +289,35 @@ fn dual_core_campaign_is_deterministic_across_job_counts() {
     assert!(rendered.contains("l2_contention_stalls"), "{rendered}");
     assert_eq!(rendered, parallel.render_deterministic(), "co-run report must not depend on jobs");
     assert_reports_identical(&sequential, &parallel);
+}
+
+/// FNV-1a of the co-run hang report below: it pins the cycle the watchdog
+/// fires at and the snapshot it takes, down to the rendered byte.
+const CO_RUN_HANG_REPORT: u64 = 0xad7b_37b3_3de8_bbd4;
+
+/// A co-run core whose commit stage never moves is caught by the core's
+/// own pipeline watchdog: the cell fails as hung once the core has gone
+/// 100,000 cycles without a commit.
+#[test]
+fn co_run_hang_fails_the_cell_as_hung() {
+    let cfgs = vec![BoomConfig::medium()];
+    let flow = FlowConfig {
+        inject: FaultInjection { hang_point: Some(0), ..FaultInjection::default() },
+        ..quick_flow()
+    };
+    let opts = CampaignOptions { jobs: 1, co_runs: vec![(0, 1)], ..CampaignOptions::default() };
+    let report = supervise_matrix_with(&cfgs, &test_workloads(), &flow, &opts);
+    assert_eq!(report.co_cells.len(), 1);
+    match &report.co_cells[0].outcome {
+        Err(CellFailure::Flow(FlowError::CoreHung { simpoint: 0, snapshot })) => {
+            assert_eq!(snapshot.cycles_since_commit, 100_000);
+            assert_eq!(snapshot.retired, 0, "core 0 never commits");
+        }
+        other => panic!("expected core 0 to hang, got {other:?}"),
+    }
+    let rendered = report.render_deterministic();
+    assert!(rendered.contains("co-cell MediumBOOM Bitcount+Dijkstra failed: "), "{rendered}");
+    assert_eq!(fnv1a(rendered.as_bytes()), CO_RUN_HANG_REPORT, "{rendered}");
 }
 
 /// Tentpole acceptance: batched multi-config lanes and idle-cycle

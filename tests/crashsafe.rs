@@ -261,6 +261,36 @@ fn resumed_campaign_report_is_bit_identical_to_uninterrupted() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// `--resume` on a journal that does not exist yet is a fresh run: the
+/// campaign and the sweep each write the report bytes of a run without
+/// a journal, and leave a journal behind that resumes into them again.
+#[test]
+fn resume_on_a_missing_journal_is_a_fresh_run() {
+    let dir = scratch("missing-journal");
+    std::fs::create_dir_all(&dir).unwrap();
+    let boomflow = |args: &[&str], out: &str| {
+        let out = dir.join(out);
+        let full = [args, &["--jobs", "1", "--report-out", out.to_str().unwrap()]].concat();
+        let run = std::process::Command::new(env!("CARGO_BIN_EXE_boomflow"))
+            .args(&full)
+            .output()
+            .unwrap();
+        assert!(run.status.success(), "{full:?}: {}", String::from_utf8_lossy(&run.stderr));
+        std::fs::read(out).unwrap()
+    };
+    let campaign = ["--workload", "bitcount,sha", "--config", "medium", "--scale", "test"];
+    let sweep = ["sweep", "--grid-preset", "smoke16", "--workload", "bitcount", "--scale", "test"];
+    for (i, args) in [&campaign[..], &sweep].into_iter().enumerate() {
+        let journal = dir.join(format!("j{i}"));
+        let journal = journal.to_str().unwrap();
+        let plain = boomflow(args, "plain");
+        let resumed = [args, &["--journal", journal, "--resume"]].concat();
+        assert_eq!(boomflow(&resumed, "fresh"), plain, "{args:?}: a missing journal");
+        assert_eq!(boomflow(&resumed, "again"), plain, "{args:?}: the journal it left");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A batched + idle-skip campaign journals per-(cell, point) records
 /// exactly like a solo one — the campaign fingerprint deliberately
 /// excludes both knobs — so a run killed partway resumes into a

@@ -695,36 +695,117 @@ fn every_submit_flag_serves_its_solo_bytes() {
     shutdown(&addr, handle);
 }
 
-/// An unknown workload is named, with the server's words, on the solo
-/// campaign and sweep paths alike: a usage error (exit 2), not the
-/// usage text.
+/// An unknown workload, configuration, grid preset or base is named with
+/// the same words on every path. The solo campaign and sweep exit 2
+/// without the usage text. The server rejects the request at admission,
+/// so `submit` exits 2 too, and the request leaves no state behind: no
+/// spec-log record, no journal, no active slot.
 #[test]
 fn unknown_workload_is_named_on_every_path() {
-    for args in [
-        &["--workload", "nosuch", "--scale", "test"][..],
-        &["sweep", "--grid-preset", "smoke16", "--workload", "nosuch", "--scale", "test"],
-    ] {
-        let run = boomflow(args);
-        let stderr = String::from_utf8_lossy(&run.stderr);
-        assert_eq!(run.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(stderr.contains("unknown workload 'nosuch'"), "{args:?}: {stderr}");
-        assert!(!stderr.contains("usage:"), "{args:?}: {stderr}");
+    let state_dir = scratch("state-nosuch");
+    let opts = ServeOptions {
+        jobs: 1,
+        max_active: 4,
+        cache_dir: None,
+        state_dir: state_dir.clone(),
+        kill_after_points: None,
+    };
+    let (addr, handle) = start_server("sock-nosuch", opts);
+    let ServeAddr::Unix(sock) = &addr else { unreachable!() };
+    let sock = sock.to_str().unwrap();
+    let sweep = |preset: &str, base: &str| SweepRequest {
+        preset: preset.to_string(),
+        base: base.to_string(),
+        workloads: "bitcount".to_string(),
+        scale: Scale::Test,
+        ..SweepRequest::default()
+    };
+    let cases: [(&[&str], Request, &str); 5] = [
+        (
+            &["--workload", "nosuch", "--scale", "test"],
+            Request::Campaign(campaign_request("nosuch")),
+            "unknown workload 'nosuch'",
+        ),
+        (
+            &["--sweep-preset", "smoke16", "--workload", "nosuch", "--scale", "test"],
+            Request::Sweep(SweepRequest {
+                workloads: "nosuch".to_string(),
+                ..sweep("smoke16", "")
+            }),
+            "unknown workload 'nosuch'",
+        ),
+        (
+            &["--workload", "bitcount", "--config", "huge", "--scale", "test"],
+            Request::Campaign(CampaignRequest {
+                config: "huge".to_string(),
+                ..campaign_request("bitcount")
+            }),
+            "unknown configuration selection 'huge'",
+        ),
+        (
+            &["--sweep-preset", "nosuch", "--workload", "bitcount", "--scale", "test"],
+            Request::Sweep(sweep("nosuch", "")),
+            "unknown grid preset 'nosuch'",
+        ),
+        (
+            &["--sweep-preset", "smoke16", "--base", "huge", "--workload", "bitcount"],
+            Request::Sweep(sweep("smoke16", "huge")),
+            "unknown base configuration 'huge'",
+        ),
+    ];
+    for (args, req, reason) in cases {
+        // The solo entry point of the same flags: `boomflow sweep` names
+        // its preset `--grid-preset`.
+        let solo: Vec<&str> = match args[0] {
+            "--sweep-preset" => [&["sweep", "--grid-preset"][..], &args[1..]].concat(),
+            _ => args.to_vec(),
+        };
+        let submit = [&["submit", "--socket", sock][..], args].concat();
+        for args in [solo, submit] {
+            let run = boomflow(&args);
+            let stderr = String::from_utf8_lossy(&run.stderr);
+            assert_eq!(run.status.code(), Some(2), "{args:?}: {stderr}");
+            assert!(stderr.contains(reason), "{args:?}: {stderr}");
+            assert!(!stderr.contains("usage:"), "{args:?}: {stderr}");
+        }
+        match roundtrip(&addr, &ClientMsg::Submit(req)) {
+            ServerMsg::Rejected { reason: got } => assert_eq!(got, reason),
+            other => panic!("expected Rejected, got {other:?}"),
+        }
     }
+    assert_eq!(files_in(&state_dir), BTreeSet::from(["requests.log".to_string()]), "no journal");
+    assert_eq!(std::fs::metadata(spec_log(&state_dir)).unwrap().len(), 0, "no spec record");
+    match roundtrip(&addr, &ClientMsg::Shutdown) {
+        ServerMsg::Bye { active } => assert_eq!(active, 0, "no request holds an active slot"),
+        other => panic!("expected Bye, got {other:?}"),
+    }
+    handle.join().unwrap().unwrap();
+}
+
+/// A spec in the spec log that this build cannot realize (here, one
+/// naming an unknown workload) is rejected when `attach` would relaunch
+/// it, and no journal is opened for it.
+#[test]
+fn unrealizable_spec_is_rejected_on_attach() {
+    let state_dir = scratch("state-unrealizable");
+    std::fs::create_dir_all(&state_dir).unwrap();
+    let req = campaign_request("nosuch");
+    let id = request_id(&Request::Campaign(req.clone()));
+    std::fs::write(spec_log(&state_dir), framed(&spec_of(&req))).unwrap();
 
     let opts = ServeOptions {
         jobs: 1,
         max_active: 4,
         cache_dir: None,
-        state_dir: scratch("state-nosuch"),
+        state_dir: state_dir.clone(),
         kill_after_points: None,
     };
-    let (addr, handle) = start_server("sock-nosuch", opts);
-    let req = Request::Campaign(campaign_request("nosuch"));
-    match roundtrip(&addr, &ClientMsg::Submit(req)) {
-        ServerMsg::Done { ok: false, summary, .. } => {
-            assert_eq!(summary, "unknown workload 'nosuch'");
-        }
-        other => panic!("expected a failed Done, got {other:?}"),
+    let (addr, handle) = start_server("sock-unrealizable", opts);
+    match roundtrip(&addr, &ClientMsg::Attach(id)) {
+        ServerMsg::Rejected { reason } => assert_eq!(reason, "unknown workload 'nosuch'"),
+        other => panic!("attach of an unrealizable spec: expected Rejected, got {other:?}"),
     }
     shutdown(&addr, handle);
+    assert_eq!(files_in(&state_dir), BTreeSet::from(["requests.log".to_string()]));
+    assert_eq!(spec_records(&state_dir), vec![spec_of(&req)], "the spec log is unchanged");
 }

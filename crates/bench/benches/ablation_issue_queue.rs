@@ -9,18 +9,22 @@
 
 use boom_uarch::{BoomConfig, IssueQueueKind};
 use boomflow::report::render_table;
-use boomflow::{ArtifactStore, FlowConfig};
-use boomflow_bench::{banner, run_config, BENCH_SCALE};
+use boomflow::{ArtifactStore, WorkloadResult};
+use boomflow_bench::{banner, run_matrix, BENCH_SCALE};
 use rtl_power::Component;
 use rv_workloads::all;
 
 fn main() {
     banner("Ablation: collapsing vs non-collapsing issue queues (Key Takeaway #5)");
     let workloads = all(BENCH_SCALE);
-    let flow = FlowConfig::default();
     // The front half of the flow is configuration-independent, so one
-    // store lets all six variants share each workload's artifacts.
-    let store = ArtifactStore::new();
+    // campaign over all six variants shares each workload's artifacts.
+    let kinds = [IssueQueueKind::Collapsing, IssueQueueKind::NonCollapsing];
+    let variants: Vec<BoomConfig> = BoomConfig::all_three()
+        .into_iter()
+        .flat_map(|base| kinds.map(|k| base.clone().with_issue_queue(k)))
+        .collect();
+    let (results, _) = run_matrix(&variants, &workloads, &ArtifactStore::new());
     let header: Vec<String> = [
         "Configuration",
         "collapse IQ mW",
@@ -33,16 +37,10 @@ fn main() {
     .map(|s| s.to_string())
     .collect();
     let mut rows = Vec::new();
-    for base in BoomConfig::all_three() {
-        let coll = run_config(&base, &workloads, &flow, &store);
-        let nc = run_config(
-            &base.clone().with_issue_queue(IssueQueueKind::NonCollapsing),
-            &workloads,
-            &flow,
-            &store,
-        );
+    for (base, by_kind) in variants.iter().step_by(kinds.len()).zip(results.chunks(kinds.len())) {
+        let [coll, nc] = by_kind else { unreachable!("one result set per queue kind") };
         let n = workloads.len() as f64;
-        let iq_power = |rs: &[boomflow::WorkloadResult]| -> f64 {
+        let iq_power = |rs: &[WorkloadResult]| -> f64 {
             rs.iter()
                 .map(|r| {
                     r.power.component(Component::IntIssue).total_mw()
@@ -52,15 +50,15 @@ fn main() {
                 .sum::<f64>()
                 / n
         };
-        let ipc = |rs: &[boomflow::WorkloadResult]| rs.iter().map(|r| r.ipc).sum::<f64>() / n;
-        let (pc, pn) = (iq_power(&coll), iq_power(&nc));
+        let ipc = |rs: &[WorkloadResult]| rs.iter().map(|r| r.ipc).sum::<f64>() / n;
+        let (pc, pn) = (iq_power(coll), iq_power(nc));
         rows.push(vec![
             base.name.clone(),
             format!("{pc:.2}"),
             format!("{pn:.2}"),
             format!("{:+.0}%", 100.0 * (pn - pc) / pc),
-            format!("{:.2}", ipc(&coll)),
-            format!("{:.2}", ipc(&nc)),
+            format!("{:.2}", ipc(coll)),
+            format!("{:.2}", ipc(nc)),
         ]);
     }
     print!("{}", render_table(&header, &rows));

@@ -1,6 +1,6 @@
 //! Calibration fitter: regenerates the `rtl-power` calibration table.
 //!
-//! Runs the SimPoint flow for all workloads on the three configurations,
+//! Runs the paper's campaign (all workloads on the three configurations),
 //! averages each component's modelled (leakage, dynamic) power with the
 //! current calibration divided out, then least-squares fits the two scale
 //! factors per component against the paper's published per-component
@@ -9,7 +9,8 @@
 //!
 //! Usage: `cargo run --release -p boomflow-bench --bin calibrate [small|full]`
 
-use boomflow_bench::{paper_mean_mw, run_all, WORKLOAD_NAMES};
+use boomflow_bench::paper::Campaign;
+use boomflow_bench::paper_mean_mw;
 use rtl_power::calib::calibration;
 use rtl_power::Component;
 use rv_workloads::Scale;
@@ -33,11 +34,7 @@ fn main() {
         _ => Scale::Small,
     };
     eprintln!("running flow at {scale:?} scale for calibration...");
-    let all = run_all(scale);
-    assert_eq!(all.len(), 3);
-    for (_, results) in &all {
-        assert_eq!(results.len(), WORKLOAD_NAMES.len());
-    }
+    let run = Campaign::run(scale);
 
     println!("// Fitted by `cargo run --release -p boomflow-bench --bin calibrate`");
     println!("// against the paper's per-component means (see boomflow-bench).");
@@ -56,7 +53,7 @@ fn main() {
         // Per-config means of the uncalibrated model.
         let mut l = [0.0f64; 3];
         let mut d = [0.0f64; 3];
-        for (i, (_, results)) in all.iter().enumerate() {
+        for (i, results) in run.results.iter().enumerate() {
             for r in results {
                 let pb = r.power.component(c);
                 l[i] += pb.leakage_mw / k.leakage;

@@ -1,112 +1,55 @@
-//! Shared harness for the evaluation benches: runs the SimPoint flow for
-//! all eleven workloads on the three BOOM configurations (in parallel)
-//! and carries the paper's published reference numbers for comparison.
+//! Shared harness for the evaluation benches: the one supervised campaign
+//! every matrix-shaped bench runs, and the paper's published reference
+//! numbers ([`paper`]).
 //!
-//! Every bench shares one [`ArtifactStore`] per sweep, so the
+//! A bench hands its whole configuration × workload matrix to one
+//! [`supervise_campaign`] call against one [`ArtifactStore`], so the
 //! configuration-independent stages (profiling, clustering, checkpoint
-//! capture) run once per workload no matter how many configurations or
-//! parameter values the sweep visits.
+//! capture) run once per workload however many configurations the
+//! matrix holds, and every detailed simulation runs on the campaign's
+//! one worker pool.
 
 use boom_uarch::BoomConfig;
-use boomflow::{run_simpoint_flow_with_store, ArtifactStore, FlowConfig, WorkloadResult};
-use rtl_power::Component;
-use rv_workloads::{all, Scale, Workload};
-use std::thread;
+use boomflow::{
+    supervise_campaign, ArtifactStore, CampaignOptions, CampaignStats, FlowConfig, WorkloadResult,
+};
+use rv_workloads::{Scale, Workload};
 
-/// Runs the flow for every workload under one configuration, one thread
-/// per workload, sharing `store`'s memoized profiling / clustering /
-/// checkpoint artifacts with every other configuration run against it.
+pub mod paper;
+
+pub use paper::paper_mean_mw;
+
+/// Runs one supervised campaign over `cfgs` × `workloads` against
+/// `store` with the default flow and scheduler options, returning each
+/// configuration's results in workload order, plus the campaign's stage
+/// accounting.
 ///
 /// # Panics
 ///
-/// Panics if any workload fails its flow (a correctness bug).
-pub fn run_config(
-    cfg: &BoomConfig,
+/// Panics if any cell fails its flow (a correctness bug).
+pub fn run_matrix(
+    cfgs: &[BoomConfig],
     workloads: &[Workload],
-    flow: &FlowConfig,
     store: &ArtifactStore,
-) -> Vec<WorkloadResult> {
-    thread::scope(|s| {
-        let handles: Vec<_> = workloads
-            .iter()
-            .map(|w| {
-                let cfg = cfg.clone();
-                let flow = flow.clone();
-                s.spawn(move || {
-                    run_simpoint_flow_with_store(&cfg, w, &flow, store)
-                        .unwrap_or_else(|e| panic!("{} on {}: {e}", w.name, cfg.name))
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-    })
-}
-
-/// Runs the flow for all eleven workloads on all three configurations,
-/// profiling / clustering / checkpointing each workload exactly once.
-pub fn run_all(scale: Scale) -> Vec<(BoomConfig, Vec<WorkloadResult>)> {
-    let workloads = all(scale);
-    let flow = FlowConfig::default();
-    let store = ArtifactStore::new();
-    BoomConfig::all_three()
+) -> (Vec<Vec<WorkloadResult>>, CampaignStats) {
+    let report = supervise_campaign(
+        cfgs,
+        workloads,
+        &FlowConfig::default(),
+        store,
+        &CampaignOptions::default(),
+    );
+    let mut cells = report
+        .cells
         .into_iter()
-        .map(|cfg| {
-            let results = run_config(&cfg, &workloads, &flow, &store);
-            (cfg, results)
-        })
-        .collect()
+        .map(|c| c.outcome.unwrap_or_else(|e| panic!("{} on {}: {e}", c.workload, c.config)));
+    let results =
+        cfgs.iter().map(|_| cells.by_ref().take(workloads.len()).map(|r| *r).collect()).collect();
+    (results, report.stats)
 }
 
 /// The scale every figure-regenerating bench uses.
 pub const BENCH_SCALE: Scale = Scale::Full;
-
-/// Workload names in the paper's presentation order.
-pub const WORKLOAD_NAMES: [&str; 11] = [
-    "Basicmath",
-    "Stringsearch",
-    "FFT",
-    "iFFT",
-    "Bitcount",
-    "Qsort",
-    "Dijkstra",
-    "Patricia",
-    "Matmult",
-    "Sha",
-    "Tarfind",
-];
-
-/// Per-component mean power the paper reports (mW at 500 MHz, ASAP7),
-/// for MediumBOOM / LargeBOOM / MegaBOOM — the calibration anchors and
-/// the EXPERIMENTS.md comparison baseline. `RestOfTile` is derived from
-/// the tile totals implied by Fig. 9's coverage fractions.
-pub fn paper_mean_mw(c: Component) -> [f64; 3] {
-    match c {
-        Component::IntRegFile => [0.27, 0.72, 4.83],
-        Component::FpRegFile => [0.05, 0.08, 1.18],
-        Component::IntRename => [0.95, 1.57, 2.50],
-        Component::FpRename => [0.60, 1.29, 2.16],
-        Component::IntIssue => [0.83, 2.08, 4.40],
-        Component::MemIssue => [0.26, 0.62, 1.30],
-        Component::FpIssue => [0.17, 0.39, 0.74],
-        Component::Rob => [0.61, 1.08, 1.57],
-        Component::BranchPredictor => [3.34, 7.00, 7.60],
-        Component::FetchBuffer => [0.22, 0.31, 0.36],
-        Component::Lsu => [0.84, 1.30, 2.20],
-        Component::DCache => [1.13, 2.24, 4.34],
-        Component::ICache => [0.36, 1.06, 1.06],
-        Component::RestOfTile => [3.57, 4.62, 6.06],
-        // The paper's tile stops at the L1s; the uncore components that
-        // appear under the hierarchy memory backend have no reference
-        // figure to calibrate or compare against.
-        Component::L2Cache | Component::DramInterface => [0.0, 0.0, 0.0],
-    }
-}
-
-/// Tile totals implied by the paper (BP share of 25.3 % / 28.8 % / 18.8 %).
-pub const PAPER_TILE_MW: [f64; 3] = [13.20, 24.31, 40.43];
-
-/// Fig. 9: fraction of tile power covered by the 13 analyzed components.
-pub const PAPER_ANALYZED_FRACTION: [f64; 3] = [0.73, 0.81, 0.85];
 
 /// Prints a bench banner so `cargo bench` output is navigable.
 pub fn banner(title: &str) {
@@ -117,18 +60,22 @@ pub fn banner(title: &str) {
 
 #[cfg(test)]
 mod tests {
+    use super::paper::{Reference, CONFIGS};
     use super::*;
+    use rtl_power::Component;
 
     #[test]
     fn paper_reference_sums_are_consistent() {
-        // The 13 analyzed components must sum to fraction x tile.
-        for (i, tile) in PAPER_TILE_MW.iter().enumerate() {
+        // The 13 analyzed components must sum to share x tile, and the
+        // rest of the tile is the tile's unanalyzed share.
+        for (i, cfg) in CONFIGS.into_iter().enumerate() {
             let sum: f64 = Component::ANALYZED.iter().map(|c| paper_mean_mw(*c)[i]).sum();
+            let tile = Reference::find("Fig. 9", "Tile total", cfg).paper;
+            let share = Reference::find("Fig. 9", "Analyzed share", cfg).paper / 100.0;
             let frac = sum / tile;
-            assert!(
-                (frac - PAPER_ANALYZED_FRACTION[i]).abs() < 0.03,
-                "config {i}: analyzed fraction {frac:.3}"
-            );
+            assert!((frac - share).abs() < 0.03, "{cfg}: analyzed fraction {frac:.3}");
+            let rest = Reference::find("Fig. 9", "Rest of Tile", cfg).paper;
+            assert!((rest - tile * (1.0 - share)).abs() < 0.01, "{cfg}: rest of tile {rest}");
         }
     }
 }

@@ -27,7 +27,7 @@
 //! The flow is staged: stages 1–3 depend only on the workload and the
 //! [`FlowConfig`], not on the BOOM configuration, so an [`ArtifactStore`]
 //! memoizes them per workload and a multi-configuration campaign
-//! ([`supervise_matrix`], `boomflow --config all`) profiles, clusters,
+//! ([`supervise_campaign`], `boomflow --config all`) profiles, clusters,
 //! and checkpoints each workload exactly once. Detailed simulation is
 //! scheduled point-by-point across the whole configuration × workload
 //! matrix on a [`WorkPool`] of `--jobs N` workers ([`CampaignOptions`]).
@@ -80,9 +80,9 @@ pub use server::{
     ServeOptions, ServeStream, Server,
 };
 pub use supervisor::{
-    supervise_campaign, supervise_matrix, supervise_matrix_with, CampaignReport, CampaignStats,
-    CellFailure, CellResult, CoRunCellResult, CoreRunResult, Degradation, FailureKind,
-    FaultInjection, PointFailure, RetryPolicy,
+    supervise_campaign, supervise_matrix_with, CampaignReport, CampaignStats, CellFailure,
+    CellResult, CoRunCellResult, CoreRunResult, Degradation, FailureKind, FaultInjection,
+    PointFailure, RetryPolicy,
 };
 pub use sweep::{
     admit, all_fixed_latency, finalize_config, run_sweep, rung_schedule, FrontierPoint, RungSpec,

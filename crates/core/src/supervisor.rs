@@ -19,7 +19,7 @@
 //! * [`Degradation`] — the honesty record attached to a
 //!   [`WorkloadResult`] whose weights were
 //!   re-normalized after quarantining points;
-//! * [`supervise_matrix`] — the campaign driver: every (configuration,
+//! * [`supervise_campaign`] — the campaign driver: every (configuration,
 //!   workload) cell is isolated behind `catch_unwind`, failures are
 //!   collected into a structured [`CampaignReport`], and the caller decides
 //!   the process exit code from [`CampaignReport::all_ok`]. Cells share
@@ -666,7 +666,8 @@ pub(crate) fn render_cells(out: &mut String, cells: &[CellResult]) {
 }
 
 /// Runs the supervised campaign over every (configuration, workload) cell
-/// with the default scheduler options (one worker per available core).
+/// with explicit scheduler options (`--jobs`) and a campaign-private
+/// [`ArtifactStore`].
 ///
 /// Each cell is isolated behind `catch_unwind`: a panic anywhere in one
 /// cell's flow — profiling, clustering, checkpointing, or a detailed-
@@ -678,18 +679,8 @@ pub(crate) fn render_cells(out: &mut String, cells: &[CellResult]) {
 ///
 /// The configuration-independent stages (profile, analysis, checkpoints)
 /// are computed exactly once per workload and shared across every
-/// configuration through a campaign-private [`ArtifactStore`]; use
-/// [`supervise_campaign`] to supply the store (and scheduler options)
-/// yourself.
-pub fn supervise_matrix(
-    cfgs: &[BoomConfig],
-    workloads: &[Workload],
-    flow: &FlowConfig,
-) -> CampaignReport {
-    supervise_matrix_with(cfgs, workloads, flow, &CampaignOptions::default())
-}
-
-/// [`supervise_matrix`] with explicit scheduler options (`--jobs`).
+/// configuration through the store; use [`supervise_campaign`] to supply
+/// the store yourself.
 pub fn supervise_matrix_with(
     cfgs: &[BoomConfig],
     workloads: &[Workload],
@@ -699,7 +690,7 @@ pub fn supervise_matrix_with(
     supervise_campaign(cfgs, workloads, flow, &ArtifactStore::new(), opts)
 }
 
-/// [`supervise_matrix`] against a caller-owned [`ArtifactStore`]: reuse
+/// [`supervise_matrix_with`] against a caller-owned [`ArtifactStore`]: reuse
 /// the store across campaigns (e.g. ablation sweeps over the same
 /// workloads) to share the front half of the flow between them too.
 pub fn supervise_campaign(

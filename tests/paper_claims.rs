@@ -1,33 +1,51 @@
 //! The paper's eight key takeaways and headline evaluation claims,
 //! asserted as integration tests over the full flow.
 //!
-//! These run at `Scale::Test`/`Scale::Small` so the whole file finishes
-//! in tens of seconds; the bench harness re-checks the same claims at
-//! evaluation scale.
+//! These read one shared `Scale::Test` campaign over the paper's matrix
+//! (plus a few `Scale::Small` and gshare runs), so the whole file
+//! finishes in seconds; the `paper` bench re-checks the ordering claims
+//! at evaluation scale.
 
 // Test helpers may unwrap freely; `allow-unwrap-in-tests` only covers
 // `#[test]` fns, not the helpers integration tests share.
 #![allow(clippy::unwrap_used)]
 
 use boom_uarch::{BoomConfig, Core, PredictorKind};
-use boomflow::{run_simpoint_flow, FlowConfig, WorkloadResult};
+use boomflow::{
+    run_simpoint_flow, supervise_campaign, ArtifactStore, CampaignOptions, CampaignReport,
+    FlowConfig, WorkloadResult,
+};
 use rtl_power::{estimate_core, Component};
 use rv_workloads::{all, by_name, Scale};
+use std::sync::OnceLock;
+
+/// Every workload on every paper configuration at test scale, simulated
+/// once and shared by every test of this file.
+fn matrix() -> &'static CampaignReport {
+    static MATRIX: OnceLock<CampaignReport> = OnceLock::new();
+    MATRIX.get_or_init(|| {
+        supervise_campaign(
+            &BoomConfig::all_three(),
+            &all(Scale::Test),
+            &FlowConfig::default(),
+            &ArtifactStore::new(),
+            &CampaignOptions::default(),
+        )
+    })
+}
+
+/// The results of `cfg`'s cells, in workload order.
+fn cells(cfg: &BoomConfig) -> impl Iterator<Item = &'static WorkloadResult> + '_ {
+    matrix().cells.iter().filter(|c| c.config == cfg.name).map(|c| &**c.outcome.as_ref().unwrap())
+}
 
 fn flow(cfg: &BoomConfig, name: &str) -> WorkloadResult {
-    let w = by_name(name, Scale::Test).unwrap();
-    run_simpoint_flow(cfg, &w, &FlowConfig::default()).unwrap()
+    cells(cfg).find(|r| r.name.eq_ignore_ascii_case(name)).unwrap().clone()
 }
 
 fn mean_component(cfg: &BoomConfig, c: Component) -> f64 {
-    let ws = all(Scale::Test);
-    let total: f64 = ws
-        .iter()
-        .map(|w| {
-            run_simpoint_flow(cfg, w, &FlowConfig::default()).unwrap().power.component(c).total_mw()
-        })
-        .sum();
-    total / ws.len() as f64
+    let powers: Vec<f64> = cells(cfg).map(|r| r.power.component(c).total_mw()).collect();
+    powers.iter().sum::<f64>() / powers.len() as f64
 }
 
 /// Key Takeaway #1: integer register file power varies dramatically across

@@ -4,8 +4,8 @@
 
 use boom_uarch::BoomConfig;
 use boomflow::{
-    run_simpoint_flow, supervise_matrix, FailureKind, FaultInjection, FlowConfig, FlowError,
-    RetryPolicy,
+    run_simpoint_flow, supervise_matrix_with, CampaignOptions, FailureKind, FaultInjection,
+    FlowConfig, FlowError, RetryPolicy,
 };
 use proptest::prelude::*;
 use rv_workloads::{by_name, Scale, Workload};
@@ -101,7 +101,12 @@ fn supervise_matrix_isolates_failing_cells() {
     };
     let healthy = by_name("bitcount", Scale::Test).unwrap();
 
-    let report = supervise_matrix(&[BoomConfig::medium()], &[broken, healthy], &quick_flow());
+    let report = supervise_matrix_with(
+        &[BoomConfig::medium()],
+        &[broken, healthy],
+        &quick_flow(),
+        &CampaignOptions::default(),
+    );
     assert_eq!(report.cells.len(), 2);
     assert!(!report.all_ok());
     assert_eq!(report.failed().count(), 1);
